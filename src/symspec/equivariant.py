@@ -257,11 +257,13 @@ class SphereTower:
         """Sigma_n permuting the smash coordinates of S^n."""
         if n not in self._actions:
             space = self.space(n)
+            cells = space.cell_ids() if n > 1 else ()
+            flat = {c: self.flatten(n, ((), c)) for c in cells}
             gens = []
             for i in range(n - 1):
                 assign = {}
-                for c in space.cell_ids():
-                    coords = list(self.flatten(n, ((), c)))
+                for c, coords in flat.items():
+                    coords = list(coords)
                     coords[i], coords[i + 1] = coords[i + 1], coords[i]
                     assign[c] = self.unflatten(n, coords)
                 gens.append(sset.SimplicialMap(space, space, assign))

@@ -1,15 +1,22 @@
 """Exact integral invariants: normalized chains, Smith form, stable colimits.
 
-Everything here is arbitrary-precision integer linear algebra.  Boundary
-matrices are kept column-sparse (dict row -> coefficient per generator);
-kernels come from an integer column reduction, torsion from Smith normal
-form of the boundary written in kernel coordinates.
+Everything here is arbitrary-precision integer linear algebra; nothing is
+rational.  Boundary matrices are kept column-sparse (dict row -> coefficient
+per generator); kernels come from an integer column reduction, torsion from
+Smith normal form of the boundary written in kernel coordinates.  Those
+coordinates come from back-substitution against the kernel columns brought
+to echelon form by the same column reduction.
 """
 
-import itertools
-from fractions import Fraction
-
 from . import sset
+
+
+class HomologyInputError(ValueError, AssertionError):
+    """An input that breaks an identity of this module, named in the message.
+
+    Also an AssertionError, the type these checks raised as asserts, so
+    callers that catch that keep working; unlike an assert it survives -O.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +30,6 @@ def identity_matrix(n):
 def mat_mul(A, B):
     if not A or not B:
         return [[0] * (len(B[0]) if B else 0) for _ in A]
-    n = len(B)
     out = []
     for row in A:
         acc = [0] * len(B[0])
@@ -64,7 +70,9 @@ def smith_normal_form(M):
     """Smith normal form over the integers.
 
     Pivot rule: smallest nonzero absolute value, earliest (row, column)
-    position on ties, which makes the reduction deterministic.
+    position on ties, which makes the reduction deterministic.  The scan
+    stops at the first unit, which that rule already picks, and a unit
+    pivot skips the divisibility sweep, which it always passes.
     """
     A = [[int(v) for v in row] for row in M]
     m = len(A)
@@ -114,9 +122,7 @@ def smith_normal_form(M):
         for j in range(n):
             v2[j] -= q * v1[j]
 
-    t = 0
-    limit = min(m, n)
-    while t < limit:
+    def find_pivot(t):
         best = None
         for i in range(t, m):
             row = A[i]
@@ -124,6 +130,14 @@ def smith_normal_form(M):
                 v = row[j]
                 if v and (best is None or (abs(v), i, j) < best):
                     best = (abs(v), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        best = find_pivot(t)
         if best is None:
             break
         _, bi, bj = best
@@ -146,6 +160,9 @@ def smith_normal_form(M):
                 if A[t][j]:
                     dirty = True
         if dirty:
+            continue
+        if piv == 1:
+            t += 1
             continue
         bad = None
         for i in range(t + 1, m):
@@ -206,18 +223,17 @@ def _ext_gcd(a, b):
     return old_r, old_s, old_t
 
 
-def kernel_of_columns(cols):
-    """Integer kernel basis of a column-sparse matrix.
+def _column_echelon(cols):
+    """Unimodular column reduction of a column-sparse matrix.
 
-    Returns (kernel, rank) where kernel is a list of sparse coordinate
-    vectors over the column index set.  The vectors are the zero columns of
-    a unimodular right transform, so they form a basis of the kernel as a
-    direct summand.
+    Returns (work, V, pivot_at): work[j] = sum_i V[j][i] * cols[i], every
+    nonzero work column has its own lowest row, and pivot_at maps that row
+    to the column.  V is unimodular, so the work columns span the same
+    lattice as cols and the V columns of zero work columns span the kernel.
     """
     work = [dict(c) for c in cols]
     V = [{j: 1} for j in range(len(cols))]
     pivot_at = {}
-    kernel = []
     for j in range(len(cols)):
         c = work[j]
         vj = V[j]
@@ -246,77 +262,59 @@ def kernel_of_columns(cols):
                 )
                 c = work[j]
                 vj = V[j]
-        if not c:
-            kernel.append(vj)
+    return work, V, pivot_at
+
+
+def kernel_of_columns(cols):
+    """Integer kernel basis of a column-sparse matrix.
+
+    Returns (kernel, rank) where kernel is a list of sparse coordinate
+    vectors over the column index set.  The vectors are the zero columns of
+    a unimodular right transform, so they form a basis of the kernel as a
+    direct summand.
+    """
+    work, V, pivot_at = _column_echelon(cols)
+    kernel = [V[j] for j, c in enumerate(work) if not c]
     return kernel, len(pivot_at)
 
 
 class _KernelSolver:
-    """Solves K . c = x for sparse x, with full verification."""
+    """Solves K . c = x for sparse x, with full verification.
+
+    K (the kernel columns) has full column rank, so c is unique.  The
+    columns are brought to echelon form E = K . W by the column reduction
+    of `kernel_of_columns`; x is peeled from its lowest row by exact
+    division against E's pivots, and c = W . c'.  Integer arithmetic only.
+    """
 
     def __init__(self, kernel):
         self.kernel = kernel
-        z = len(kernel)
-        self.z = z
-        self.sel_rows = []
-        if z == 0:
-            self.inverse = []
-            return
-        echelon = []
-        seen = sorted(set().union(*[k.keys() for k in kernel]))
-        for r in seen:
-            vec = [Fraction(kernel[j].get(r, 0)) for j in range(z)]
-            red = vec[:]
-            for prow in echelon:
-                lead = next(i for i, v in enumerate(prow) if v)
-                if red[lead]:
-                    f = red[lead] / prow[lead]
-                    red = [a - f * b for a, b in zip(red, prow)]
-            if any(red):
-                echelon.append(red)
-                self.sel_rows.append(r)
-                if len(self.sel_rows) == z:
-                    break
-        assert len(self.sel_rows) == z, "kernel columns are dependent"
-        # invert the selected square submatrix over the rationals
-        M = [
-            [Fraction(kernel[j].get(r, 0)) for j in range(z)]
-            for r in self.sel_rows
-        ]
-        aug = [row[:] + [Fraction(int(i == k)) for k in range(z)]
-               for i, row in enumerate(M)]
-        for col in range(z):
-            piv = next(i for i in range(col, z) if aug[i][col])
-            aug[col], aug[piv] = aug[piv], aug[col]
-            f = aug[col][col]
-            aug[col] = [v / f for v in aug[col]]
-            for i in range(z):
-                if i != col and aug[i][col]:
-                    g = aug[i][col]
-                    aug[i] = [a - g * b for a, b in zip(aug[i], aug[col])]
-        self.inverse = [row[z:] for row in aug]
+        self.z = len(kernel)
+        self.echelon, self.transform, self.pivot_at = _column_echelon(kernel)
+        if len(self.pivot_at) != self.z:
+            raise HomologyInputError("kernel columns are dependent")
 
     def solve(self, x):
         """Coordinates of the sparse vector x in the kernel basis."""
-        if self.z == 0:
-            if x:
+        target = {i: v for i, v in x.items() if v}
+        rest = dict(target)
+        c = [0] * self.z
+        while rest:
+            low = max(rest)
+            p = self.pivot_at.get(low)
+            if p is None:
                 raise ValueError("chain is not a cycle")
-            return []
-        rhs = [x.get(r, 0) for r in self.sel_rows]
-        c = []
-        for row in self.inverse:
-            acc = Fraction(0)
-            for v, b in zip(row, rhs):
-                if b:
-                    acc += v * b
-            if acc.denominator != 1:
+            q, r = divmod(rest[low], self.echelon[p][low])
+            if r:
                 raise ValueError("chain is not a cycle")
-            c.append(int(acc))
+            _axpy(rest, self.echelon[p], -q)
+            for i, v in self.transform[p].items():
+                c[i] += q * v
         check = {}
         for j, cj in enumerate(c):
             if cj:
                 _axpy(check, self.kernel[j], cj)
-        if check != {i: v for i, v in x.items() if v}:
+        if check != target:
             raise ValueError("chain is not a cycle")
         return c
 
@@ -331,11 +329,14 @@ class HomologyGroup:
     def __init__(self, free_rank, torsion=()):
         self.free_rank = free_rank
         self.torsion = tuple(int(d) for d in torsion)
-        assert free_rank >= 0
+        if free_rank < 0:
+            raise HomologyInputError(f"free rank {free_rank} is negative")
         for d in self.torsion:
-            assert d > 1
+            if d <= 1:
+                raise HomologyInputError(f"torsion coefficient {d} is not > 1")
         for a, b in zip(self.torsion, self.torsion[1:]):
-            assert b % a == 0, "torsion coefficients must form a divisor chain"
+            if b % a:
+                raise HomologyInputError(f"torsion {a} does not divide {b}")
 
     def __eq__(self, other):
         return (
@@ -394,31 +395,25 @@ class _DegreeData:
                 _axpy(out, self.kernel[j], v)
         return out
 
+    def _gen_chains(self, js):
+        # column j of Uprime_inv, written out over the kernel basis
+        return [self._kernel_chain([row[j] for row in self.Uprime_inv])
+                for j in js]
+
     @property
     def free_gen_chains(self):
-        z = len(self.kernel)
-        return [
-            self._kernel_chain([self.Uprime_inv[i][j] for i in range(z)])
-            for j in range(self.t, z)
-        ]
+        return self._gen_chains(range(self.t, len(self.kernel)))
 
     @property
     def torsion_gen_chains(self):
-        z = len(self.kernel)
-        return [
-            self._kernel_chain([self.Uprime_inv[i][j] for i in range(z)])
-            for j in range(self.t)
-            if self.ediag[j] > 1
-        ]
+        return self._gen_chains(
+            j for j in range(self.t) if self.ediag[j] > 1
+        )
 
     def class_of(self, x):
         """Coordinates of a cycle's homology class: (free tuple, torsion tuple)."""
         c = self.solver.solve(x)
-        z = len(self.kernel)
-        w = [
-            sum(self.Uprime[i][j] * c[j] for j in range(z))
-            for i in range(z)
-        ]
+        w = [sum(u * cj for u, cj in zip(row, c)) for row in self.Uprime]
         free = tuple(w[self.t:])
         torsion = tuple(
             w[i] % self.ediag[i]
@@ -442,7 +437,11 @@ class ChainComplex:
         self.name = name
         self._degree_cache = {}
         for k, cols in columns.items():
-            assert len(cols) == self.rank(k)
+            if len(cols) != self.rank(k):
+                raise HomologyInputError(
+                    f"degree {k} has {len(cols)} boundary columns "
+                    f"but rank {self.rank(k)}"
+                )
 
     def rank(self, k):
         return self.ranks.get(k, 0)
@@ -474,11 +473,14 @@ class ChainComplex:
             if k < 2:
                 continue
             below = self.boundary_columns(k - 1)
-            for col in self.boundary_columns(k):
+            for j, col in enumerate(self.boundary_columns(k)):
                 acc = {}
                 for i, a in col.items():
                     _axpy(acc, below[i], a)
-                assert not acc, f"boundary squared is nonzero in degree {k}"
+                if acc:
+                    raise HomologyInputError(
+                        f"boundary squared is nonzero in degree {k}, generator {j}"
+                    )
         return True
 
     def degree_data(self, k):
@@ -605,9 +607,13 @@ class InducedMap:
         self.source_group = src.group if src else HomologyGroup(0)
         self.target_group = tgt.group if tgt else HomologyGroup(0)
 
-        def classify(chain):
+        def classify(j, chain):
             if tgt is None:
-                assert not chain
+                if chain:
+                    raise HomologyInputError(
+                        f"H_{k} generator {j} maps to a nonzero chain "
+                        f"but the target has no degree-{k} cells"
+                    )
                 return (), ()
             return tgt.class_of(chain)
 
@@ -615,29 +621,25 @@ class InducedMap:
         cols = []
         tors_cols = []
         if src is not None:
-            for g in src.free_gen_chains:
-                free, tors = classify(chain_push(f, k, g, C, D))
+            for j, g in enumerate(src.free_gen_chains):
+                free, tors = classify(j, chain_push(f, k, g, C, D))
                 cols.append((free, tors))
-            for g in src.torsion_gen_chains:
-                free, tors = classify(chain_push(f, k, g, C, D))
-                assert not any(free), "torsion generator mapped to free part"
+            for j, g in enumerate(src.torsion_gen_chains):
+                free, tors = classify(j, chain_push(f, k, g, C, D))
+                if any(free):
+                    raise HomologyInputError(
+                        f"H_{k} torsion generator {j} mapped to free part"
+                    )
                 tors_cols.append(tors)
-        self.matrix = [
-            [cols[j][0][i] for j in range(len(cols))] for i in range(fr)
-        ]
+        self.matrix = [[c[0][i] for c in cols] for i in range(fr)]
         self.free_to_torsion = [c[1] for c in cols]
-        self.torsion_matrix = [
-            [tors_cols[j][i] for j in range(len(tors_cols))]
-            for i in range(len(self.target_group.torsion))
-        ]
+        self.torsion_matrix = [[t[i] for t in tors_cols]
+                               for i in range(len(self.target_group.torsion))]
 
     def is_isomorphism(self):
-        if self.source_group.free_rank != self.target_group.free_rank:
-            return False
-        return _unimodular(self.matrix) and _torsion_iso(
-            self.source_group.torsion,
-            self.target_group.torsion,
-            self.torsion_matrix,
+        return _map_is_iso(
+            self.source_group, self.target_group,
+            self.matrix, self.torsion_matrix,
         )
 
     def to_json(self):
@@ -669,10 +671,12 @@ class SuspensionChainMap:
     def __init__(self, X, sm=None):
         if sm is None:
             sm = sset.smash(sset.circle(), X)
-        assert sm.B is X
+        if sm.B is not X:
+            raise HomologyInputError("the smash's right factor is not X")
         circle = sm.A
         one_cells = [c for c in circle.cells.get(1, ()) if c != circle.basepoint]
-        assert len(one_cells) == 1 and circle.n_cells(0) == 1
+        if len(one_cells) != 1 or circle.n_cells(0) != 1:
+            raise HomologyInputError("the smash's left factor is not S^1")
         self.edge = one_cells[0]
         self.smash = sm
         self.space = X
@@ -686,7 +690,10 @@ class SuspensionChainMap:
         for i in range(k + 1):
             wa = tuple(j for j in range(k, -1, -1) if j != i)
             form = self.smash.form_of_pair((wa, self.edge), ((i,), c))
-            assert not form[0] and form[1] != self.smash.space.basepoint
+            if form[0] or form[1] == self.smash.space.basepoint:
+                raise HomologyInputError(
+                    f"shuffle {i} of cell {c} is degenerate or at the base"
+                )
             row = self.target.index[k + 1][form[1]]
             sign = -1 if i % 2 else 1
             nv = out.get(row, 0) + sign
@@ -716,7 +723,10 @@ class SuspensionChainMap:
                     k - 1, self.source.boundary_columns(k)[j]
                 ) if k >= 1 else {}
                 neg = {i: -v for i, v in rhs.items()}
-                assert lhs == neg, f"not a chain map at degree {k}"
+                if lhs != neg:
+                    raise HomologyInputError(
+                        f"not a chain map at degree {k} on generator {j}"
+                    )
         return True
 
     def induces_isomorphism(self, k):
@@ -726,27 +736,12 @@ class SuspensionChainMap:
             return False
         if src.is_zero:
             return True
-        sd = self.source.degree_data(k)
-        td = self.target.degree_data(k + 1)
-        cols = []
-        tors_cols = []
-        for g in sd.free_gen_chains:
-            free, _ = td.class_of(self.apply_chain(k, g))
-            cols.append(free)
-        for g in sd.torsion_gen_chains:
-            _, tors = td.class_of(self.apply_chain(k, g))
-            tors_cols.append(tors)
-        matrix = [
-            [cols[j][i] for j in range(len(cols))]
-            for i in range(tgt.free_rank)
-        ]
-        residues = [
-            [tors_cols[j][i] for j in range(len(tors_cols))]
-            for i in range(len(tgt.torsion))
-        ]
-        return _unimodular(matrix) and _torsion_iso(
-            src.torsion, tgt.torsion, residues
+        matrix, residues = _pushed_classes(
+            self.source.degree_data(k),
+            self.target.degree_data(k + 1),
+            lambda g: self.apply_chain(k, g),
         )
+        return _map_is_iso(src, tgt, matrix, residues)
 
 
 def suspension_chain_map(X, sm=None):
@@ -778,23 +773,22 @@ def hurewicz_gate(space, d):
 
 def _transition(X, n, k, data_n, data_n1, C_n1):
     """Free/torsion matrices of H_{k+n}(X_n) -> H_{k+n+1}(X_{n+1})."""
-    sm = X.structure_smash(n)
-    E = SuspensionChainMap(X.space(n), sm)
+    E = SuspensionChainMap(X.space(n), X.structure_smash(n))
     sig = X.sigma(n)
-    C_mid = E.target
 
     def push(chain):
         mid = E.apply_chain(k + n, chain)
-        return chain_push(sig, k + n + 1, mid, C_mid, C_n1)
+        return chain_push(sig, k + n + 1, mid, E.target, C_n1)
 
-    cols = [data_n1.class_of(push(g))[0] for g in data_n.free_gen_chains]
-    tors = [data_n1.class_of(push(g))[1] for g in data_n.torsion_gen_chains]
-    fr = data_n1.group.free_rank
-    matrix = [[cols[j][i] for j in range(len(cols))] for i in range(fr)]
-    residues = [
-        [tors[j][i] for j in range(len(tors))]
-        for i in range(len(data_n1.group.torsion))
-    ]
+    return _pushed_classes(data_n, data_n1, push)
+
+
+def _pushed_classes(src, tgt, push):
+    """Free matrix and torsion residues of src's generators pushed into tgt."""
+    cols = [tgt.class_of(push(g))[0] for g in src.free_gen_chains]
+    tors = [tgt.class_of(push(g))[1] for g in src.torsion_gen_chains]
+    matrix = [[c[i] for c in cols] for i in range(tgt.group.free_rank)]
+    residues = [[t[i] for t in tors] for i in range(len(tgt.group.torsion))]
     return matrix, residues
 
 

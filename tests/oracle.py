@@ -8,8 +8,9 @@ against.
 
 The last section is different: it keeps constructions the package replaced
 (the smash as a collapsed product, the smash of spectra as a triple-tensor
-coequalizer), built from package primitives, as references for the direct
-constructions that took their place.
+coequalizer, the Smith form without its unit shortcuts, kernel coordinates
+through a rational inverse), built from package primitives, as references
+for the constructions that took their place.
 """
 
 import itertools
@@ -329,3 +330,172 @@ def _triple_tensor_maps(X, Y, T_xy):
         T_x_sy, T_xy, sq.identity_seq_map(X.seq), sp.left_action_map(Y, T_sy)
     ).compose(al)
     return r_map, l_map, T_xs_y
+
+
+def smith_normal_form_full_scan(M):
+    """The Smith normal form before the unit shortcuts, as an SNFResult.
+
+    Same pivot rule as ``homology.smith_normal_form`` (smallest nonzero
+    absolute value, earliest (row, column) on ties), but every pivot scan
+    reads the whole remaining block and every pivot runs the divisibility
+    sweep.
+    """
+    from symspec import homology as hl
+
+    A = [[int(v) for v in row] for row in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    U = hl.identity_matrix(m)
+    U_inv = hl.identity_matrix(m)
+    V = hl.identity_matrix(n)
+    V_inv = hl.identity_matrix(n)
+
+    def row_swap(r1, r2):
+        A[r1], A[r2] = A[r2], A[r1]
+        U[r1], U[r2] = U[r2], U[r1]
+        for row in U_inv:
+            row[r1], row[r2] = row[r2], row[r1]
+
+    def row_add(r1, r2, q):
+        a1, a2 = A[r1], A[r2]
+        for j in range(n):
+            a1[j] += q * a2[j]
+        u1, u2 = U[r1], U[r2]
+        for j in range(m):
+            u1[j] += q * u2[j]
+        for row in U_inv:
+            row[r2] -= q * row[r1]
+
+    def row_negate(r):
+        A[r] = [-v for v in A[r]]
+        U[r] = [-v for v in U[r]]
+        for row in U_inv:
+            row[r] = -row[r]
+
+    def col_swap(c1, c2):
+        for row in A:
+            row[c1], row[c2] = row[c2], row[c1]
+        for row in V:
+            row[c1], row[c2] = row[c2], row[c1]
+        V_inv[c1], V_inv[c2] = V_inv[c2], V_inv[c1]
+
+    def col_add(c1, c2, q):
+        for row in A:
+            row[c1] += q * row[c2]
+        for row in V:
+            row[c1] += q * row[c2]
+        v1, v2 = V_inv[c1], V_inv[c2]
+        for j in range(n):
+            v2[j] -= q * v1[j]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = A[i][j]
+                if v and (best is None or (abs(v), i, j) < best):
+                    best = (abs(v), i, j)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        if A[t][t] < 0:
+            row_negate(t)
+        piv = A[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            if A[i][t]:
+                row_add(i, t, -(A[i][t] // piv))
+                dirty = dirty or bool(A[i][t])
+        for j in range(t + 1, n):
+            if A[t][j]:
+                col_add(j, t, -(A[t][j] // piv))
+                dirty = dirty or bool(A[t][j])
+        if dirty:
+            continue
+        bad = next(
+            (i for i in range(t + 1, m)
+             if any(A[i][j] % piv for j in range(t + 1, n))),
+            None,
+        )
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue
+        t += 1
+    return hl.SNFResult(A, U, V, U_inv, V_inv)
+
+
+class RationalKernelSolver:
+    """Kernel coordinates through a dense rational inverse.
+
+    Picks the first rows (ascending) on which the kernel columns are
+    independent, inverts that square block over Q, and accepts x only if the
+    solution is integral and reproduces x on every row.
+    """
+
+    def __init__(self, kernel):
+        from fractions import Fraction
+
+        self.kernel = kernel
+        z = len(kernel)
+        self.z = z
+        self.sel_rows = []
+        if z == 0:
+            self.inverse = []
+            return
+        echelon = []
+        for r in sorted(set().union(*[k.keys() for k in kernel])):
+            red = [Fraction(kernel[j].get(r, 0)) for j in range(z)]
+            for prow in echelon:
+                lead = next(i for i, v in enumerate(prow) if v)
+                if red[lead]:
+                    f = red[lead] / prow[lead]
+                    red = [a - f * b for a, b in zip(red, prow)]
+            if any(red):
+                echelon.append(red)
+                self.sel_rows.append(r)
+                if len(self.sel_rows) == z:
+                    break
+        if len(self.sel_rows) != z:
+            raise ValueError("kernel columns are dependent")
+        aug = [
+            [Fraction(kernel[j].get(r, 0)) for j in range(z)]
+            + [Fraction(int(i == k)) for k in range(z)]
+            for i, r in enumerate(self.sel_rows)
+        ]
+        for col in range(z):
+            piv = next(i for i in range(col, z) if aug[i][col])
+            aug[col], aug[piv] = aug[piv], aug[col]
+            f = aug[col][col]
+            aug[col] = [v / f for v in aug[col]]
+            for i in range(z):
+                if i != col and aug[i][col]:
+                    g = aug[i][col]
+                    aug[i] = [a - g * b for a, b in zip(aug[i], aug[col])]
+        self.inverse = [row[z:] for row in aug]
+
+    def solve(self, x):
+        if self.z == 0:
+            if any(x.values()):
+                raise ValueError("chain is not a cycle")
+            return []
+        rhs = [x.get(r, 0) for r in self.sel_rows]
+        c = []
+        for row in self.inverse:
+            acc = sum(v * b for v, b in zip(row, rhs) if b)
+            if acc.denominator != 1:
+                raise ValueError("chain is not a cycle")
+            c.append(int(acc))
+        check = {}
+        for j, cj in enumerate(c):
+            for i, v in self.kernel[j].items():
+                check[i] = check.get(i, 0) + cj * v
+        if {i: v for i, v in check.items() if v} != {
+            i: v for i, v in x.items() if v
+        }:
+            raise ValueError("chain is not a cycle")
+        return c

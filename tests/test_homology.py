@@ -1,7 +1,10 @@
 """Integer homology engine: normal forms, kernels, groups, induced maps."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
@@ -551,3 +554,147 @@ def test_cylinder_retraction_report_is_iso(tower):
     rep = hl.stable_map_report(r, 0)
     assert rep.verdict == "iso-at-all-computed-levels"
     assert rep.ladder_commutes
+
+
+# ---------------------------------------------------------------------------
+# the integer engine against the replaced rational / full-scan references
+
+
+def _columns(M):
+    return [
+        {i: M[i][j] for i in range(len(M)) if M[i][j]}
+        for j in range(len(M[0]) if M else 0)
+    ]
+
+
+def _independent_columns(M):
+    """Columns of M, greedily kept while they stay linearly independent."""
+    kept = []
+    for col in _columns(M):
+        if hl.kernel_of_columns(kept + [col])[1] == len(kept) + 1:
+            kept.append(col)
+    return kept
+
+
+def _combination(K, c):
+    x = {}
+    for j, cj in enumerate(c):
+        for i, v in K[j].items():
+            x[i] = x.get(i, 0) + cj * v
+    return {i: v for i, v in x.items() if v}
+
+
+def _solve_or_reason(solver, x):
+    try:
+        return solver.solve(x)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices, st.lists(st.integers(-6, 6), min_size=5, max_size=5))
+def test_kernel_solver_matches_rational_oracle(M, coeffs):
+    # an arbitrary full-rank lattice, and a kernel basis as the engine has
+    for K in (_independent_columns(M), hl.kernel_of_columns(_columns(M))[0]):
+        c = coeffs[:len(K)]
+        x = _combination(K, c)
+        assert hl._KernelSolver(K).solve(x) == c
+        assert oracle.RationalKernelSolver(K).solve(x) == c
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices, st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+       st.integers(2, 5))
+def test_kernel_solver_rejects_chains_off_the_lattice(M, coeffs, d):
+    K = _independent_columns(M)
+    c = coeffs[:len(K)]
+    off_row = {**_combination(K, c), len(M): 1}
+    for solver in (hl._KernelSolver(K), oracle.RationalKernelSolver(K)):
+        with pytest.raises(ValueError, match="chain is not a cycle"):
+            solver.solve(off_row)
+    if K:
+        # K[0] is 1/d times the first column of the scaled basis
+        scaled = [{i: d * v for i, v in K[0].items()}] + K[1:]
+        x = _combination(K, [1] + c[1:])
+        for solver in (hl._KernelSolver(scaled),
+                       oracle.RationalKernelSolver(scaled)):
+            assert _solve_or_reason(solver, x) == "chain is not a cycle"
+
+
+unitless_matrices = st.integers(1, 6).flatmap(
+    lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0, 0, 2, -2, 3, -4, 6, 9, -10]),
+                     min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(matrices, unitless_matrices))
+def test_snf_matches_full_scan_oracle(M):
+    new = hl.smith_normal_form(M)
+    old = oracle.smith_normal_form_full_scan(M)
+    assert (new.D, new.U, new.V, new.U_inv, new.V_inv) == (
+        old.D, old.U, old.V, old.U_inv, old.V_inv
+    )
+
+
+def test_degree_data_matches_oracles_on_spheres():
+    for n in range(1, 5):
+        C = hl.hz_level_complex(n)
+        for k in C.degrees():
+            data = C.degree_data(k)
+            rational = oracle.RationalKernelSolver(data.kernel)
+            for col in C.boundary_columns(k + 1):
+                assert data.solver.solve(col) == rational.solve(col)
+
+
+# ---------------------------------------------------------------------------
+# validation survives python -O
+
+
+def test_boundary_squared_guard_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(hl.__file__))
+    script = (
+        "import symspec.homology as hl\n"
+        "bad = hl.ChainComplex({0: 1, 1: 1, 2: 1}, {1: [{0: 1}], 2: [{0: 1}]})\n"
+        "try:\n"
+        "    bad.validate()\n"
+        "except ValueError as exc:\n"
+        "    print('rejected:', exc)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == (
+        "rejected: boundary squared is nonzero in degree 2, generator 0"
+    )
+
+
+def test_homology_inputs_rejected_with_a_reason():
+    with pytest.raises(ValueError, match="torsion 3 does not divide 2"):
+        hl.HomologyGroup(1, (3, 2))
+    with pytest.raises(ValueError, match="degree 1 has 2 boundary columns"):
+        hl.ChainComplex({1: 1}, {1: [{}, {}]})
+
+
+# ---------------------------------------------------------------------------
+# S^6: the first sphere past the old rational solver
+
+
+def test_hz_level_six():
+    C = hl.hz_level_complex(6)
+    for k in range(8):
+        assert hl.homology(C, k) == (Z() if k == 6 else Z(0)), k
+    data = C.degree_data(6)
+    (gen,) = data.free_gen_chains
+    assert data.class_of(gen) == ((1,), ())
