@@ -12,8 +12,27 @@ from . import equivariant as eq
 from . import homology as hl
 from . import spectra as sp
 from . import sset
+from .sset import Budget, BudgetExceeded
 
 DEFAULT_LIFT_BUDGET = 10 ** 6
+
+
+class ModelCheckInputError(ValueError):
+    """An input the checks here cannot take; the message says why."""
+
+
+def _check_same_frame(A, X, what):
+    """Source and target spectra must share a sphere tower and a level bound."""
+    if A.tower is not X.tower:
+        raise ModelCheckInputError(
+            f"{what}: source {A.name} and target {X.name} are built on "
+            "different sphere towers"
+        )
+    if A.bound != X.bound:
+        raise ModelCheckInputError(
+            f"{what}: source {A.name} has level bound {A.bound}, "
+            f"target {X.name} has level bound {X.bound}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +104,7 @@ def latching_corner(f):
     descended actions and structure maps.
     """
     X, Y = f.source, f.target
-    assert X.tower is Y.tower and X.bound == Y.bound
+    _check_same_frame(X, Y, "latching corner")
     XB, nat_x = _latching_data(X)
     YB, nat_y = _latching_data(Y)
     Lf = sp.smash_map_spectra(XB, YB, f, sp.identity_spectrum_map(XB.Y))
@@ -117,7 +136,11 @@ def stable_cofibration_check(f):
     levels = []
     for n in range(Y.bound + 1):
         cn = corner.level(n)
-        assert eq.is_equivariant(corner.source.level(n), Y.level(n), cn)
+        if not eq.is_equivariant(corner.source.level(n), Y.level(n), cn):
+            raise ModelCheckInputError(
+                f"corner of {f.source.name} -> {Y.name} is not "
+                f"equivariant at level {n}"
+            )
         mono = cn.is_monomorphism()
         if mono:
             free = eq.acts_freely_off_image(Y.level(n), cn)
@@ -142,59 +165,6 @@ def stable_cofibration_check(f):
 # exhaustive map enumeration
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
-class _Budget:
-    def __init__(self, limit):
-        self.limit = limit
-        self.used = 0
-
-    def spend(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise BudgetExceeded(self.used)
-
-
-def _all_space_maps(A, X, budget=None):
-    """Every pointed simplicial map A -> X, in one fixed order.
-
-    Backtracking over nondegenerate cells by ascending dimension; each
-    candidate image form is charged to the budget.
-    """
-    cells = [
-        c
-        for k in sorted(A.cells)
-        for c in A.cells[k]
-        if c != A.basepoint
-    ]
-    found = []
-
-    def extend(idx, assign):
-        if idx == len(cells):
-            found.append(dict(assign))
-            return
-        c = cells[idx]
-        k = A.dim_of[c]
-        for cand in X.forms(k):
-            if budget is not None:
-                budget.spend()
-            ok = True
-            for i in range(k + 1 if k else 0):
-                wd, t = A.faces[c][i]
-                if X.face(i, cand) != sset.word_compose(wd, assign[t]):
-                    ok = False
-                    break
-            if ok:
-                assign[c] = cand
-                extend(idx + 1, assign)
-                del assign[c]
-
-    extend(0, {A.basepoint: ((), X.basepoint)})
-    return [sset.SimplicialMap(A, X, a) for a in found]
-
-
 def _sigma_square_ok(A, X, h_n, h_n1, n):
     lifted = sset.smash_map(
         A.structure_smash(n),
@@ -207,13 +177,13 @@ def _sigma_square_ok(A, X, h_n, h_n1, n):
 
 def _all_spectrum_maps(A, X, budget=None):
     """Every spectrum map A -> X: equivariant levels glued along sigma."""
-    assert A.tower is X.tower and A.bound == X.bound
+    _check_same_frame(A, X, "map enumeration")
     per_level = []
     for n in range(A.bound + 1):
         per_level.append(
             [
                 h
-                for h in _all_space_maps(A.space(n), X.space(n), budget)
+                for h in sset.all_maps(A.space(n), X.space(n), budget)
                 if eq.is_equivariant(A.level(n), X.level(n), h)
             ]
         )
@@ -239,7 +209,7 @@ def _all_spectrum_maps(A, X, budget=None):
 def all_maps(A, X, budget=None):
     """All maps A -> X; dispatches on spaces versus spectra."""
     if isinstance(A, sset.PointedSimplicialSet):
-        return _all_space_maps(A, X, budget)
+        return sset.all_maps(A, X, budget)
     return _all_spectrum_maps(A, X, budget)
 
 
@@ -247,18 +217,27 @@ def all_maps(A, X, budget=None):
 # lifting properties
 
 
-def _is_lift(h, i, p, top, bottom, budget):
-    budget.spend()
-    return h.compose(i) == top and p.compose(h) == bottom
+def _lift_table(i, p, lifts):
+    """The index of the first lift filling each square (h.i, p.h)."""
+    table = {}
+    for j, h in enumerate(lifts):
+        table.setdefault((h.compose(i), p.compose(h)), j)
+    return table
+
+
+def _first_lift(table, lifts, top, bottom, meter):
+    """Index of the first lift filling (top, bottom) or None, charging each tried."""
+    j = table.get((top, bottom))
+    meter.spend(len(lifts) if j is None else j + 1)
+    return j
 
 
 def find_lift(i, p, top, bottom, budget=DEFAULT_LIFT_BUDGET):
     """First diagonal filling the square (top, bottom), or None."""
-    meter = _Budget(budget)
-    for h in all_maps(i.target, p.source, meter):
-        if _is_lift(h, i, p, top, bottom, meter):
-            return h
-    return None
+    meter = Budget(budget)
+    lifts = all_maps(i.target, p.source, meter)
+    j = _first_lift(_lift_table(i, p, lifts), lifts, top, bottom, meter)
+    return None if j is None else lifts[j]
 
 
 def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
@@ -267,21 +246,26 @@ def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
     Returns a dict with verdict "yes", "no" (with the first commuting
     square admitting no diagonal, in enumeration order), or "budget
     exceeded" once the configured number of probes is spent.
+
+    ``checked`` counts probes and is part of the CLI output: the candidate
+    forms per node visited for non-base cells while enumerating tops,
+    bottoms and lifts (``sset.all_maps``), one per sigma square tried for
+    spectra, one per (top, bottom) pair, and per commuting square one per
+    lift tried up to the first that fits, or every lift if none does.
+    Past the budget it reads budget + 1.
     """
-    meter = _Budget(budget)
+    meter = Budget(budget)
     try:
         tops = all_maps(i.source, p.source, meter)
         bottoms = all_maps(i.target, p.target, meter)
         lifts = all_maps(i.target, p.source, meter)
+        table = _lift_table(i, p, lifts)
+        squares = [(bottom, bottom.compose(i)) for bottom in bottoms]
         for top in tops:
             pt = p.compose(top)
-            for bottom in bottoms:
+            for bottom, bi in squares:
                 meter.spend()
-                if bottom.compose(i) != pt:
-                    continue
-                if not any(
-                    _is_lift(h, i, p, top, bottom, meter) for h in lifts
-                ):
+                if bi == pt and _first_lift(table, lifts, top, bottom, meter) is None:
                     return {
                         "verdict": "no",
                         "witness": {"top": top, "bottom": bottom},

@@ -113,6 +113,7 @@ class PointedSimplicialSet:
             for c in ids:
                 self.dim_of[c] = k
         self._forms_by_dim = {}
+        self._forms_by_row = {}
 
     def __repr__(self):
         counts = ",".join(f"{k}:{len(v)}" for k, v in self.cells.items())
@@ -159,11 +160,21 @@ class PointedSimplicialSet:
             self._forms_by_dim[k] = tuple(out)
         return self._forms_by_dim[k]
 
+    def forms_by_row(self, k):
+        """The k-forms keyed by their face row (d_0 f, ..., d_k f).
+
+        Each row maps to the forms having it, in ``forms(k)`` order; in
+        dimension 0 every form has the empty row.
+        """
+        if k not in self._forms_by_row:
+            index = self._forms_by_row[k] = {}
+            for f in self.forms(k):
+                row = tuple([self.face(i, f) for i in range(k + 1)]) if k else ()
+                index.setdefault(row, []).append(f)
+        return self._forms_by_row[k]
+
     def base(self, dim=0):
         return base_form(self.basepoint, dim)
-
-    def is_base(self, form):
-        return form[1] == self.basepoint
 
     def validate(self):
         """Check the stored data satisfies the simplicial identities."""
@@ -886,50 +897,68 @@ def pushout(f, g, name=None):
 # map enumeration
 
 
+class BudgetExceeded(RuntimeError):
+    """A metered search needed more probes than its budget allows."""
+
+
+class Budget:
+    """A probe meter that searches sharing it charge as they go.
+
+    ``used`` never reads past ``limit + 1``: a bulk charge that crosses the
+    limit stops there, where the same probes charged one by one would have.
+    """
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self, n=1):
+        self.used += n
+        if self.used > self.limit:
+            self.used = self.limit + 1
+            raise BudgetExceeded(self.used)
+
+
+def _search_cells(A):
+    """(cell, face table, dim) for the non-base cells of A in (dim, id) order."""
+    return [
+        (c, A.faces[c] if A.dim_of[c] else (), A.dim_of[c])
+        for c in A.cell_ids()
+        if c != A.basepoint
+    ]
+
+
 def all_maps(A, X, budget=None):
     """All pointed simplicial maps A -> X, in a fixed deterministic order.
 
-    Backtracking over nondegenerate simplices of A in (dim, id) order; a
-    candidate form must match the images of all previously assigned faces.
-    ``budget`` bounds the number of candidate extensions tried; when it runs
-    out a RuntimeError is raised.
+    Backtracking over the non-base cells of A in (dim, id) order.  The
+    images of a k-cell's faces fix the face row of its image, so the
+    candidates are ``X.forms_by_row(k)[row]``, in ``X.forms(k)`` order.
+
+    ``budget`` (a ``Budget``, possibly shared) raises ``BudgetExceeded``
+    when it runs out.  Each visit to a non-base k-cell costs
+    len(X.forms(k)) probes, the forms a face-by-face scan would test; the
+    basepoint costs none.  These probes are part of the ``checked`` of
+    ``has_lifting_property``, which the CLI prints.
     """
-    order = [c for c in A.cell_ids()]
-    order.sort(key=lambda c: (A.dim_of[c], c))
-    tried = [0]
+    cells = _search_cells(A)
+    index = {k: X.forms_by_row(k) for k in A.cells}
+    charge = {k: len(X.forms(k)) for k in A.cells}
+    assign = {A.basepoint: ((), X.basepoint)}
     out = []
-    assign = {}
-
-    def candidates(c):
-        k = A.dim_of[c]
-        if c == A.basepoint:
-            return [((), X.basepoint)]
-        return list(X.forms(k))
-
-    def consistent(c, form):
-        k = A.dim_of[c]
-        for i in range(k + 1 if k else 0):
-            fw, ft = A.face(i, ((), c))
-            if ft in assign:
-                img = word_compose(fw, assign[ft])
-                if X.face(i, form) != img:
-                    return False
-        return True
 
     def rec(pos):
-        if pos == len(order):
-            out.append(SimplicialMap(A, X, dict(assign)))
+        if pos == len(cells):
+            out.append(SimplicialMap(A, X, assign))
             return
-        c = order[pos]
-        for form in candidates(c):
-            if budget is not None:
-                tried[0] += 1
-                if tried[0] > budget:
-                    raise RuntimeError("map enumeration budget exhausted")
-            if consistent(c, form):
-                assign[c] = form
-                rec(pos + 1)
-                del assign[c]
+        c, faces, k = cells[pos]
+        if budget is not None:
+            budget.spend(charge[k])
+        row = tuple([word_compose(w, assign[t]) for w, t in faces])
+        for form in index[k].get(row, ()):
+            assign[c] = form
+            rec(pos + 1)
+        assign.pop(c, None)
 
     rec(0)
     return out
@@ -939,45 +968,31 @@ def find_isomorphism(A, X):
     """An isomorphism A -> X if one exists, else None.
 
     Isomorphisms send nondegenerate simplices to nondegenerate simplices
-    bijectively in each dimension, which cuts the search to permutations.
+    bijectively in each dimension, so this is the search of ``all_maps``
+    restricted to unused nondegenerate candidates, stopped at the first map.
     """
     dims = set(A.cells) | set(X.cells)
     if any(A.n_cells(k) != X.n_cells(k) for k in dims):
         return None
-    order = [c for c in A.cell_ids()]
-    order.sort(key=lambda c: (A.dim_of[c], c))
-    assign = {}
-    used = set()
-
-    def consistent(c, form):
-        k = A.dim_of[c]
-        for i in range(k + 1 if k else 0):
-            fw, ft = A.face(i, ((), c))
-            if ft in assign:
-                if X.face(i, form) != word_compose(fw, assign[ft]):
-                    return False
-        return True
+    cells = _search_cells(A)
+    assign = {A.basepoint: ((), X.basepoint)}
+    used = {X.basepoint}
 
     def rec(pos):
-        if pos == len(order):
-            return SimplicialMap(A, X, dict(assign))
-        c = order[pos]
-        if c == A.basepoint:
-            cands = [X.basepoint]
-        else:
-            cands = [t for t in X.cells[A.dim_of[c]] if t != X.basepoint]
-        for t in cands:
-            if t in used:
+        if pos == len(cells):
+            return SimplicialMap(A, X, assign)
+        c, faces, k = cells[pos]
+        row = tuple([word_compose(w, assign[t]) for w, t in faces])
+        for form in X.forms_by_row(k).get(row, ()):
+            if form[0] or form[1] in used:
                 continue
-            form = ((), t)
-            if consistent(c, form):
-                assign[c] = form
-                used.add(t)
-                found = rec(pos + 1)
-                if found is not None:
-                    return found
-                del assign[c]
-                used.remove(t)
+            assign[c] = form
+            used.add(form[1])
+            found = rec(pos + 1)
+            if found is not None:
+                return found
+            used.remove(form[1])
+        assign.pop(c, None)
         return None
 
     return rec(0)

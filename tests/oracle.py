@@ -9,8 +9,9 @@ against.
 The last section is different: it keeps constructions the package replaced
 (the smash as a collapsed product, the smash of spectra as a triple-tensor
 coequalizer, the Smith form without its unit shortcuts, kernel coordinates
-through a rational inverse), built from package primitives, as references
-for the constructions that took their place.
+through a rational inverse, the map enumerator that scans every candidate
+form and the lifting search that composes per square), built from package
+primitives, as references for the constructions that took their place.
 """
 
 import itertools
@@ -499,3 +500,93 @@ class RationalKernelSolver:
         }:
             raise ValueError("chain is not a cycle")
         return c
+
+
+class ScanBudgetExceeded(Exception):
+    pass
+
+
+class ScanBudget:
+    """The probe meter of the scanning search: one probe per call."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.used = 0
+
+    def spend(self):
+        self.used += 1
+        if self.used > self.limit:
+            raise ScanBudgetExceeded(self.used)
+
+
+def all_space_maps_scan(A, X, budget=None):
+    """Every pointed simplicial map A -> X, scanning all candidates.
+
+    Backtracking over nondegenerate cells by ascending dimension; every
+    candidate image form is charged to the budget and tested face by face.
+    """
+    from symspec import sset
+
+    cells = [
+        c
+        for k in sorted(A.cells)
+        for c in A.cells[k]
+        if c != A.basepoint
+    ]
+    found = []
+
+    def extend(idx, assign):
+        if idx == len(cells):
+            found.append(dict(assign))
+            return
+        c = cells[idx]
+        k = A.dim_of[c]
+        for cand in X.forms(k):
+            if budget is not None:
+                budget.spend()
+            ok = True
+            for i in range(k + 1 if k else 0):
+                wd, t = A.faces[c][i]
+                if X.face(i, cand) != sset.word_compose(wd, assign[t]):
+                    ok = False
+                    break
+            if ok:
+                assign[c] = cand
+                extend(idx + 1, assign)
+                del assign[c]
+
+    extend(0, {A.basepoint: ((), X.basepoint)})
+    return [sset.SimplicialMap(A, X, a) for a in found]
+
+
+def has_lifting_property_scan(i, p, budget):
+    """The lifting search for space maps, composing again for every square."""
+    meter = ScanBudget(budget)
+
+    def is_lift(h, top, bottom):
+        meter.spend()
+        return h.compose(i) == top and p.compose(h) == bottom
+
+    try:
+        tops = all_space_maps_scan(i.source, p.source, meter)
+        bottoms = all_space_maps_scan(i.target, p.target, meter)
+        lifts = all_space_maps_scan(i.target, p.source, meter)
+        for top in tops:
+            pt = p.compose(top)
+            for bottom in bottoms:
+                meter.spend()
+                if bottom.compose(i) != pt:
+                    continue
+                if not any(is_lift(h, top, bottom) for h in lifts):
+                    return {
+                        "verdict": "no",
+                        "witness": {"top": top, "bottom": bottom},
+                        "checked": meter.used,
+                    }
+        return {"verdict": "yes", "witness": None, "checked": meter.used}
+    except ScanBudgetExceeded:
+        return {
+            "verdict": "budget exceeded",
+            "witness": None,
+            "checked": meter.used,
+        }

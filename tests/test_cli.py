@@ -274,6 +274,33 @@ def test_check_lift_budget_exceeded(capsys, tmp_path):
     assert data["verdict"] == "budget exceeded"
 
 
+def collapse4():
+    """Delta[4]+ -> Delta[0]+ sending every non-base simplex to the non-base vertex."""
+    D4, D0 = sset.delta_plus(4), sset.delta_plus(0)
+    v = next(c for c in D0.cell_ids() if c != D0.basepoint)
+    assign = {D4.basepoint: ((), D0.basepoint)}
+    for c in D4.cell_ids():
+        if c != D4.basepoint:
+            assign[c] = sset.base_form(v, D4.dim_of[c])
+    return sset.SimplicialMap(D4, D0, assign)
+
+
+@pytest.mark.parametrize(
+    "i, checked",
+    [(f"horn:4:{k}", 773794) for k in range(5)] + [("boundary:4", 782811)],
+)
+def test_check_lift_probe_counts_are_frozen(capsys, tmp_path, i, checked):
+    # the printed probe count is part of the output contract
+    fp = tmp_path / "collapse4.json"
+    fp.write_text(io.canonical(io.dump_map(collapse4())))
+    code, data = payload(capsys, "check-lift", "--i", i, "--p", str(fp))
+    assert code == 0
+    assert data == {
+        "type": "lifting_report", "verdict": "yes", "checked": checked,
+        "witness": None,
+    }
+
+
 def test_check_lift_mixed_categories_rejected(capsys):
     code, data = payload(
         capsys, "check-lift", "--i", "boundary:1", "--p", "identity:sphere",

@@ -1,6 +1,12 @@
 """Latching, stable cofibration verdicts, lifting search, corner theorems."""
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import symspec.equivariant as eq
 import symspec.homology as hl
@@ -9,6 +15,7 @@ import symspec.spectra as sp
 import symspec.sset as sset
 import symspec.symseq as sq
 
+import corpus
 import oracle
 
 
@@ -77,6 +84,23 @@ def test_latching_of_free_spectrum_closed_form(tower, m):
             assert sset.is_pointlike(L.space)
         else:
             assert nat.is_isomorphism()
+
+
+@pytest.mark.parametrize("K", ["S0", "S1"])
+def test_latching_of_free_spectrum_is_a_point_exactly_through_its_degree(tower, K):
+    space = sset.zero_sphere() if K == "S0" else sset.circle()
+    for m in (0, 1, 2):
+        F = sp.free_F(m, space, 3, tower)
+        for n in range(4):
+            L, nat = mc.latching(F, n)
+            assert sset.is_pointlike(L.space) == (n <= m), (m, n)
+            assert n <= m or nat.is_isomorphism(), (m, n)
+
+
+def test_latching_map_validates_as_spectrum_map(tower):
+    F = sp.free_F(1, sset.zero_sphere(), 2, tower)
+    _, nat = mc._latching_data(F)
+    assert nat.validate()
 
 
 def test_latching_out_of_bound(tower):
@@ -225,7 +249,67 @@ def test_all_spectrum_maps_on_small_spheres(tower):
 def test_enumeration_budget_is_enforced():
     circ = sset.circle()
     with pytest.raises(mc.BudgetExceeded):
-        mc._all_space_maps(circ, circ, mc._Budget(1))
+        mc.all_maps(circ, circ, sset.Budget(1))
+
+
+def _enumeration_run(search, A, X, meter, exceeded):
+    try:
+        maps = search(A, X, meter)
+    except exceeded:
+        return None, meter.used
+    return [m.assign for m in maps], meter.used
+
+
+def _report(res):
+    witness = res["witness"]
+    if witness is not None:
+        witness = (witness["top"].assign, witness["bottom"].assign)
+    return res["verdict"], res["checked"], witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_indexed_search_matches_the_scanning_oracle(data):
+    menu = corpus.space_menu()
+    X = data.draw(st.sampled_from(menu))
+    i = corpus.random_subcomplex_inclusion(
+        random.Random(data.draw(st.integers(0, 2 ** 16))), X
+    )
+    Y, Z = data.draw(st.sampled_from(menu)), data.draw(st.sampled_from(menu))
+    p = data.draw(st.sampled_from(sset.all_maps(Y, Z)))
+    for A, T in ((i.source, Y), (X, Z), (X, Y)):
+        budget = data.draw(st.integers(1, 300))
+        got = _enumeration_run(
+            sset.all_maps, A, T, sset.Budget(budget), sset.BudgetExceeded
+        )
+        want = _enumeration_run(
+            oracle.all_space_maps_scan, A, T, oracle.ScanBudget(budget),
+            oracle.ScanBudgetExceeded,
+        )
+        assert got == want
+        assert [m.assign for m in sset.all_maps(A, T)] == [
+            m.assign for m in oracle.all_space_maps_scan(A, T)
+        ]
+    budget = data.draw(st.one_of(st.integers(1, 400), st.just(10 ** 6)))
+    assert _report(mc.has_lifting_property(i, p, budget)) == _report(
+        oracle.has_lifting_property_scan(i, p, budget)
+    )
+
+
+@pytest.mark.parametrize("verdict", ["yes", "no"])
+def test_every_budget_matches_the_scanning_oracle(verdict):
+    if verdict == "yes":
+        i = sset.subset_inclusion(sset.horn_plus(2, 1), sset.delta_plus(2))
+        p = genuine_collapse(2)
+    else:
+        i = sset.subset_inclusion(sset.boundary_plus(1), sset.delta_plus(1))
+        p = genuine_collapse()
+    full = oracle.has_lifting_property_scan(i, p, mc.DEFAULT_LIFT_BUDGET)
+    assert full["verdict"] == verdict
+    for budget in range(1, full["checked"] + 2):
+        got = mc.has_lifting_property(i, p, budget)
+        want = oracle.has_lifting_property_scan(i, p, budget)
+        assert _report(got) == _report(want), budget
 
 
 # ---------------------------------------------------------------------------
@@ -418,3 +502,50 @@ def test_classify_respects_max_degree(tower):
     F = sp.free_F(1, sset.circle(), 2, tower)
     cls = mc.level_classify(sp.identity_spectrum_map(F), max_degree=1)
     assert cls["degree_range"] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# input checks that do not rely on assert
+
+
+def test_mismatched_spectra_are_rejected_with_a_reason(tower):
+    S1, S2 = sp.sphere_spectrum(1, tower), sp.sphere_spectrum(2, tower)
+    with pytest.raises(ValueError, match="bound 1, target S has level bound 2"):
+        mc.all_maps(S1, S2)
+    other = sp.sphere_spectrum(1, eq.SphereTower())
+    with pytest.raises(ValueError, match="different sphere towers"):
+        mc.all_maps(S1, other)
+
+
+def test_bound_mismatch_is_rejected_in_optimized_mode():
+    src = os.path.dirname(os.path.dirname(mc.__file__))
+    script = (
+        "import symspec.equivariant as eq\n"
+        "import symspec.modelcheck as mc\n"
+        "import symspec.spectra as sp\n"
+        "import symspec.sset as sset\n"
+        "t = eq.SphereTower()\n"
+        "A, X = sp.point_spectrum(1, t), sp.sphere_spectrum(2, t)\n"
+        "f = sp.SpectrumMap(\n"
+        "    A, X, [sset.constant_map(A.space(n), X.space(n)) for n in range(2)]\n"
+        ")\n"
+        "for call in (lambda: mc.latching_corner(f), lambda: mc.all_maps(A, X)):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError as exc:\n"
+        "        print('rejected:', exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: latching corner: source pt has level bound 1, "
+        "target S has level bound 2",
+        "rejected: map enumeration: source pt has level bound 1, "
+        "target S has level bound 2",
+    ]

@@ -193,6 +193,24 @@ def test_smash_with_the_sphere_gives_back_the_factor(tower):
     assert inv.compose(fwd) == sp.identity_spectrum_map(SX)
 
 
+def test_smash_of_maps_respects_identities_and_the_bar_inclusion(tower):
+    F = sp.free_F(1, sset.zero_sphere(), 2, tower)
+    S = sp.sphere_spectrum(2, tower)
+    XS = sp.smash_spectra(F, S)
+    m = sp.smash_map_spectra(
+        XS, XS, sp.identity_spectrum_map(F), sp.identity_spectrum_map(S)
+    )
+    assert m == sp.identity_spectrum_map(XS)
+    assert m.validate()
+    bar = sp.bar_sphere(2, tower)
+    assert sp.bar_sphere(2, tower) is bar
+    incl = sp.smash_map_spectra(
+        sp.smash_spectra(F, bar), XS, sp.identity_spectrum_map(F),
+        sp.bar_inclusion(bar, S),
+    )
+    assert incl.validate()
+
+
 def test_smash_of_two_free_ones_is_free_two(tower):
     N = 3
     K, L = sset.circle(), sset.circle()
@@ -457,6 +475,19 @@ def test_spectrum_corner_of_the_cylinder_leg(tower):
     corner = sp.pushout_product(c0, f)
     assert corner.is_monomorphism()
     assert corner.validate()
+
+
+def test_spectrum_corner_of_two_unit_inclusions_validates(tower):
+    pt = sp.point_spectrum(2, tower)
+    units = []
+    for _ in range(2):
+        F = sp.free_F(1, sset.zero_sphere(), 2, tower)
+        f = sp.SpectrumMap(
+            pt, F, [sset.constant_map(pt.space(n), F.space(n)) for n in range(3)]
+        )
+        assert f.validate()
+        units.append(f)
+    assert sp.pushout_product(*units).validate()
 
 
 def test_spectrum_corner_with_the_two_point_unit(tower):

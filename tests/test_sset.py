@@ -320,7 +320,7 @@ def test_all_maps_counts_match_dense():
 
 def test_all_maps_budget():
     with pytest.raises(RuntimeError):
-        sset.all_maps(sset.boundary_plus(2), sset.delta_plus(2), budget=3)
+        sset.all_maps(sset.boundary_plus(2), sset.delta_plus(2), sset.Budget(3))
 
 
 def test_monomorphism_detection():
