@@ -109,19 +109,10 @@ def latching_corner(f):
     YB, nat_y = _latching_data(Y)
     Lf = sp.smash_map_spectra(XB, YB, f, sp.identity_spectrum_map(XB.Y))
     P, _, _ = sp.pushout_spectrum(nat_x, Lf, name=f"corner({X.name}->{Y.name})")
-    comps = []
-    for n in range(X.bound + 1):
-        po = P.pushouts[n]
-        w = po.wedge
-        assign = {w.space.basepoint: ((), Y.space(n).basepoint)}
-        for c in w.space.cell_ids():
-            if c == w.space.basepoint:
-                continue
-            idx, orig = w.part_of[c]
-            part = f.level(n) if idx == 0 else nat_y.level(n)
-            assign[c] = part.assign[orig]
-        raw = sset.SimplicialMap(w.space, Y.space(n), assign)
-        comps.append(sp._descend(po.collapse, raw))
+    comps = [
+        sset.map_out_of_pushout(po, f.level(n), nat_y.level(n))
+        for n, po in enumerate(P.pushouts)
+    ]
     return sp.SpectrumMap(P, Y, comps)
 
 

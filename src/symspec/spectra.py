@@ -579,39 +579,6 @@ def monoid_witness(sphere):
 
 
 # ---------------------------------------------------------------------------
-# quotient plumbing
-
-
-def _descend(proj_src, f, proj_tgt=None):
-    """The map induced by f on the target of a surjection, fiber checked.
-
-    proj_src: A -> Q surjective; f: A -> B; proj_tgt: B -> Q' or None.
-    Returns g with g . proj_src = (proj_tgt .) f, asserting the composite
-    is constant on every fiber.
-    """
-    A = proj_src.source
-    Q = proj_src.target
-    src, f_of = proj_src.assign, f.assign
-    lift = {}
-    for c in A.cell_ids():
-        w, t = src[c]
-        if not w and t not in lift:
-            lift[t] = c
-    target = proj_tgt.target if proj_tgt else f.target
-    assign = {}
-    for qc in Q.cell_ids():
-        val = f_of[lift[qc]]
-        assign[qc] = proj_tgt.apply(val) if proj_tgt else val
-    g = sset.SimplicialMap(Q, target, assign)
-    for c in A.cell_ids():
-        want = f_of[c]
-        if proj_tgt:
-            want = proj_tgt.apply(want)
-        assert g.apply(src[c]) == want, "map not constant on identification classes"
-    return g
-
-
-# ---------------------------------------------------------------------------
 # smash product of spectra
 
 
@@ -667,7 +634,7 @@ class SmashSpectrum(SymmetricSpectrum):
             self.pairs.append(pairs)
             self.quotients.append(quot)
             gens = [
-                _descend(quot.projection, g, quot.projection)
+                sset.descend(quot.projection, g, quot.projection)
                 for g in T_xy.level(n).generators
             ]
             levels.append(eq.EquivariantSpace(quot.space, n, gens))
@@ -677,14 +644,6 @@ class SmashSpectrum(SymmetricSpectrum):
         self.proj_seq = sq.SequenceMap(
             T_xy, seq, [q.projection for q in self.quotients]
         )
-        self._lifts = []
-        for n in range(N + 1):
-            lift = {}
-            for c in T_xy.space(n).cell_ids():
-                w, t = self.quotients[n].class_of[c]
-                if not w and t not in lift:
-                    lift[t] = c
-            self._lifts.append(lift)
         super().__init__(tower, seq, self._build_sigma, name=seq.name)
 
     def _relations(self, n):
@@ -739,7 +698,7 @@ class SmashSpectrum(SymmetricSpectrum):
         X, T = self.X, self.T
         quot_n1 = self.quotients[n + 1]
         sm = sset.smash(self.tower.s1, self.quotients[n].space)
-        lift = self._lifts[n]
+        lift = sset.first_preimages(self.quotients[n].projection)
         sigma = _module_sigma(X, T, n)
         assign = {}
         for c in sm.space.cell_ids():
@@ -762,7 +721,9 @@ class SmashSpectrum(SymmetricSpectrum):
                 ft = (word, edge)
                 va = quot_n1.projection.apply(sigma(ft, a))
                 vb = quot_n1.projection.apply(sigma(ft, b))
-                assert va == vb, "structure map not constant on classes"
+                if va != vb:
+                    where = f"sigma(t ^ a) = sigma(t ^ b) at t = {ft!r}, b = {b!r}"
+                    raise sset.IdentityError(a, where, va, vb)
         return sm, sig
 
 
@@ -781,7 +742,7 @@ def smash_unit_iso(SX):
         SX,
         X,
         [
-            _descend(SX.quotients[n].projection, lam.level(n))
+            sset.descend(SX.quotients[n].projection, lam.level(n))
             for n in range(N + 1)
         ],
     )
@@ -808,7 +769,9 @@ def smash_comm_iso(XY, YX):
     assert XY.X is YX.Y and XY.Y is YX.X
     tw = sq.twist_iso(XY.T, YX.T)
     comps = [
-        _descend(XY.quotients[n].projection, tw.level(n), YX.quotients[n].projection)
+        sset.descend(
+            XY.quotients[n].projection, tw.level(n), YX.quotients[n].projection
+        )
         for n in range(XY.bound + 1)
     ]
     return SpectrumMap(XY, YX, comps)
@@ -836,7 +799,7 @@ def smash_assoc_iso(XY_Z, X_YZ):
     )
     f = p_right.compose(al)
     comps = [
-        _descend(p_left.level(n), f.level(n)) for n in range(XY_Z.bound + 1)
+        sset.descend(p_left.level(n), f.level(n)) for n in range(XY_Z.bound + 1)
     ]
     return SpectrumMap(XY_Z, X_YZ, comps)
 
@@ -847,7 +810,7 @@ def smash_map_spectra(S_src, S_tgt, f, g):
     assert S_src.Y is g.source and S_tgt.Y is g.target
     tm = sq.tensor_map(S_src.T, S_tgt.T, f.seq_map, g.seq_map)
     comps = [
-        _descend(
+        sset.descend(
             S_src.quotients[n].projection,
             tm.level(n),
             S_tgt.quotients[n].projection,
@@ -1003,66 +966,30 @@ def pushout_spectrum(F, G, name=None):
         for n in range(N + 1)
     ]
     levels = []
-    for n in range(N + 1):
-        po = pos[n]
-        w = po.wedge
-        gens = []
-        for i in range(n - 1):
-            gu = U.level(n).generators[i]
-            gv = V.level(n).generators[i]
-            assign = {w.space.basepoint: ((), w.space.basepoint)}
-            for c in w.space.cell_ids():
-                if c == w.space.basepoint:
-                    continue
-                idx, orig = w.part_of[c]
-                part_gen = gu if idx == 0 else gv
-                assign[c] = w.inclusions[idx].apply(part_gen.assign[orig])
-            raw = sset.SimplicialMap(w.space, w.space, assign)
-            gens.append(_descend(po.collapse, raw, po.collapse))
+    for n, po in enumerate(pos):
+        gens = [
+            sset.map_out_of_pushout(po, po.leg1.compose(gu), po.leg2.compose(gv))
+            for gu, gv in zip(U.level(n).generators, V.level(n).generators)
+        ]
         levels.append(eq.EquivariantSpace(po.space, n, gens))
     seq = sq.SymmetricSequence(
         levels, name=name or f"({U.name}+_{W.name}{V.name})"
     )
 
     def build(n):
+        # S^1 ^ P_n is the pushout of the parts' S^1 ^ U_n and S^1 ^ V_n, and
+        # sigma the map out of it given by their structure maps; its descent
+        # check is that both structure squares commute
         po, po1 = pos[n], pos[n + 1]
         sm = sset.smash(U.tower.s1, po.space)
-        lift = {}
-        for c in po.wedge.space.cell_ids():
-            wd, t = po.collapse.assign[c]
-            if not wd and t not in lift:
-                lift[t] = c
-        assign = {}
-        for c in sm.space.cell_ids():
-            ft, fp = sm.pair_rep[c]
-            if ft[1] == sm.A.basepoint or fp[1] == sm.B.basepoint:
-                assign[c] = po1.space.base(sm.space.dim_of[c])
-                continue
-            wd, pc = fp
-            idx, orig = po.wedge.part_of[lift[pc]]
-            part = U if idx == 0 else V
-            leg = po1.leg1 if idx == 0 else po1.leg2
-            val = part.sigma(n).apply(
-                part.structure_smash(n).form_of_pair(ft, (wd, orig))
-            )
-            assign[c] = leg.apply(val)
-        sig = sset.SimplicialMap(sm.space, po1.space, assign)
-        # both structure squares must commute; this also certifies that
-        # the choice of lift above cannot matter
-        for part, leg_n, leg_n1 in (
-            (U, po.leg1, po1.leg1),
-            (V, po.leg2, po1.leg2),
-        ):
-            lifted = sset.smash_map(
-                part.structure_smash(n),
-                sm,
-                sset.identity_map(U.tower.s1),
-                leg_n,
-            )
-            assert sig.compose(lifted) == leg_n1.compose(part.sigma(n)), (
-                "structure map does not descend to the pushout"
-            )
-        return sm, sig
+        s1 = sset.identity_map(U.tower.s1)
+        parts = ((U, po.leg1, po1.leg1), (V, po.leg2, po1.leg2))
+        w = sset.wedge([X.structure_smash(n).space for X, _, _ in parts])
+        onto = w.map_out(
+            [sset.smash_map(X.structure_smash(n), sm, s1, to_n) for X, to_n, _ in parts]
+        )
+        sigma = w.map_out([to_n1.compose(X.sigma(n)) for X, _, to_n1 in parts])
+        return sm, sset.descend(onto, sigma)
 
     P = SymmetricSpectrum(U.tower, seq, build, name=seq.name)
     P.pushouts = pos
@@ -1103,22 +1030,15 @@ def mapping_cylinder(f):
     s = leg2
     # r: collapse the interval, then f, and the identity on the Y part
     r_comps = []
-    for n in range(X.bound + 1):
-        po = Mf.pushouts[n]
-        w = po.wedge
-        sm = cyl.seq.smashes[n]
-        assign = {w.space.basepoint: ((), Y.space(n).basepoint)}
-        for c in w.space.cell_ids():
-            if c == w.space.basepoint:
-                continue
-            idx, orig = w.part_of[c]
-            if idx == 0:
-                fx, _ = sm.pair_rep[orig]
-                assign[c] = f.level(n).apply(fx)
-            else:
-                assign[c] = ((), orig)
-        raw = sset.SimplicialMap(w.space, Y.space(n), assign)
-        r_comps.append(_descend(po.collapse, raw))
+    for n, po in enumerate(Mf.pushouts):
+        sm, Yn = cyl.seq.smashes[n], Y.space(n)
+        collapse = {c: f.level(n).apply(fx) for c, (fx, _) in sm.pair_rep.items()}
+        collapse[sm.space.basepoint] = ((), Yn.basepoint)
+        r_comps.append(
+            sset.map_out_of_pushout(
+                po, sset.SimplicialMap(sm.space, Yn, collapse), sset.identity_map(Yn)
+            )
+        )
     r = SpectrumMap(Mf, Y, r_comps)
     return Mf, i, r, s
 
@@ -1137,15 +1057,7 @@ def _space_pushout_product(f, g):
         sset.smash_map(sm_vx, sm_vy, sset.identity_map(V), g),
         sset.smash_map(sm_uy, sm_vy, f, sset.identity_map(Ys)),
     )
-    w = po.wedge
-    assign = {w.space.basepoint: ((), sm_vy.space.basepoint)}
-    for c in w.space.cell_ids():
-        if c == w.space.basepoint:
-            continue
-        idx, orig = w.part_of[c]
-        assign[c] = to_vy[idx].assign[orig]
-    raw = sset.SimplicialMap(w.space, sm_vy.space, assign)
-    corner = _descend(po.collapse, raw)
+    corner = sset.map_out_of_pushout(po, *to_vy)
     corner.corner_pushout = po
     corner.corner_smashes = {
         "ux": sm_ux, "vx": sm_vx, "uy": sm_uy, "vy": sm_vy
@@ -1168,18 +1080,10 @@ def _smash_pushout_product(f, g):
         smash_map_spectra(svx, svy, identity_spectrum_map(V), g),
         smash_map_spectra(suy, svy, f, identity_spectrum_map(Ys)),
     )
-    comps = []
-    for n in range(U.bound + 1):
-        po = P.pushouts[n]
-        w = po.wedge
-        assign = {w.space.basepoint: ((), svy.space(n).basepoint)}
-        for c in w.space.cell_ids():
-            if c == w.space.basepoint:
-                continue
-            idx, orig = w.part_of[c]
-            assign[c] = to_vy[idx].level(n).assign[orig]
-        raw = sset.SimplicialMap(w.space, svy.space(n), assign)
-        comps.append(_descend(po.collapse, raw))
+    comps = [
+        sset.map_out_of_pushout(po, to_vy[0].level(n), to_vy[1].level(n))
+        for n, po in enumerate(P.pushouts)
+    ]
     corner = SpectrumMap(P, svy, comps)
     corner.corner_legs = (leg1, leg2)
     corner.corner_smash_spectra = {"ux": sux, "vx": svx, "uy": suy, "vy": svy}
@@ -1205,32 +1109,14 @@ def pushout_product(f, g):
     a = prolong_map(pux, pvx, f=f)
     b = prolong_map(pux, puy, g=g)
     P, leg1, leg2 = pushout_spectrum(a, b, name=f"corner({U.name},{Xs.name})")
-    comps = []
-    for n in range(U.bound + 1):
-        po = P.pushouts[n]
-        to_vy = (
-            sset.smash_map(
-                pvx.seq.smashes[n],
-                pvy.seq.smashes[n],
-                sset.identity_map(V.space(n)),
-                g,
-            ),
-            sset.smash_map(
-                puy.seq.smashes[n],
-                pvy.seq.smashes[n],
-                f.level(n),
-                sset.identity_map(Ys),
-            ),
-        )
-        w = po.wedge
-        assign = {w.space.basepoint: ((), pvy.space(n).basepoint)}
-        for c in w.space.cell_ids():
-            if c == w.space.basepoint:
-                continue
-            idx, orig = w.part_of[c]
-            assign[c] = to_vy[idx].assign[orig]
-        raw = sset.SimplicialMap(w.space, pvy.space(n), assign)
-        comps.append(_descend(po.collapse, raw))
+    to_vy = (
+        prolong_map(pvx, pvy, g=g),
+        prolong_map(puy, pvy, f=f),
+    )
+    comps = [
+        sset.map_out_of_pushout(po, to_vy[0].level(n), to_vy[1].level(n))
+        for n, po in enumerate(P.pushouts)
+    ]
     corner = SpectrumMap(P, pvy, comps)
     corner.corner_legs = (leg1, leg2)
     corner.corner_prolongs = {"ux": pux, "vx": pvx, "uy": puy, "vy": pvy}

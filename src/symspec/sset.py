@@ -95,6 +95,18 @@ def base_form(basepoint, dim):
     return (tuple(range(dim - 1, -1, -1)), basepoint)
 
 
+class IdentityError(ValueError):
+    """A simplicial identity, or the equation of a map out of a quotient,
+    failing at ``cell``: ``lhs`` and ``rhs`` are its two sides there."""
+
+    def __init__(self, cell, identity, lhs, rhs):
+        super().__init__(f"cell {cell!r}: {identity} fails, {lhs!r} != {rhs!r}")
+        self.cell = cell
+        self.identity = identity
+        self.lhs = lhs
+        self.rhs = rhs
+
+
 class PointedSimplicialSet:
     """A finite pointed simplicial set.
 
@@ -177,9 +189,14 @@ class PointedSimplicialSet:
         return base_form(self.basepoint, dim)
 
     def validate(self):
-        """Check the stored data satisfies the simplicial identities."""
-        assert self.dim_of[self.basepoint] == 0
+        """Check the stored data satisfies the simplicial identities.
+
+        Raises ``IdentityError`` at the first cell that breaks one.
+        """
         faces, dim_of = self.faces, self.dim_of
+        bp = self.basepoint
+        if dim_of.get(bp) != 0:
+            raise IdentityError(bp, "the basepoint is a vertex", dim_of.get(bp), 0)
         degenerate_rows = {}
 
         def row(form, k):
@@ -195,13 +212,21 @@ class PointedSimplicialSet:
         for k, ids in self.cells.items():
             for c in ids:
                 if k == 0:
-                    assert c not in faces or not faces[c]
+                    if faces.get(c):
+                        raise IdentityError(c, "a vertex has no faces", faces[c], ())
                     continue
                 fs = faces[c]
-                assert len(fs) == k + 1, (c, fs)
-                for w, t in fs:
-                    assert _is_decreasing(w)
-                    assert len(w) + dim_of[t] == k - 1
+                if len(fs) != k + 1:
+                    where = f"a {k}-cell has {k + 1} faces"
+                    raise IdentityError(c, where, len(fs), k + 1)
+                for i, (w, t) in enumerate(fs):
+                    if not _is_decreasing(w):
+                        normal = (_word_merge(w, ()), t)
+                        raise IdentityError(c, f"d_{i} in normal form", (w, t), normal)
+                    if len(w) + dim_of[t] != k - 1:
+                        raise IdentityError(
+                            c, f"d_{i} has dimension {k - 1}", len(w) + dim_of[t], k - 1
+                        )
                 if k < 2:
                     continue
                 rows = [row(f, k - 1) if f[0] else faces[f[1]] for f in fs]
@@ -213,7 +238,10 @@ class PointedSimplicialSet:
                 for j in range(1, k + 1):
                     for i in range(j):
                         left, right = rows[j][i], rows[i][j - 1]
-                        assert left == right, (c, i, j, left, right)
+                        if left != right:
+                            raise IdentityError(
+                                c, f"d_{i} d_{j} = d_{j - 1} d_{i}", left, right
+                            )
         return True
 
 
@@ -530,6 +558,18 @@ class WedgeResult:
         self.space = space
         self.inclusions = inclusions
         self.part_of = part_of  # wedge cell id -> (part index, original id)
+
+    def map_out(self, maps):
+        """The map out of the wedge that is maps[i] on part i."""
+        Z = maps[0].target
+        if any(m.target is not Z for m in maps):
+            raise ValueError("a map out of a wedge needs one common target")
+        base = ((), Z.basepoint)
+        assign = {
+            c: maps[loc[0]].assign[loc[1]] if loc else base
+            for c, loc in self.part_of.items()
+        }
+        return SimplicialMap(self.space, Z, assign)
 
 
 def wedge(parts, name=None):
@@ -868,11 +908,12 @@ def smash_runit(sm):
 
 
 class PushoutResult:
-    def __init__(self, space, leg1, leg2, collapse):
+    def __init__(self, space, leg1, leg2, collapse, wedge):
         self.space = space
         self.leg1 = leg1  # from f.target
         self.leg2 = leg2  # from g.target
         self.collapse = collapse  # from the wedge
+        self.wedge = wedge  # f.target v g.target
 
 
 def pushout(f, g, name=None):
@@ -888,9 +929,63 @@ def pushout(f, g, name=None):
     quot = quotient_by_pairs(w.space, pairs, name=name or "pushout")
     leg1 = quot.projection.compose(w.inclusions[0])
     leg2 = quot.projection.compose(w.inclusions[1])
-    res = PushoutResult(quot.space, leg1, leg2, quot.projection)
-    res.wedge = w
-    return res
+    return PushoutResult(quot.space, leg1, leg2, quot.projection, w)
+
+
+# ---------------------------------------------------------------------------
+# maps out of quotients and pushouts
+
+
+def first_preimages(q):
+    """Each cell of q.target -> the first cell of q.source, in ``cell_ids()``
+    order, that q sends onto it nondegenerately.  Built once per map."""
+    if not hasattr(q, "_first_preimages"):
+        lift = q._first_preimages = {}
+        for c in q.source.cell_ids():
+            w, t = q.assign[c]
+            if not w:
+                lift.setdefault(t, c)
+    return q._first_preimages
+
+
+def descend(q, f, then=None):
+    """The map g: Q -> B with g . q = f, for q: A -> Q onto and f: A -> B.
+
+    With ``then`` (B -> B') it is g: Q -> B' with g . q = then . f.  Each
+    cell of Q takes the value of f (then . f) on its ``first_preimages``
+    entry: the first cell of A in ``cell_ids()`` order that q sends onto it
+    nondegenerately, the preimage every construction has always read.  f
+    must be constant on the fibres of q, and then g, and so every cell id
+    and output built from it, is the same for any choice; the choice only
+    decides which cell a failure names.  Every cell of A is checked, and
+    the first one where g . q and f differ raises ``IdentityError``.
+    """
+    lift = first_preimages(q)
+    if then is None:
+        want = f.assign
+    else:
+        want = {c: then.apply(form) for c, form in f.assign.items()}
+    g = SimplicialMap(
+        q.target, (then or f).target, {qc: want[lift[qc]] for qc in q.target.cell_ids()}
+    )
+    for c in q.source.cell_ids():
+        w, t = q.assign[c]
+        # a cell that is its class's chosen preimage agrees by construction
+        if w or lift[t] != c:
+            got = g.apply((w, t))
+            if got != want[c]:
+                raise IdentityError(c, "g(q(c)) = f(c)", got, want[c])
+    return g
+
+
+def map_out_of_pushout(po, to1, to2):
+    """The map h: P -> Z with h . leg1 = to1 and h . leg2 = to2.
+
+    to1 and to2 must agree on the common source A of the pushout's legs;
+    the wedge map (to1, to2) descends through ``po.collapse`` by
+    ``descend``, which raises ``IdentityError`` where they do not.
+    """
+    return descend(po.collapse, po.wedge.map_out((to1, to2)))
 
 
 # ---------------------------------------------------------------------------

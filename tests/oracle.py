@@ -10,7 +10,8 @@ The last section is different: it keeps constructions the package replaced
 (the smash as a collapsed product, the smash of spectra as a triple-tensor
 coequalizer, the Smith form without its unit shortcuts, kernel coordinates
 through a rational inverse, the map enumerator that scans every candidate
-form and the lifting search that composes per square), built from package
+form, the lifting search that composes per square, and maps out of
+quotients and pushouts written out cell by cell), built from package
 primitives, as references for the constructions that took their place.
 """
 
@@ -590,3 +591,83 @@ def has_lifting_property_scan(i, p, budget):
             "witness": None,
             "checked": meter.used,
         }
+
+
+def descend(proj_src, f, proj_tgt=None):
+    """The map induced by f on the target of a surjection, fiber checked.
+
+    proj_src: A -> Q surjective; f: A -> B; proj_tgt: B -> Q' or None.
+    Returns g with g . proj_src = (proj_tgt .) f, asserting the composite
+    is constant on every fiber.
+    """
+    from symspec import sset
+
+    A = proj_src.source
+    Q = proj_src.target
+    src, f_of = proj_src.assign, f.assign
+    lift = {}
+    for c in A.cell_ids():
+        w, t = src[c]
+        if not w and t not in lift:
+            lift[t] = c
+    target = proj_tgt.target if proj_tgt else f.target
+    assign = {}
+    for qc in Q.cell_ids():
+        val = f_of[lift[qc]]
+        assign[qc] = proj_tgt.apply(val) if proj_tgt else val
+    g = sset.SimplicialMap(Q, target, assign)
+    for c in A.cell_ids():
+        want = f_of[c]
+        if proj_tgt:
+            want = proj_tgt.apply(want)
+        assert g.apply(src[c]) == want, "map not constant on identification classes"
+    return g
+
+
+def map_out_of_pushout(po, to1, to2):
+    """The map out of a pushout: each wedge cell from its part, then descend."""
+    from symspec import sset
+
+    w = po.wedge
+    parts = (to1, to2)
+    assign = {w.space.basepoint: ((), to1.target.basepoint)}
+    for c in w.space.cell_ids():
+        if c == w.space.basepoint:
+            continue
+        idx, orig = w.part_of[c]
+        assign[c] = parts[idx].assign[orig]
+    raw = sset.SimplicialMap(w.space, to1.target, assign)
+    return descend(po.collapse, raw)
+
+
+def pushout_sigma(P, n):
+    """sigma_n of a pushout spectrum read off the first wedge preimage of
+    each cell, with both structure squares asserted afterwards."""
+    from symspec import sset
+
+    (U, V), po, po1 = P.parts, P.pushouts[n], P.pushouts[n + 1]
+    sm = sset.smash(U.tower.s1, po.space)
+    lift = {}
+    for c in po.wedge.space.cell_ids():
+        wd, t = po.collapse.assign[c]
+        if not wd and t not in lift:
+            lift[t] = c
+    assign = {}
+    for c in sm.space.cell_ids():
+        ft, fp = sm.pair_rep[c]
+        if ft[1] == sm.A.basepoint or fp[1] == sm.B.basepoint:
+            assign[c] = po1.space.base(sm.space.dim_of[c])
+            continue
+        wd, pc = fp
+        idx, orig = po.wedge.part_of[lift[pc]]
+        part = U if idx == 0 else V
+        leg = po1.leg1 if idx == 0 else po1.leg2
+        val = part.sigma(n).apply(part.structure_smash(n).form_of_pair(ft, (wd, orig)))
+        assign[c] = leg.apply(val)
+    sig = sset.SimplicialMap(sm.space, po1.space, assign)
+    for part, leg_n, leg_n1 in ((U, po.leg1, po1.leg1), (V, po.leg2, po1.leg2)):
+        lifted = sset.smash_map(
+            part.structure_smash(n), sm, sset.identity_map(U.tower.s1), leg_n
+        )
+        assert sig.compose(lifted) == leg_n1.compose(part.sigma(n))
+    return sig

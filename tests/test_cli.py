@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, determinism, round trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -59,6 +60,39 @@ def test_validate_rejects_broken_face(capsys, tmp_path):
     assert code == 1
     assert data["ok"] is False
     assert "reason" in data
+
+
+def test_broken_identity_is_rejected_in_optimized_mode(tmp_path):
+    # d_1 and d_2 of the 2-simplex swapped: without its checks, -O let
+    # `validate` answer ok and `homology` fail with a traceback
+    d = io.dump_space(sset.delta_plus(2))
+    top = d["cells"]["2"][0]
+    d0, d1, d2 = d["faces"][top]
+    d["faces"][top] = [d0, d2, d1]
+    f = tmp_path / "swapped.json"
+    f.write_text(io.canonical(d))
+    src = os.path.dirname(os.path.dirname(sset.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run_optimized(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "symspec", *argv, str(f)],
+            capture_output=True, text=True, env=env,
+        )
+
+    reason = (
+        f"{f}: not a simplicial set (IdentityError: cell '{top}': "
+        "d_0 d_1 = d_0 d_0 fails, ((), '2') != ((), '3'))"
+    )
+    proc = run_optimized("validate")
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "type": "validation_report", "ok": False, "reason": reason
+    }
+    proc = run_optimized("homology")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == {"error": reason}
 
 
 def test_malformed_json_reports_position(capsys, tmp_path):

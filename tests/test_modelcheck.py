@@ -209,6 +209,67 @@ def test_cofibrations_closed_under_cobase_change(tower):
 
 
 # ---------------------------------------------------------------------------
+# maps out of pushouts against the cell-by-cell oracle
+
+
+def corner_constructions(tower):
+    """Every construction that maps out of a pushout, on the valid corpus.
+
+    For each valid corpus spectrum X (the first nine; the rest are broken
+    on purpose) and the next one Y: the latching corners of pt -> X and of
+    the identity, the mapping cylinders of the identity and of X -> pt,
+    and the pushout-product in all three arms.  Returns the maps, with
+    the cylinders contributing r.
+    """
+    valid = corpus.spectrum_corpus(tower)[:9]
+    ends = sset.subset_inclusion(sset.boundary_plus(1), sset.delta_plus(1))
+    out = []
+    for X, Y in zip(valid, valid[1:] + valid[:1]):
+        unit, ident = point_into(X, tower), sp.identity_spectrum_map(X)
+        pt = sp.point_spectrum(X.bound, tower)
+        to_pt = sp.SpectrumMap(
+            X,
+            pt,
+            [sset.constant_map(X.space(n), pt.space(n)) for n in range(X.bound + 1)],
+        )
+        out += [mc.latching_corner(unit), mc.latching_corner(ident)]
+        out += [sp.mapping_cylinder(ident)[2], sp.mapping_cylinder(to_pt)[2]]
+        out += [
+            sp.pushout_product(ident.level(2), ends),
+            sp.pushout_product(unit, ends),
+            sp.pushout_product(unit, point_into(Y, tower)),
+        ]
+    return out
+
+
+def assignments(h):
+    """Every assignment of h and, for spectra, of its source's actions."""
+    if isinstance(h, sset.SimplicialMap):
+        return [h.assign]
+    out = []
+    for n, comp in enumerate(h.components):
+        out.append(comp.assign)
+        out += [g.assign for g in h.source.level(n).generators]
+    return out
+
+
+def test_maps_out_of_pushouts_match_the_cell_by_cell_oracle(monkeypatch):
+    built = corner_constructions(eq.SphereTower())
+    pushouts = [h.source for h in built if isinstance(h, sp.SpectrumMap)]
+    for P in pushouts:
+        for n in range(P.bound):
+            assert P.sigma(n).assign == oracle.pushout_sigma(P, n).assign
+    new = [assignments(h) for h in built]
+    monkeypatch.setattr(sset, "descend", oracle.descend)
+    monkeypatch.setattr(sset, "map_out_of_pushout", oracle.map_out_of_pushout)
+    old = [assignments(h) for h in corner_constructions(eq.SphereTower())]
+    assert len(new) == 63
+    assert sum(len(a) for maps in new for a in maps) > 10000
+    for got, want in zip(new, old):
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
 # map enumeration
 
 

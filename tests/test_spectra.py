@@ -257,6 +257,19 @@ def test_smash_from_bimorphisms_matches_triple_tensor_coequalizer(
             assert new.sigma(lev).assign == old.sigma(lev).assign, (case, lev)
 
 
+def test_smash_structure_map_recheck_names_a_split_relation(tower):
+    # without the level-2 relations, sigma from level 1 cannot descend
+    class Unrelated(sp.SmashSpectrum):
+        def _relations(self, n):
+            return [] if n == 2 else super()._relations(n)
+
+    F = sp.free_F(0, sset.zero_sphere(), 2, tower)
+    S = Unrelated(F, F)
+    S.sigma(0)
+    with pytest.raises(sset.IdentityError, match=r"sigma\(t \^ a\) = sigma\(t \^ b\)"):
+        S.sigma(1)
+
+
 def test_smash_with_point_collapses(tower):
     X = sp.free_F(1, sset.circle(), 2, tower)
     SP = sp.smash_spectra(X, sp.point_spectrum(2, tower))
@@ -415,6 +428,22 @@ def _cylinder_laws(f):
     assert i.is_monomorphism()
     assert i.validate() and r.validate() and s.validate()
     return Mf
+
+
+def test_pushout_of_levelwise_maps_rejects_a_square_that_fails(tower):
+    # G is the identity at level 0 and constant at level 1: not a spectrum
+    # map, so the pushout's sigma cannot make the V square commute
+    W = sp.free_F(0, sset.zero_sphere(), 1, tower)
+    U = V = W
+    F = sp.identity_spectrum_map(W)
+    G = sp.SpectrumMap(
+        W, V, [sset.identity_map(W.space(0)), sset.constant_map(W.space(1), V.space(1))]
+    )
+    P, _, _ = sp.pushout_spectrum(F, G)
+    with pytest.raises(sset.IdentityError, match=r"g\(q\(c\)\) = f\(c\)") as info:
+        P.sigma(0)
+    # the failing cell is the non-base edge of S^1 ^ V_0, after S^1 ^ U_0's
+    assert info.value.cell == 2
 
 
 def test_cylinder_of_identity(tower):

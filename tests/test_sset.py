@@ -5,7 +5,10 @@ Expected counts and map enumerations below were computed by tests/oracle.py
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +106,45 @@ def test_standard_spaces_validate():
     ]
     for X in spaces:
         assert X.validate()
+
+
+def reordered_triangle():
+    """Delta[2]+ with the face list of its 2-simplex reversed."""
+    D2 = sset.delta_plus(2)
+    faces = dict(D2.faces)
+    faces[7] = tuple(reversed(faces[7]))
+    return sset.PointedSimplicialSet(D2.cells, faces, D2.basepoint)
+
+
+def test_validate_names_the_failing_identity():
+    with pytest.raises(sset.IdentityError) as info:
+        reordered_triangle().validate()
+    err = info.value
+    assert (err.cell, err.identity) == (7, "d_0 d_1 = d_0 d_0")
+    # d_1 of the reversed list is the edge (0, 2), d_0 the edge (0, 1)
+    assert (err.lhs, err.rhs) == (((), 3), ((), 2))
+
+
+def test_validate_checks_face_counts_forms_and_the_basepoint():
+    D1 = sset.delta_plus(1)
+    bad = [
+        ({**D1.faces, 3: D1.faces[3][:1]}, 0, "a 1-cell has 2 faces"),
+        ({**D1.faces, 3: (((0,), 1), ((), 2))}, 0, "d_0 has dimension 0"),
+        ({**D1.faces, 1: (((), 2),)}, 0, "a vertex has no faces"),
+        (D1.faces, 3, "the basepoint is a vertex"),
+    ]
+    for faces, base, identity in bad:
+        X = sset.PointedSimplicialSet(D1.cells, faces, base)
+        with pytest.raises(sset.IdentityError) as info:
+            X.validate()
+        assert info.value.identity == identity
+    X = sset.PointedSimplicialSet(
+        sset.delta_plus(2).cells,
+        {**sset.delta_plus(2).faces, 7: (((), 6), ((), 5), ((0, 1), 1))},
+        0,
+    )
+    with pytest.raises(sset.IdentityError, match=r"d_2 in normal form"):
+        X.validate()
 
 
 def test_standard_space_counts():
@@ -291,6 +333,111 @@ def test_pushout_collapsing_leg():
     po = sset.pushout(incl, crush)
     po.space.validate()
     assert po.leg1.compose(incl) == po.leg2.compose(crush)
+
+
+# --- maps out of quotients and pushouts ------------------------------------
+
+
+def interval_mod_ends():
+    D1 = sset.delta_plus(1)
+    ends = sset.subset_inclusion(sset.boundary_plus(1), D1)
+    return D1, sset.quotient(D1, ends)
+
+
+def test_descend_names_the_cell_where_the_fibre_splits():
+    D1, q = interval_mod_ends()
+    with pytest.raises(sset.IdentityError) as info:
+        sset.descend(q.projection, sset.identity_map(D1))
+    err = info.value
+    # both ends fall onto the basepoint, which lifts to the base of D1,
+    # so the first end (vertex 0, cell 1) is where f is not constant
+    assert (err.cell, err.lhs, err.rhs) == (1, ((), 0), ((), 1))
+    assert str(err) == "cell 1: g(q(c)) = f(c) fails, ((), 0) != ((), 1)"
+
+
+def test_descend_is_the_identity_on_the_quotient():
+    D1, q = interval_mod_ends()
+    g = sset.descend(q.projection, q.projection)
+    assert g == sset.identity_map(q.space)
+    assert sset.descend(q.projection, sset.identity_map(D1), q.projection) == g
+
+
+def test_descend_error_survives_optimized_mode():
+    src = os.path.dirname(os.path.dirname(sset.__file__))
+    script = (
+        "import symspec.sset as sset\n"
+        "D1 = sset.delta_plus(1)\n"
+        "ends = sset.subset_inclusion(sset.boundary_plus(1), D1)\n"
+        "q = sset.quotient(D1, ends).projection\n"
+        "try:\n"
+        "    sset.descend(q, sset.identity_map(D1))\n"
+        "except sset.IdentityError as exc:\n"
+        "    print('rejected:', exc)\n"
+        "else:\n"
+        "    print('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "rejected: cell 1: g(q(c)) = f(c) fails, ((), 0) != ((), 1)\n"
+
+
+def test_first_preimages_are_computed_once_per_map():
+    _, q = interval_mod_ends()
+    lift = sset.first_preimages(q.projection)
+    assert lift == {0: 0, 1: 3}
+    assert sset.first_preimages(q.projection) is lift
+
+
+def test_maps_out_of_a_pushout_need_one_target():
+    D1 = sset.delta_plus(1)
+    po = sset.pushout(*[sset.subset_inclusion(sset.boundary_plus(1), D1)] * 2)
+    with pytest.raises(ValueError, match="one common target"):
+        sset.map_out_of_pushout(
+            po, sset.identity_map(D1), sset.identity_map(sset.delta_plus(1))
+        )
+
+
+def _maps_or_none(A, Z, budget):
+    try:
+        return sset.all_maps(A, Z, budget)
+    except sset.BudgetExceeded:
+        return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_maps_out_of_random_pushouts(seed):
+    """The pushout helper inverts (h . leg1, h . leg2) for every h: P -> Z,
+    agrees with the cell-by-cell oracle, and rejects every pair of maps
+    that disagree on the glued part."""
+    r = random.Random(seed)
+    f = corpus.random_subcomplex_inclusion(r, corpus.random_space(r, 3))
+    g = r.choice(sset.all_maps(f.source, corpus.random_space(r, 3)))
+    po = sset.pushout(f, g)
+    Z = corpus.random_space(r, 3)
+    budget = sset.Budget(20000)
+    outs = [_maps_or_none(X, Z, budget) for X in (po.space, f.target, g.target)]
+    if None in outs:
+        return
+    maps_p, maps_b, maps_c = outs
+    for h in maps_p:
+        assert sset.map_out_of_pushout(po, h.compose(po.leg1), h.compose(po.leg2)) == h
+    glued = set()
+    for u in r.sample(maps_b, min(len(maps_b), 12)):
+        for v in r.sample(maps_c, min(len(maps_c), 12)):
+            if u.compose(f) == v.compose(g):
+                h = sset.map_out_of_pushout(po, u, v)
+                assert h.compose(po.leg1) == u and h.compose(po.leg2) == v
+                assert h.assign == oracle.map_out_of_pushout(po, u, v).assign
+                glued.add(h)
+            else:
+                with pytest.raises(sset.IdentityError):
+                    sset.map_out_of_pushout(po, u, v)
+    # every map out of the pushout that was glued is one the search found
+    assert glued <= set(maps_p)
 
 
 # --- map enumeration -------------------------------------------------------
