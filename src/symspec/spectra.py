@@ -615,10 +615,11 @@ class SmashSpectrum(SymmetricSpectrum):
     """
 
     def __init__(self, X, Y, name=None):
-        assert X.tower is Y.tower, "smash needs a shared circle"
-        assert X.bound == Y.bound, "smash needs equal bounds"
-        tower = X.tower
-        N = X.bound
+        tower, N = X.tower, X.bound
+        if Y.tower is not tower:
+            raise sset.PreconditionError("smash needs a shared circle")
+        if Y.bound != N:
+            raise sset.PreconditionError(f"smash needs equal bounds: {N}, {Y.bound}")
         self.X = X
         self.Y = Y
         T_xy = sq.tensor(X.seq, Y.seq)
@@ -647,11 +648,7 @@ class SmashSpectrum(SymmetricSpectrum):
         super().__init__(tower, seq, self._build_sigma, name=seq.name)
 
     def _relations(self, n):
-        """The generating pairs of level n, as forms of (X (x) Y)_n.
-
-        They are listed by ascending dimension: the closure then meets the
-        faces of a pair before the pair, which makes it markedly faster.
-        """
+        """The generating pairs of level n, as forms of (X (x) Y)_n."""
         if n == 0:
             return []
         X, Y, T = self.X, self.Y, self.T
@@ -661,7 +658,7 @@ class SmashSpectrum(SymmetricSpectrum):
         # the (1, n-1)-shuffle sending letter 0 to i is t_{i-1} ... t_0, so
         # the generators move each pair through all n positions in turn
         gens = T.level(n).generators
-        by_dim = {}
+        pairs = []
         for p in range(n):
             q = n - 1 - p
             sm = T.smashes[(p, q)]
@@ -679,7 +676,6 @@ class SmashSpectrum(SymmetricSpectrum):
                     continue
                 x0, y0 = sm.pair_rep[c]
                 for ft, w in _circle_pairings(sm.space.dim_of[c], edge):
-                    pairs = by_dim.setdefault(len(ft[0]) + 1, [])
                     x = sset.word_compose(w, x0)
                     y = sset.word_compose(w, y0)
                     via_x = sm_x.form_of_pair(sig_x.apply(sx.form_of_pair(ft, x)), y)
@@ -692,7 +688,7 @@ class SmashSpectrum(SymmetricSpectrum):
                         for g in gens:
                             a, b = g.apply(a), g.apply(b)
                             pairs.append((a, b))
-        return [pair for k in sorted(by_dim) for pair in by_dim[k]]
+        return pairs
 
     def _build_sigma(self, n):
         X, T = self.X, self.T
@@ -958,8 +954,13 @@ def pushout_spectrum(F, G, name=None):
     descent checked against both parts.
     """
     W, U, V = F.source, F.target, G.target
-    assert G.source is W
-    assert U.tower is V.tower and U.bound == V.bound
+    if G.source is not W:
+        raise sset.PreconditionError("a pushout needs legs with a common source")
+    if U.tower is not V.tower or U.bound != V.bound:
+        raise sset.PreconditionError(
+            "a pushout needs a shared circle and equal bounds, "
+            f"not {U.bound} and {V.bound}"
+        )
     N = U.bound
     pos = [
         sset.pushout(F.level(n), G.level(n), name=f"po_{n}")

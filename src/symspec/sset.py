@@ -15,13 +15,14 @@ A simplex ``s_U x`` lies in the image of ``s_j`` exactly when ``j in U``.
 
 Products are built on pairs of forms of equal dimension with disjoint words,
 smash products directly on the pairs off the wedge, quotients by a
-congruence-closure pass over forms.  All constructions assign fresh ids
-deterministically, so equal inputs give identical outputs.
+congruence closure that reads the identified pairs once per dimension,
+highest first.  All constructions assign fresh ids deterministically, so
+equal inputs give identical outputs; a quotient's also do not depend on the
+order of its pairs.
 """
 
 import functools
 import itertools
-from collections import deque
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +82,8 @@ def face_word(i, word):
 
 def word_extract(j, word):
     """Remove s_j from a canonical word (j must occur), renumbering the rest."""
-    assert j in word
+    if j not in word:
+        raise PreconditionError(f"s_{j} does not occur in the word {word!r}")
     return tuple(a - 1 if a > j else a for a in word if a != j)
 
 
@@ -105,6 +107,11 @@ class IdentityError(ValueError):
         self.identity = identity
         self.lhs = lhs
         self.rhs = rhs
+
+
+class PreconditionError(ValueError, AssertionError):
+    """An argument a construction here does not take, named in the message;
+    also an AssertionError, the type of the asserts it replaces."""
 
 
 class PointedSimplicialSet:
@@ -215,11 +222,13 @@ class PointedSimplicialSet:
                     if faces.get(c):
                         raise IdentityError(c, "a vertex has no faces", faces[c], ())
                     continue
-                fs = faces[c]
+                fs = faces.get(c, ())
                 if len(fs) != k + 1:
                     where = f"a {k}-cell has {k + 1} faces"
                     raise IdentityError(c, where, len(fs), k + 1)
                 for i, (w, t) in enumerate(fs):
+                    if t not in dim_of:
+                        raise IdentityError(c, f"d_{i} names a cell", (w, t), None)
                     if not _is_decreasing(w):
                         normal = (_word_merge(w, ()), t)
                         raise IdentityError(c, f"d_{i} in normal form", (w, t), normal)
@@ -286,7 +295,8 @@ class SimplicialMap:
 
     def compose(self, other):
         """self after other."""
-        assert other.target is self.source
+        if other.target is not self.source:
+            raise PreconditionError(f"{self!r} cannot follow {other!r}")
         assign = {c: self.apply(f) for c, f in other.assign.items()}
         return SimplicialMap(other.source, self.target, assign)
 
@@ -324,7 +334,8 @@ class SimplicialMap:
         )
 
     def inverse(self):
-        assert self.is_isomorphism()
+        if not self.is_isomorphism():
+            raise PreconditionError(f"{self!r} is not an isomorphism")
         back = {f[1]: ((), c) for c, f in self.assign.items()}
         return SimplicialMap(self.target, self.source, back)
 
@@ -393,7 +404,8 @@ def boundary_plus(n):
 
 def horn_plus(n, i):
     """The horn missing the face opposite vertex i, disjoint basepoint adjoined."""
-    assert n >= 1 and 0 <= i <= n
+    if not 0 <= i <= n or n < 1:
+        raise PreconditionError(f"no horn Horn[{n},{i}]: need 0 <= i <= n, n >= 1")
     full = tuple(range(n + 1))
     opp = full[:i] + full[i + 1 :]
     return _subset_spaces(
@@ -407,7 +419,8 @@ def interval_plus():
 
 def sphere(n):
     """The n-fold smash power of the circle; sphere(0) is Delta[0]_+."""
-    assert n >= 0
+    if n < 0:
+        raise PreconditionError(f"no sphere of dimension {n}")
     if n == 0:
         return zero_sphere()
     space = circle()
@@ -616,14 +629,19 @@ class QuotientResult:
 def quotient_by_pairs(X, pairs, name=None):
     """Identify the listed pairs of forms and close under the face maps.
 
-    Runs a worklist congruence closure over normal forms.  Two nondegenerate
-    simplices merge to the smaller id; a nondegenerate simplex equated with a
-    degenerate form is redirected onto it (always toward lower dimension, so
-    redirects cannot cycle).  A pair degenerate on both sides with different
-    words carries no direct rewrite; its face pairs are pushed instead and the
-    pair is retried once they have been absorbed, which is enough because the
-    congruence is generated by face-closure (degeneracy-closure is automatic
-    on normal forms).
+    The closure reads the pairs once per dimension, highest first, with both
+    sides resolved.  Two nondegenerate simplices merge to the smaller id; a
+    nondegenerate simplex equated with a degenerate form is redirected onto
+    it; two degenerate forms need no rewrite, since by the Eilenberg-Zilber
+    lemma each is fixed by its nondegenerate root, of lower dimension, and
+    two degenerate simplices with equal faces are equal.  In all three cases
+    the pairs of faces go to the dimension below.  Degeneracies need no
+    closure on normal forms.
+
+    It terminates because a pair only adds pairs one dimension down and each
+    dimension's pairs are read once, after all higher ones.  Merges keep the
+    smallest id, so the result does not depend on the order of ``pairs``.
+    A pair of forms of unequal dimension raises ``IdentityError``.
     """
     # rep holds the redirected cells only; a cell absent from it is live
     rep = {}
@@ -642,72 +660,54 @@ def quotient_by_pairs(X, pairs, name=None):
         return word_compose(form[0], resolve_cell(form[1]))
 
     dim_of, faces = X.dim_of, X.faces
-    for a, b in pairs:
-        assert len(a[0]) + dim_of[a[1]] == len(b[0]) + dim_of[b[1]], (a, b)
-    queue = deque(pairs)
-    queued = set()
-    idle = 0
-    n_cells = len(dim_of)
 
-    def push(lhs, rhs):
-        # queue each unequal pair (lhs[i], rhs[i]) not already waiting
-        for a, b in zip(lhs, rhs):
+    def row(form, k):
+        # the faces d_0 .. d_k of a k-form; none for a vertex
+        if not form[0]:
+            return faces[form[1]] if k else ()
+        return [X.face(i, form) for i in range(k + 1)]
+
+    by_dim = {}
+    for pair in pairs:
+        a, b = pair
+        ka, kb = len(a[0]) + dim_of[a[1]], len(b[0]) + dim_of[b[1]]
+        if ka != kb:
+            raise IdentityError(a, f"dim a = dim b at b = {b!r}", ka, kb)
+        by_dim.setdefault(ka, []).append(pair)
+
+    for k in range(max(by_dim, default=0), -1, -1):
+        below, seen = by_dim.setdefault(k - 1, []), set()
+        for a, b in by_dim.pop(k, ()):
+            a, b = resolve(a), resolve(b)
             if a == b:
                 continue
-            key = (a, b) if a <= b else (b, a)
-            if key not in queued:
-                queued.add(key)
-                queue.append(key)
+            # a nondegenerate side is redirected onto the other side; of two
+            # nondegenerate cells, the larger id onto the smaller
+            (wa, ta), (wb, tb) = a, b
+            if not wb and (wa or ta < tb):
+                rep[tb] = a
+            elif not wa:
+                rep[ta] = b
+            for fa, fb in zip(row(a, k), row(b, k)):
+                if fa != fb:
+                    key = (fa, fb) if fa <= fb else (fb, fa)
+                    if key not in seen:
+                        seen.add(key)
+                        below.append(key)
 
-    while queue:
-        pair = queue.popleft()
-        queued.discard(pair)
-        a, b = resolve(pair[0]), resolve(pair[1])
-        if a == b:
-            continue
-        (wa, ta), (wb, tb) = a, b
-        if wa == wb:
-            # same word both sides: degeneracies are injective, merge targets
-            keep, drop = (ta, tb) if ta < tb else (tb, ta)
-            rep[drop] = ((), keep)
-            idle = 0
-            if dim_of[drop]:
-                push(faces[drop], faces[keep])
-        elif not wa or not wb:
-            if wa:
-                (wa, ta), b = (wb, tb), a
-            rep[ta] = b
-            idle = 0
-            push(faces[ta], [X.face(i, b) for i in range(dim_of[ta] + 1)])
-        else:
-            k = len(wa) + dim_of[ta]
-            push(
-                [X.face(i, a) for i in range(k + 1)],
-                [X.face(i, b) for i in range(k + 1)],
-            )
-            push((a,), (b,))
-            idle += 1
-            if idle > 10 * (len(queue) + n_cells) + 100:
-                raise RuntimeError("quotient closure stalled")
-
-    live = [c for c in X.cell_ids() if c not in rep]
-    live.sort(key=lambda c: (X.dim_of[c], c))
+    live = [c for c in X.cell_ids() if c not in rep]  # in (dim, id) order
     new_id = {c: i for i, c in enumerate(live)}
-    cells = {}
-    for c in live:
-        cells.setdefault(X.dim_of[c], []).append(new_id[c])
+    cells = {k: [new_id[c] for c in ids if c in new_id] for k, ids in X.cells.items()}
 
     def to_new(form):
         w, t = resolve(form)
         return (w, new_id[t])
 
-    new_faces = {}
-    for c in live:
-        if dim_of[c]:
-            new_faces[new_id[c]] = tuple([to_new(f) for f in faces[c]])
-    base = to_new(((), X.basepoint))
-    assert not base[0]
-    space = PointedSimplicialSet(cells, new_faces, base[1], name=name or f"{X.name}/~")
+    new_faces = {
+        new_id[c]: tuple([to_new(f) for f in faces[c]]) for c in live if dim_of[c]
+    }
+    base = to_new(X.base())[1]
+    space = PointedSimplicialSet(cells, new_faces, base, name=name or f"{X.name}/~")
     class_of = {c: to_new(((), c)) for c in X.cell_ids()}
     projection = SimplicialMap(X, space, class_of)
     space.validate()
@@ -716,12 +716,10 @@ def quotient_by_pairs(X, pairs, name=None):
 
 def quotient(X, inclusion, name=None):
     """Collapse the image of a monomorphism to the basepoint."""
-    assert inclusion.target is X and inclusion.is_monomorphism()
+    if inclusion.target is not X or not inclusion.is_monomorphism():
+        raise PreconditionError(f"{inclusion!r} is not a monomorphism into {X!r}")
     A = inclusion.source
-    pairs = []
-    for c in A.cell_ids():
-        k = A.dim_of[c]
-        pairs.append((inclusion.assign[c], X.base(k)))
+    pairs = [(inclusion.assign[c], X.base(A.dim_of[c])) for c in A.cell_ids()]
     return quotient_by_pairs(X, pairs, name=name)
 
 
@@ -838,8 +836,10 @@ def smash(A, B, name=None):
 
 def smash_map(sm_src, sm_tgt, f, g):
     """f ^ g between smash products; f: A -> A', g: B -> B'."""
-    assert sm_src.A is f.source and sm_tgt.A is f.target
-    assert sm_src.B is g.source and sm_tgt.B is g.target
+    if not (sm_src.A is f.source and sm_tgt.A is f.target):
+        raise PreconditionError(f"{f!r} does not run between the left factors")
+    if not (sm_src.B is g.source and sm_tgt.B is g.target):
+        raise PreconditionError(f"{g!r} does not run between the right factors")
     assign = {}
     for c in sm_src.space.cell_ids():
         fa, fb = sm_src.pair_rep[c]
@@ -918,18 +918,13 @@ class PushoutResult:
 
 def pushout(f, g, name=None):
     """Pushout of B <-f- A -g-> C in pointed simplicial sets."""
-    assert f.source is g.source
-    A = f.source
+    if f.source is not g.source:
+        raise PreconditionError(f"the legs {f!r} and {g!r} need a common source")
     w = wedge([f.target, g.target], name="pw")
-    pairs = []
-    for c in A.cell_ids():
-        pairs.append(
-            (w.inclusions[0].apply(f.assign[c]), w.inclusions[1].apply(g.assign[c]))
-        )
-    quot = quotient_by_pairs(w.space, pairs, name=name or "pushout")
-    leg1 = quot.projection.compose(w.inclusions[0])
-    leg2 = quot.projection.compose(w.inclusions[1])
-    return PushoutResult(quot.space, leg1, leg2, quot.projection, w)
+    i1, i2 = w.inclusions
+    pairs = [(i1.apply(f.assign[c]), i2.apply(g.assign[c])) for c in f.assign]
+    q = quotient_by_pairs(w.space, pairs, name=name or "pushout").projection
+    return PushoutResult(q.target, q.compose(i1), q.compose(i2), q, w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ with the package: this is the reference the package's combinatorics is tested
 against.
 
 The last section is different: it keeps constructions the package replaced
-(the smash as a collapsed product, the smash of spectra as a triple-tensor
-coequalizer, the Smith form without its unit shortcuts, kernel coordinates
-through a rational inverse, the map enumerator that scans every candidate
-form, the lifting search that composes per square, and maps out of
-quotients and pushouts written out cell by cell), built from package
-primitives, as references for the constructions that took their place.
+(the worklist congruence closure, the smash as a collapsed product, the
+smash of spectra as a triple-tensor coequalizer, the Smith form without its
+unit shortcuts, kernel coordinates through a rational inverse, the map
+enumerator that scans every candidate form, the lifting search that composes
+per square, and maps out of quotients and pushouts written out cell by
+cell), built from package primitives, as references for the constructions
+that took their place.
 """
 
 import itertools
@@ -288,6 +289,103 @@ def smash_by_quotient(A, B):
         if not form[0] and form[1] not in pair_rep:
             pair_rep[form[1]] = prod.pair_of[c]
     return quot, pair_rep
+
+
+def quotient_by_pairs_worklist(X, pairs, name=None):
+    """The worklist congruence closure, with its stall counter.
+
+    Pairs are taken first in, first out.  A pair degenerate on both sides
+    with different words pushes its face pairs and itself again, and is
+    retried until they have been absorbed; the closure gives up once it
+    has made no rewrite for too long.  Renumbering as in the package.
+    """
+    from collections import deque
+
+    from symspec import sset
+
+    rep = {}
+
+    def resolve_cell(c):
+        w, t = rep[c]
+        if t in rep:
+            out = sset.word_compose(w, resolve_cell(t))
+            rep[c] = out
+            return out
+        return w, t
+
+    def resolve(form):
+        if form[1] not in rep:
+            return form
+        return sset.word_compose(form[0], resolve_cell(form[1]))
+
+    dim_of, faces = X.dim_of, X.faces
+    for a, b in pairs:
+        assert X.form_dim(a) == X.form_dim(b), (a, b)
+    queue = deque(pairs)
+    queued = set()
+    idle = 0
+    n_cells = len(dim_of)
+
+    def push(lhs, rhs):
+        for a, b in zip(lhs, rhs):
+            if a == b:
+                continue
+            key = (a, b) if a <= b else (b, a)
+            if key not in queued:
+                queued.add(key)
+                queue.append(key)
+
+    while queue:
+        pair = queue.popleft()
+        queued.discard(pair)
+        a, b = resolve(pair[0]), resolve(pair[1])
+        if a == b:
+            continue
+        (wa, ta), (wb, tb) = a, b
+        if wa == wb:
+            keep, drop = (ta, tb) if ta < tb else (tb, ta)
+            rep[drop] = ((), keep)
+            idle = 0
+            if dim_of[drop]:
+                push(faces[drop], faces[keep])
+        elif not wa or not wb:
+            if wa:
+                (wa, ta), b = (wb, tb), a
+            rep[ta] = b
+            idle = 0
+            push(faces[ta], [X.face(i, b) for i in range(dim_of[ta] + 1)])
+        else:
+            k = len(wa) + dim_of[ta]
+            push(
+                [X.face(i, a) for i in range(k + 1)],
+                [X.face(i, b) for i in range(k + 1)],
+            )
+            push((a,), (b,))
+            idle += 1
+            if idle > 10 * (len(queue) + n_cells) + 100:
+                raise RuntimeError("quotient closure stalled")
+
+    live = [c for c in X.cell_ids() if c not in rep]
+    live.sort(key=lambda c: (dim_of[c], c))
+    new_id = {c: i for i, c in enumerate(live)}
+    cells = {}
+    for c in live:
+        cells.setdefault(dim_of[c], []).append(new_id[c])
+
+    def to_new(form):
+        w, t = resolve(form)
+        return (w, new_id[t])
+
+    new_faces = {
+        new_id[c]: tuple([to_new(f) for f in faces[c]]) for c in live if dim_of[c]
+    }
+    base = to_new(((), X.basepoint))
+    space = sset.PointedSimplicialSet(
+        cells, new_faces, base[1], name=name or f"{X.name}/~"
+    )
+    class_of = {c: to_new(((), c)) for c in X.cell_ids()}
+    space.validate()
+    return sset.QuotientResult(space, sset.SimplicialMap(X, space, class_of), class_of)
 
 
 def triple_tensor_smash(X, Y):

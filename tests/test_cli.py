@@ -62,6 +62,22 @@ def test_validate_rejects_broken_face(capsys, tmp_path):
     assert "reason" in data
 
 
+def test_validate_names_a_face_on_a_missing_cell(capsys, tmp_path):
+    d = io.dump_space(sset.delta_plus(1))
+    edge = d["cells"]["1"][0]
+    d["faces"][edge] = [[[], "99"]] + d["faces"][edge][1:]
+    f = tmp_path / "missing.json"
+    f.write_text(io.canonical(d))
+    code, data = payload(capsys, "validate", str(f))
+    assert code == 1
+    assert data == {
+        "type": "validation_report",
+        "ok": False,
+        "reason": f"{f}: not a simplicial set (IdentityError: cell '{edge}': "
+        "d_0 names a cell fails, ((), '99') != None)",
+    }
+
+
 def test_broken_identity_is_rejected_in_optimized_mode(tmp_path):
     # d_1 and d_2 of the 2-simplex swapped: without its checks, -O let
     # `validate` answer ok and `homology` fail with a traceback

@@ -1,5 +1,9 @@
 """Spectrum-level constructions: structure maps, smash, free spectra."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import oracle
@@ -283,6 +287,45 @@ def test_smash_requires_equal_bounds(tower):
     Y = sp.free_F(1, sset.circle(), 3, tower)
     with pytest.raises(AssertionError):
         sp.smash_spectra(X, Y)
+
+
+def test_smash_and_pushout_preconditions_survive_optimized_mode():
+    # without its checks, -O smashed bound 2 with bound 3 truncated to bound 2
+    src = os.path.dirname(os.path.dirname(sp.__file__))
+    script = (
+        "import symspec.equivariant as eq\n"
+        "import symspec.spectra as sp\n"
+        "import symspec.sset as sset\n"
+        "t = eq.SphereTower()\n"
+        "X = sp.free_F(1, sset.circle(), 2, t)\n"
+        "Y = sp.free_F(1, sset.circle(), 3, t)\n"
+        "def unit(N):\n"
+        "    P, F = sp.point_spectrum(N, t), sp.free_F(0, sset.circle(), N, t)\n"
+        "    maps = [sset.constant_map(P.space(n), F.space(n)) for n in range(N + 1)]\n"
+        "    return sp.SpectrumMap(P, F, maps)\n"
+        "calls = [\n"
+        "    lambda: sp.smash_spectra(X, Y),\n"
+        "    lambda: sp.smash_spectra(X, sp.free_F(1, sset.circle(), 2)),\n"
+        "    lambda: sp.pushout_spectrum(unit(2), unit(3)),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except sset.PreconditionError as exc:\n"
+        "        print('rejected:', exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: smash needs equal bounds: 2, 3",
+        "rejected: smash needs a shared circle",
+        "rejected: a pushout needs legs with a common source",
+    ]
 
 
 def test_smash_commutativity_iso(tower):

@@ -147,6 +147,21 @@ def test_validate_checks_face_counts_forms_and_the_basepoint():
         X.validate()
 
 
+def test_validate_names_a_face_on_a_missing_cell():
+    D1 = sset.delta_plus(1)
+    X = sset.PointedSimplicialSet(
+        D1.cells, {3: (((), 99), ((), 1))}, D1.basepoint
+    )
+    with pytest.raises(sset.IdentityError) as info:
+        X.validate()
+    err = info.value
+    assert (err.cell, err.identity, err.lhs) == (3, "d_0 names a cell", ((), 99))
+    # a positive-dimensional cell with no face table at all
+    X = sset.PointedSimplicialSet(D1.cells, {}, D1.basepoint)
+    with pytest.raises(sset.IdentityError, match="a 1-cell has 2 faces"):
+        X.validate()
+
+
 def test_standard_space_counts():
     assert nonbase_counts(sset.delta_plus(2)) == {0: 3, 1: 3, 2: 1}
     assert nonbase_counts(sset.boundary_plus(2)) == {0: 3, 1: 3}
@@ -333,6 +348,49 @@ def test_pushout_collapsing_leg():
     po = sset.pushout(incl, crush)
     po.space.validate()
     assert po.leg1.compose(incl) == po.leg2.compose(crush)
+
+
+def test_quotient_rejects_a_pair_of_unequal_dimension():
+    # the vertex 1 and the edge 3 of Delta[1]+
+    with pytest.raises(sset.IdentityError) as info:
+        sset.quotient_by_pairs(sset.delta_plus(1), [(((), 1), ((), 3))])
+    err = info.value
+    assert (err.cell, err.lhs, err.rhs) == (((), 1), 0, 1)
+
+
+def test_preconditions_survive_optimized_mode():
+    # without its checks, -O let the unequal pair through to a bare KeyError
+    src = os.path.dirname(os.path.dirname(sset.__file__))
+    script = (
+        "import symspec.sset as sset\n"
+        "D1 = sset.delta_plus(1)\n"
+        "calls = [\n"
+        "    lambda: sset.quotient_by_pairs(D1, [(((), 1), ((), 3))]),\n"
+        "    lambda: sset.quotient(D1, sset.constant_map(D1, D1)),\n"
+        "    lambda: sset.identity_map(D1).compose(sset.identity_map(sset.circle())),\n"
+        "    lambda: sset.sphere(-1),\n"
+        "]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except (sset.IdentityError, sset.PreconditionError) as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["IdentityError"] + ["PreconditionError"] * 3
+
+
+def test_precondition_errors_are_also_assertion_errors():
+    with pytest.raises(AssertionError, match="no horn"):
+        sset.horn_plus(2, 3)
+    with pytest.raises(ValueError, match="common source"):
+        sset.pushout(sset.identity_map(sset.circle()), sset.identity_map(sset.circle()))
 
 
 # --- maps out of quotients and pushouts ------------------------------------
@@ -564,6 +622,36 @@ def test_random_collapse_matches_dense(data):
     DQ = oracle.collapse_dense(DP, lambda k, x: (k, x) in hits)
     got = {k: v for k, v in nonbase_counts(q.space).items() if k <= 3}
     assert got == DQ.counts()
+
+
+@st.composite
+def closure_input(draw):
+    """A random space or product of two, and random pairs of equal-dimension
+    forms; one in three pairs is drawn among the degenerate forms."""
+    r = random.Random(draw(st.integers(0, 2**32)))
+    X = corpus.random_space(r)
+    if draw(st.booleans()):
+        X = sset.product(X, corpus.random_space(r, 3)).space
+    pairs = []
+    for _ in range(draw(st.integers(0, 6))):
+        forms = X.forms(draw(st.integers(0, X.dim + 1)))
+        if draw(st.integers(0, 2)) == 0:
+            forms = [f for f in forms if f[0]] or forms
+        pairs.append((draw(st.sampled_from(forms)), draw(st.sampled_from(forms))))
+    return X, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(closure_input(), st.data())
+def test_closure_matches_the_worklist_oracle_in_any_order(case, data):
+    X, pairs = case
+    want = oracle.quotient_by_pairs_worklist(X, pairs)
+    for order in (pairs, data.draw(st.permutations(pairs))):
+        got = sset.quotient_by_pairs(X, order)
+        assert got.space.cells == want.space.cells
+        assert got.space.faces == want.space.faces
+        assert got.space.basepoint == want.space.basepoint
+        assert got.class_of == want.class_of
 
 
 def test_sphere_cell_counts():
