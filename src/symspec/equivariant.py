@@ -143,19 +143,31 @@ class EquivariantSpace:
         return self._acts[perm]
 
     def validate(self):
-        """Generator sanity plus the Coxeter relations, as map equalities."""
+        """Generator sanity plus the Coxeter relations, as map equalities.
+
+        A generator off the space raises ``sset.PreconditionError``; a
+        generator that is not simplicial, or a failed relation, raises
+        ``sset.IdentityError`` at the first cell where it fails.
+        """
         ident = sset.identity_map(self.space)
-        for g in self.generators:
-            assert g.source is self.space and g.target is self.space
-            assert g.is_valid()
-            assert g.compose(g) == ident
+        for i, g in enumerate(self.generators):
+            if g.source is not self.space or g.target is not self.space:
+                raise sset.PreconditionError(f"generator t_{i} is not a map of {self.space!r}")
+            bad = g.failure(f"t_{i}: ")
+            if bad:
+                raise bad
+            sset.require_equal(g.compose(g), ident, f"t_{i} t_{i} = 1")
         for i, g in enumerate(self.generators):
             for j in range(i + 2, len(self.generators)):
                 h = self.generators[j]
-                assert g.compose(h) == h.compose(g)
+                sset.require_equal(g.compose(h), h.compose(g), f"t_{i} t_{j} = t_{j} t_{i}")
         for i in range(len(self.generators) - 1):
             g, h = self.generators[i], self.generators[i + 1]
-            assert g.compose(h).compose(g) == h.compose(g).compose(h)
+            sset.require_equal(
+                g.compose(h).compose(g),
+                h.compose(g).compose(h),
+                f"t_{i} t_{i + 1} t_{i} = t_{i + 1} t_{i} t_{i + 1}",
+            )
         return True
 
     def orbit(self, form):
@@ -272,17 +284,12 @@ class SphereTower:
 
     def concat_map(self, sm, p, q):
         """S^p ^ S^q -> S^(p+q) by coordinate concatenation; p, q >= 1."""
-        assert sm.A is self.space(p) and sm.B is self.space(q)
-        target = self.space(p + q)
-        assign = {}
-        for c in sm.space.cell_ids():
-            fp, fq = sm.pair_rep[c]
-            if fp[1] == sm.A.basepoint or fq[1] == sm.B.basepoint:
-                assign[c] = target.base(sm.space.dim_of[c])
-            else:
-                coords = self.flatten(p, fp) + self.flatten(q, fq)
-                assign[c] = self.unflatten(p + q, coords)
-        return sset.SimplicialMap(sm.space, target, assign)
+        if sm.A is not self.space(p) or sm.B is not self.space(q):
+            raise sset.PreconditionError(f"{sm.space!r} is not the smash of S^{p} and S^{q}")
+        return sm.map_out(
+            self.space(p + q),
+            lambda fp, fq: self.unflatten(p + q, self.flatten(p, fp) + self.flatten(q, fq)),
+        )
 
 
 def sphere_action(n, tower=None):

@@ -51,7 +51,8 @@ class SymmetricSpectrum:
 
     def _pair(self, n):
         if n not in self._structure:
-            assert 0 <= n < self.bound, f"no structure map at level {n}"
+            if not 0 <= n < self.bound:
+                raise sset.PreconditionError(f"{self!r} has no structure map at level {n}")
             self._structure[n] = self._builder(n)
         return self._structure[n]
 
@@ -64,7 +65,8 @@ class SymmetricSpectrum:
 
     def power_smash(self, p, n):
         """S^p ^ X_n (p >= 1), shared by sigma_power and the validator."""
-        assert p >= 1
+        if p < 1:
+            raise sset.PreconditionError(f"no power smash S^{p} ^ X_{n}")
         if p == 1:
             return self.structure_smash(n)
         key = (p, n)
@@ -74,34 +76,28 @@ class SymmetricSpectrum:
 
     def sigma_power(self, p, n):
         """sigma^p: S^p ^ X_n -> X_{n+p}, iterating from the inner factor."""
-        assert p >= 1 and p + n <= self.bound
+        if not (p >= 1 and p + n <= self.bound):
+            raise sset.PreconditionError(f"no sigma^{p} on level {n} of {self!r}")
         if p == 1:
             return self.sigma(n)
         key = (p, n)
         if key not in self._sigma_power:
-            ps = self.power_smash(p, n)
-            target = self.space(n + p)
             # innermost coordinate first: (S^1 ^ X_m, sigma(m)) for m >= n
             steps = [(self.structure_smash(m), self.sigma(m)) for m in range(n, n + p)]
-            assign = {}
-            for c in ps.space.cell_ids():
-                fs, fx = ps.pair_rep[c]
-                if fs[1] == ps.A.basepoint or fx[1] == ps.B.basepoint:
-                    assign[c] = target.base(ps.space.dim_of[c])
-                    continue
-                g = fx
+
+            def value(fs, fx):
                 for t, (sm, sigma) in zip(reversed(self.tower.flatten(p, fs)), steps):
-                    g = sigma.apply(sm.form_of_pair(t, g))
-                assign[c] = g
-            self._sigma_power[key] = sset.SimplicialMap(
-                ps.space, target, assign
-            )
+                    fx = sigma.apply(sm.form_of_pair(t, fx))
+                return fx
+
+            self._sigma_power[key] = self.power_smash(p, n).map_out(self.space(n + p), value)
         return self._sigma_power[key]
 
 
 class SpectrumMap:
     def __init__(self, source, target, components):
-        assert source.tower is target.tower
+        if source.tower is not target.tower:
+            raise sset.PreconditionError(f"{source!r} and {target!r} need a shared circle")
         self.source = source
         self.target = target
         self.components = list(components)
@@ -122,7 +118,10 @@ class SpectrumMap:
         return hash(tuple(map(hash, self.components)))
 
     def compose(self, other):
-        assert other.target is self.source
+        if other.target is not self.source:
+            raise sset.PreconditionError(
+                f"{self.source!r} is not the target of {other.target!r}"
+            )
         return SpectrumMap(
             other.source,
             self.target,
@@ -130,6 +129,9 @@ class SpectrumMap:
         )
 
     def validate(self):
+        """The levelwise checks of ``SequenceMap.validate``, then every
+        structure square; a failed square raises ``sset.IdentityError``
+        naming the level and the first cell of S^1 ^ X_n where it fails."""
         self.seq_map.validate()
         s1 = self.source.tower.s1
         for n in range(self.source.bound):
@@ -141,7 +143,7 @@ class SpectrumMap:
             )
             lhs = self.components[n + 1].compose(self.source.sigma(n))
             rhs = self.target.sigma(n).compose(lift)
-            assert lhs == rhs, f"structure square fails at level {n}"
+            sset.require_equal(lhs, rhs, f"level {n}: f sigma = sigma (1 ^ f)")
         return True
 
     def is_isomorphism(self):
@@ -336,15 +338,7 @@ def module_spectrum(X, W, name=None):
 
     def build(n):
         sm = sset.smash(X.tower.s1, T.space(n))
-        sigma = _module_sigma(X, T, n)
-        assign = {}
-        for c in sm.space.cell_ids():
-            ft, fx = sm.pair_rep[c]
-            if ft[1] == sm.A.basepoint or fx[1] == sm.B.basepoint:
-                assign[c] = T.space(n + 1).base(sm.space.dim_of[c])
-            else:
-                assign[c] = sigma(ft, fx)
-        return sm, sset.SimplicialMap(sm.space, T.space(n + 1), assign)
+        return sm, sm.map_out(T.space(n + 1), _module_sigma(X, T, n))
 
     spec = SymmetricSpectrum(X.tower, T, build, name=name)
     spec.T = T
@@ -372,7 +366,8 @@ def free_F(n, K, N, tower=None):
 
 def free_F_map(src, tgt, f):
     """F_n(f) for f: K -> L, the identity on the sphere coordinates."""
-    assert src.sphere is tgt.sphere, "free spectra over different spheres"
+    if src.sphere is not tgt.sphere:
+        raise sset.PreconditionError("free spectra over different spheres")
     gmap = sq.free_G_map(src.G, tgt.G, f)
     seq_map = sq.tensor_map(
         src.T, tgt.T, sq.identity_seq_map(src.sphere.seq), gmap
@@ -382,24 +377,17 @@ def free_F_map(src, tgt, f):
 
 def left_action_map(X, T):
     """lambda: S (x) X -> X collapsing the sphere factor through sigma^p."""
-    assert T.Y is X.seq
-    components = []
-    for n in range(T.bound + 1):
-        space = T.space(n)
-        assign = {space.basepoint: ((), X.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            (p, q, mu), fs, fx = T.coordinates(n, c)
-            if p:
-                val = X.sigma_power(p, q).apply(
-                    X.power_smash(p, q).form_of_pair(fs, fx)
-                )
-            else:
-                val = fx
-            assign[c] = X.level(n).act(eq.shuffle_perm(mu, p, q)).apply(val)
-        components.append(sset.SimplicialMap(space, X.space(n), assign))
-    return sq.SequenceMap(T, X.seq, components)
+    if T.Y is not X.seq:
+        raise sset.PreconditionError(f"{T!r} is not a tensor with {X.seq!r}")
+
+    def summand(n, p, q, mu):
+        shuffle = X.level(n).act(eq.shuffle_perm(mu, p, q))
+        if not p:
+            return lambda fs, fx: shuffle.apply(fx)
+        sp, ps = X.sigma_power(p, q), X.power_smash(p, q)
+        return lambda fs, fx: shuffle.apply(sp.apply(ps.form_of_pair(fs, fx)))
+
+    return T.map_out(X.seq, summand)
 
 
 def free_extension(F, Z, phi):
@@ -409,27 +397,27 @@ def free_extension(F, Z, phi):
     m_mu . sigma^p(s ^ (rho . phi(a))).
     """
     r = F.free_degree
-    assert F.tower is Z.tower and F.bound == Z.bound
-    assert phi.source is F.K and phi.target is Z.space(r)
-    components = []
-    for m in range(F.bound + 1):
-        space = F.space(m)
-        assign = {space.basepoint: ((), Z.space(m).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            (p, q, mu), fs, fg = F.T.coordinates(m, c)
+    if F.tower is not Z.tower or F.bound != Z.bound:
+        raise sset.PreconditionError(f"{F!r} and {Z!r} need a shared circle and equal bounds")
+    if phi.source is not F.K or phi.target is not Z.space(r):
+        raise sset.PreconditionError(f"{phi!r} does not run from K to level {r} of {Z!r}")
+    orbit, Z_r = F.G.level(r), Z.level(r)
+
+    def summand(m, p, q, mu):
+        shuffle = Z.level(m).act(eq.shuffle_perm(mu, p, q))
+        sp, ps = (Z.sigma_power(p, r), Z.power_smash(p, r)) if p else (None, None)
+
+        def value(fs, fg):
             wg, gc = fg
-            rho, a = F.G.level(r).cell_coords(gc)
-            za = phi.apply(sset.word_compose(wg, ((), a)))
-            val = Z.level(r).act(rho).apply(za)
+            rho, a = orbit.cell_coords(gc)
+            val = Z_r.act(rho).apply(phi.apply(sset.word_compose(wg, ((), a))))
             if p:
-                val = Z.sigma_power(p, r).apply(
-                    Z.power_smash(p, r).form_of_pair(fs, val)
-                )
-            assign[c] = Z.level(m).act(eq.shuffle_perm(mu, p, q)).apply(val)
-        components.append(sset.SimplicialMap(space, Z.space(m), assign))
-    return SpectrumMap(F, Z, components)
+                val = sp.apply(ps.form_of_pair(fs, val))
+            return shuffle.apply(val)
+
+        return value
+
+    return SpectrumMap(F, Z, F.T.map_out(Z.seq, summand).components)
 
 
 def free_unit_inclusion(F):
@@ -456,23 +444,19 @@ def smash_free_iso(SXY, big, sm_kl):
     """F_{m+n}(K ^ L) -> smash(F_m K, F_n L), extending the paired units."""
     X, Y = SXY.X, SXY.Y
     m, n = X.free_degree, Y.free_degree
-    assert big.free_degree == m + n and big.K is sm_kl.space
-    assert sm_kl.A is X.K and sm_kl.B is Y.K
+    if big.free_degree != m + n or big.K is not sm_kl.space:
+        raise sset.PreconditionError(f"{big!r} is not free on K ^ L in degree {m + n}")
+    if sm_kl.A is not X.K or sm_kl.B is not Y.K:
+        raise sset.PreconditionError(f"{sm_kl.space!r} is not the smash of {X.K!r} and {Y.K!r}")
     ux = free_unit_inclusion(X)
     uy = free_unit_inclusion(Y)
     sm_mn = SXY.T.smashes[(m, n)]
-    mu = tuple(range(m))
-    target = SXY.space(m + n)
-    assign = {sm_kl.space.basepoint: ((), target.basepoint)}
-    for c in sm_kl.space.cell_ids():
-        if c == sm_kl.space.basepoint:
-            continue
-        fk, fl = sm_kl.pair_rep[c]
-        form = SXY.T.include(
-            m + n, m, n, mu, sm_mn.form_of_pair(ux.apply(fk), uy.apply(fl))
-        )
-        assign[c] = SXY.quotients[m + n].projection.apply(form)
-    phi = sset.SimplicialMap(sm_kl.space, target, assign)
+    into = SXY.T.inclusion(m + n, m, n, tuple(range(m)))
+    proj = SXY.quotients[m + n].projection
+    phi = sm_kl.map_out(
+        SXY.space(m + n),
+        lambda fk, fl: proj.apply(into.apply(sm_mn.form_of_pair(ux.apply(fk), uy.apply(fl)))),
+    )
     return free_extension(big, SXY, phi)
 
 
@@ -504,7 +488,9 @@ def lambda_map(n, N, tower=None):
         tgt.space(n + 1),
         {circle.basepoint: tgt.space(n + 1).base(0), edge: image},
     )
-    assert phi.is_valid()
+    bad = phi.failure(f"the adjoint of lambda at {n}: ")
+    if bad:
+        raise bad
     return free_extension(src, tgt, phi)
 
 
@@ -533,24 +519,13 @@ class MonoidWitness:
                 self.pairings[(p, q)] = sset.smash_runit(sm)[0]
             else:
                 self.pairings[(p, q)] = tower.concat_map(sm, p, q)
-        components = []
-        for n in range(N + 1):
-            space = self.T.space(n)
-            assign = {space.basepoint: ((), sphere.space(n).basepoint)}
-            for c in space.cell_ids():
-                if c == space.basepoint:
-                    continue
-                (p, q, mu), fa, fb = self.T.coordinates(n, c)
-                val = self.pairings[(p, q)].apply(
-                    self.T.smashes[(p, q)].form_of_pair(fa, fb)
-                )
-                assign[c] = (
-                    sphere.level(n).act(eq.shuffle_perm(mu, p, q)).apply(val)
-                )
-            components.append(
-                sset.SimplicialMap(space, sphere.space(n), assign)
-            )
-        self.pairing_seq = sq.SequenceMap(self.T, sphere.seq, components)
+
+        def summand(n, p, q, mu):
+            pairing, sm = self.pairings[(p, q)], self.T.smashes[(p, q)]
+            shuffle = sphere.level(n).act(eq.shuffle_perm(mu, p, q))
+            return lambda fa, fb: shuffle.apply(pairing.apply(sm.form_of_pair(fa, fb)))
+
+        self.pairing_seq = self.T.map_out(sphere.seq, summand)
         self.unit_seq = sq.unit_sequence(N)
         unit_comps = []
         for n in range(N + 1):
@@ -696,15 +671,10 @@ class SmashSpectrum(SymmetricSpectrum):
         sm = sset.smash(self.tower.s1, self.quotients[n].space)
         lift = sset.first_preimages(self.quotients[n].projection)
         sigma = _module_sigma(X, T, n)
-        assign = {}
-        for c in sm.space.cell_ids():
-            ft, fq = sm.pair_rep[c]
-            if ft[1] == sm.A.basepoint or fq[1] == sm.B.basepoint:
-                assign[c] = quot_n1.space.base(sm.space.dim_of[c])
-                continue
-            w, qc = fq
-            assign[c] = quot_n1.projection.apply(sigma(ft, (w, lift[qc])))
-        sig = sset.SimplicialMap(sm.space, quot_n1.space, assign)
+        sig = sm.map_out(
+            quot_n1.space,
+            lambda ft, fq: quot_n1.projection.apply(sigma(ft, (fq[0], lift[fq[1]]))),
+        )
         # the choice of lift cannot matter: re-check on the generating
         # identifications under every circle degeneracy
         s1 = self.tower.s1
@@ -731,8 +701,8 @@ def smash_unit_iso(SX):
     """For SX = smash(sphere, X): mutually inverse comparisons with X = SX.Y."""
     X = SX.Y
     N = SX.bound
-    for n in range(N + 1):
-        assert SX.X.space(n) is SX.tower.space(n), "left factor must be the sphere"
+    if any(SX.X.space(n) is not SX.tower.space(n) for n in range(N + 1)):
+        raise sset.PreconditionError(f"the left factor of {SX!r} must be the sphere")
     lam = left_action_map(X, SX.T)
     fwd = SpectrumMap(
         SX,
@@ -762,7 +732,8 @@ def smash_unit_iso(SX):
 
 def smash_comm_iso(XY, YX):
     """The symmetry X ^_S Y -> Y ^_S X, descended from the tensor twist."""
-    assert XY.X is YX.Y and XY.Y is YX.X
+    if XY.X is not YX.Y or XY.Y is not YX.X:
+        raise sset.PreconditionError(f"{YX!r} is not the twist of {XY!r}")
     tw = sq.twist_iso(XY.T, YX.T)
     comps = [
         sset.descend(
@@ -781,8 +752,10 @@ def smash_assoc_iso(XY_Z, X_YZ):
     """
     XY, Z = XY_Z.X, XY_Z.Y
     X, YZ = X_YZ.X, X_YZ.Y
-    assert isinstance(XY, SmashSpectrum) and isinstance(YZ, SmashSpectrum)
-    assert XY.X is X and XY.Y is YZ.X and YZ.Y is Z
+    if not (isinstance(XY, SmashSpectrum) and isinstance(YZ, SmashSpectrum)):
+        raise sset.PreconditionError("the inner factors must be smash spectra")
+    if not (XY.X is X and XY.Y is YZ.X and YZ.Y is Z):
+        raise sset.PreconditionError("both sides need the same three factors")
     Y = XY.Y
     C3 = sq.tensor(XY.T, Z.seq)
     C3r = sq.tensor(X.seq, YZ.T)
@@ -802,8 +775,10 @@ def smash_assoc_iso(XY_Z, X_YZ):
 
 def smash_map_spectra(S_src, S_tgt, f, g):
     """The map X ^_S Y -> X' ^_S Y' induced by f: X -> X', g: Y -> Y'."""
-    assert S_src.X is f.source and S_tgt.X is f.target
-    assert S_src.Y is g.source and S_tgt.Y is g.target
+    if not (S_src.X is f.source and S_tgt.X is f.target):
+        raise sset.PreconditionError(f"{f!r} does not run between the left factors")
+    if not (S_src.Y is g.source and S_tgt.Y is g.target):
+        raise sset.PreconditionError(f"{g!r} does not run between the right factors")
     tm = sq.tensor_map(S_src.T, S_tgt.T, f.seq_map, g.seq_map)
     comps = [
         sset.descend(
@@ -835,19 +810,15 @@ class ProlongSpectrum(SymmetricSpectrum):
         X, seq = self.base_spectrum, self.seq
         sm = sset.smash(self.tower.s1, seq.space(n))
         tgt_sm = seq.smashes[n + 1]
-        assign = {}
-        for c in sm.space.cell_ids():
-            ft, fz = sm.pair_rep[c]
-            if ft[1] == sm.A.basepoint or fz[1] == sm.B.basepoint:
-                assign[c] = seq.space(n + 1).base(sm.space.dim_of[c])
-                continue
+
+        def value(ft, fz):
             w, zc = fz
-            fx0, fk0 = seq.smashes[n].pair_rep[zc]
-            fx = sset.word_compose(w, fx0)
-            fk = sset.word_compose(w, fk0)
+            fx, fk = seq.smashes[n].pair_rep[zc]
+            fx, fk = sset.word_compose(w, fx), sset.word_compose(w, fk)
             val = X.sigma(n).apply(X.structure_smash(n).form_of_pair(ft, fx))
-            assign[c] = tgt_sm.form_of_pair(val, fk)
-        return sm, sset.SimplicialMap(sm.space, seq.space(n + 1), assign)
+            return tgt_sm.form_of_pair(val, fk)
+
+        return sm, sm.map_out(seq.space(n + 1), value)
 
 
 def prolong_smash(X, K, name=None):
@@ -888,7 +859,8 @@ def prolong_unit_iso(P):
 
 def suspension_free_iso(P, F):
     """For P = sphere ^ K: the comparison with the degree-0 free spectrum."""
-    assert F.free_degree == 0 and F.K is P.K
+    if F.free_degree != 0 or F.K is not P.K:
+        raise sset.PreconditionError(f"{F!r} is not free on {P.K!r} in degree 0")
     iso = sq.smash_space_iso(P.seq, F.T)
     return SpectrumMap(P, F, iso.components)
 
@@ -897,30 +869,19 @@ def prolong_free_iso(P, SXF):
     """X ^ K -> X ^_S F_0 K, sending the K factor into the degree-0 summand."""
     X = P.base_spectrum
     F = SXF.Y
-    assert SXF.X is X and F.free_degree == 0 and F.K is P.K
-    copy = F.G.level(0).copies[()]
-    sm00 = F.T.smashes[(0, 0)]
-    s0pt = sset._sole_point(F.sphere.space(0))
+    if SXF.X is not X or F.free_degree != 0 or F.K is not P.K:
+        raise sset.PreconditionError(f"{SXF!r} is not X ^_S F_0 K for {P!r}")
+    unit = free_unit_inclusion(F)  # K into the degree-0 summand of F_0 K
     comps = []
     for n in range(P.bound + 1):
-        space = P.space(n)
-        sm_t = SXF.T.smashes[(n, 0)]
-        mu = tuple(range(n))
-        assign = {space.basepoint: ((), SXF.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            fx, fk = P.seq.smashes[n].pair_rep[c]
-            k = space.dim_of[c]
-            inner = F.T.include(
-                0, 0, 0, (), sm00.form_of_pair(
-                    sset.base_form(s0pt, k), copy.apply(fk)
-                )
+        sm_t, into = SXF.T.smashes[(n, 0)], SXF.T.inclusion(n, n, 0, tuple(range(n)))
+        proj = SXF.quotients[n].projection
+        comps.append(
+            P.seq.smashes[n].map_out(
+                SXF.space(n),
+                lambda fx, fk: proj.apply(into.apply(sm_t.form_of_pair(fx, unit.apply(fk)))),
             )
-            moved = sm_t.form_of_pair(fx, inner)
-            form = SXF.T.include(n, n, 0, mu, moved)
-            assign[c] = SXF.quotients[n].projection.apply(form)
-        comps.append(sset.SimplicialMap(space, SXF.space(n), assign))
+        )
     return SpectrumMap(P, SXF, comps)
 
 
@@ -1032,14 +993,9 @@ def mapping_cylinder(f):
     # r: collapse the interval, then f, and the identity on the Y part
     r_comps = []
     for n, po in enumerate(Mf.pushouts):
-        sm, Yn = cyl.seq.smashes[n], Y.space(n)
-        collapse = {c: f.level(n).apply(fx) for c, (fx, _) in sm.pair_rep.items()}
-        collapse[sm.space.basepoint] = ((), Yn.basepoint)
-        r_comps.append(
-            sset.map_out_of_pushout(
-                po, sset.SimplicialMap(sm.space, Yn, collapse), sset.identity_map(Yn)
-            )
-        )
+        fn, Yn = f.level(n), Y.space(n)
+        collapse = cyl.seq.smashes[n].map_out(Yn, lambda fx, fi: fn.apply(fx))
+        r_comps.append(sset.map_out_of_pushout(po, collapse, sset.identity_map(Yn)))
     r = SpectrumMap(Mf, Y, r_comps)
     return Mf, i, r, s
 

@@ -19,6 +19,12 @@ congruence closure that reads the identified pairs once per dimension,
 highest first.  All constructions assign fresh ids deterministically, so
 equal inputs give identical outputs; a quotient's also do not depend on the
 order of its pairs.
+
+Each colimit owns its universal property: a map out of a wedge is
+``WedgeResult.map_out``, out of a smash ``SmashResult.map_out`` (one value
+per coordinate pair off the wedge), out of a quotient or pushout
+``descend``.  A map out of a smash thus never reads ``pair_rep`` itself,
+and never sees the wedge pair that represents the base vertex.
 """
 
 import functools
@@ -97,9 +103,10 @@ def base_form(basepoint, dim):
     return (tuple(range(dim - 1, -1, -1)), basepoint)
 
 
-class IdentityError(ValueError):
+class IdentityError(ValueError, AssertionError):
     """A simplicial identity, or the equation of a map out of a quotient,
-    failing at ``cell``: ``lhs`` and ``rhs`` are its two sides there."""
+    failing at ``cell``: ``lhs`` and ``rhs`` are its two sides there.  Also
+    an AssertionError, the type of the asserts it replaces."""
 
     def __init__(self, cell, identity, lhs, rhs):
         super().__init__(f"cell {cell!r}: {identity} fails, {lhs!r} != {rhs!r}")
@@ -300,18 +307,25 @@ class SimplicialMap:
         assign = {c: self.apply(f) for c, f in other.assign.items()}
         return SimplicialMap(other.source, self.target, assign)
 
-    def is_valid(self):
-        if self.assign[self.source.basepoint] != ((), self.target.basepoint):
-            return False
+    def failure(self, where=""):
+        """The ``IdentityError`` at the first cell where this is not a pointed
+        simplicial map, or None; ``where`` prefixes the identity's name."""
+        bp, base = self.source.basepoint, ((), self.target.basepoint)
+        if self.assign[bp] != base:
+            return IdentityError(bp, f"{where}f(base) = base", self.assign[bp], base)
         for c in self.source.cell_ids():
             k = self.source.dim_of[c]
             f = self.assign[c]
             if self.target.form_dim(f) != k:
-                return False
+                return IdentityError(c, f"{where}dim f(c) = {k}", self.target.form_dim(f), k)
             for i in range(k + 1 if k else 0):
-                if self.apply(self.source.face(i, ((), c))) != self.target.face(i, f):
-                    return False
-        return True
+                lhs, rhs = self.apply(self.source.face(i, ((), c))), self.target.face(i, f)
+                if lhs != rhs:
+                    return IdentityError(c, f"{where}f(d_{i} c) = d_{i} f(c)", lhs, rhs)
+        return None
+
+    def is_valid(self):
+        return self.failure() is None
 
     def is_monomorphism(self):
         seen = set()
@@ -338,6 +352,15 @@ class SimplicialMap:
             raise PreconditionError(f"{self!r} is not an isomorphism")
         back = {f[1]: ((), c) for c, f in self.assign.items()}
         return SimplicialMap(self.target, self.source, back)
+
+
+def require_equal(f, g, identity):
+    """Raise ``IdentityError`` at the first source cell where the maps f and
+    g differ, ``identity`` naming the equation f = g."""
+    if f.assign != g.assign:
+        for c in f.source.cell_ids():
+            if f.assign[c] != g.assign.get(c):
+                raise IdentityError(c, identity, f.assign[c], g.assign.get(c))
 
 
 def identity_map(space):
@@ -641,7 +664,8 @@ def quotient_by_pairs(X, pairs, name=None):
     It terminates because a pair only adds pairs one dimension down and each
     dimension's pairs are read once, after all higher ones.  Merges keep the
     smallest id, so the result does not depend on the order of ``pairs``.
-    A pair of forms of unequal dimension raises ``IdentityError``.
+    A pair of forms of unequal dimension raises ``IdentityError``, and a
+    form on a cell not in X ``PreconditionError``.
     """
     # rep holds the redirected cells only; a cell absent from it is live
     rep = {}
@@ -670,6 +694,11 @@ def quotient_by_pairs(X, pairs, name=None):
     by_dim = {}
     for pair in pairs:
         a, b = pair
+        for side in pair:
+            if side[1] not in dim_of:
+                raise PreconditionError(
+                    f"the pair {pair!r} names {side[1]!r}, not a cell of {X!r}"
+                )
         ka, kb = len(a[0]) + dim_of[a[1]], len(b[0]) + dim_of[b[1]]
         if ka != kb:
             raise IdentityError(a, f"dim a = dim b at b = {b!r}", ka, kb)
@@ -733,7 +762,8 @@ class SmashResult:
     pair_rep[c] is a representative coordinate pair of the smash cell c;
     id_of sends each jointly nondegenerate pair off the wedge to its cell.
     ``prod`` and ``quot`` (the product and the quotient map from it onto
-    ``space``) are built on first use only.
+    ``space``) are built on first use only.  Maps out of the smash are
+    built by ``map_out``; maps into it by ``form_of_pair``.
     """
 
     def __init__(self, A, B, space, id_of, pair_rep):
@@ -764,6 +794,18 @@ class SmashResult:
                 self.space, SimplicialMap(prod.space, self.space, class_of), class_of
             )
         return self._quot
+
+    def map_out(self, target, value):
+        """The map A ^ B -> target sending the base vertex to the base and
+        every other cell c to ``value(fa, fb)``, (fa, fb) = pair_rep[c].
+
+        value is called once per cell, never on the wedge; it must send
+        pairs identified in A ^ B to equal forms, as a map out of A x B
+        that is constant on the wedge does.
+        """
+        bp, base = self.space.basepoint, ((), target.basepoint)
+        assign = {c: base if c == bp else value(*pair) for c, pair in self.pair_rep.items()}
+        return SimplicialMap(self.space, target, assign)
 
     def form_of_pair(self, fa, fb):
         """Smash class of a coordinate pair (forms of equal dimension)."""
@@ -840,34 +882,26 @@ def smash_map(sm_src, sm_tgt, f, g):
         raise PreconditionError(f"{f!r} does not run between the left factors")
     if not (sm_src.B is g.source and sm_tgt.B is g.target):
         raise PreconditionError(f"{g!r} does not run between the right factors")
-    assign = {}
-    for c in sm_src.space.cell_ids():
-        fa, fb = sm_src.pair_rep[c]
-        assign[c] = sm_tgt.form_of_pair(f.apply(fa), g.apply(fb))
-    return SimplicialMap(sm_src.space, sm_tgt.space, assign)
+    return sm_src.map_out(
+        sm_tgt.space, lambda fa, fb: sm_tgt.form_of_pair(f.apply(fa), g.apply(fb))
+    )
 
 
 def smash_swap(sm_ab, sm_ba):
     """The symmetry A ^ B -> B ^ A."""
-    assign = {}
-    for c in sm_ab.space.cell_ids():
-        fa, fb = sm_ab.pair_rep[c]
-        assign[c] = sm_ba.form_of_pair(fb, fa)
-    return SimplicialMap(sm_ab.space, sm_ba.space, assign)
+    return sm_ab.map_out(sm_ba.space, lambda fa, fb: sm_ba.form_of_pair(fb, fa))
 
 
 def smash_assoc(sm_ab, sm_ab_c, sm_bc, sm_a_bc):
     """The associator (A ^ B) ^ C -> A ^ (B ^ C)."""
-    assign = {}
-    for c in sm_ab_c.space.cell_ids():
-        fab, fc = sm_ab_c.pair_rep[c]
+
+    def value(fab, fc):
         w, t = fab
-        fa0, fb0 = sm_ab.pair_rep[t]
-        fa = word_compose(w, fa0)
-        fb = word_compose(w, fb0)
-        inner = sm_bc.form_of_pair(fb, fc)
-        assign[c] = sm_a_bc.form_of_pair(fa, inner)
-    return SimplicialMap(sm_ab_c.space, sm_a_bc.space, assign)
+        fa, fb = sm_ab.pair_rep[t]
+        inner = sm_bc.form_of_pair(word_compose(w, fb), fc)
+        return sm_a_bc.form_of_pair(word_compose(w, fa), inner)
+
+    return sm_ab_c.map_out(sm_a_bc.space, value)
 
 
 def _sole_point(space):
@@ -878,9 +912,7 @@ def _sole_point(space):
 def smash_lunit(sm):
     """For S^0 ^ B: the isomorphism to B and its inverse."""
     B = sm.B
-    to_B = SimplicialMap(
-        sm.space, B, {c: sm.pair_rep[c][1] for c in sm.space.cell_ids()}
-    )
+    to_B = sm.map_out(B, lambda fa, fb: fb)
     pt = _sole_point(sm.A)
     back = {}
     for c in B.cell_ids():
@@ -892,9 +924,7 @@ def smash_lunit(sm):
 def smash_runit(sm):
     """For B ^ S^0: the isomorphism to B and its inverse."""
     B = sm.A
-    to_B = SimplicialMap(
-        sm.space, B, {c: sm.pair_rep[c][0] for c in sm.space.cell_ids()}
-    )
+    to_B = sm.map_out(B, lambda fa, fb: fa)
     pt = _sole_point(sm.B)
     back = {}
     for c in B.cell_ids():

@@ -6,6 +6,12 @@ of copies of X_p ^ Y_q; a permutation moves a (p, q, mu) summand to the
 (p, q, mu') summand found by factoring alpha . m_mu = m_mu' . (beta (+) gamma)
 and letting beta, gamma act inside the smash factors.  Degree n of a tensor
 depends only on degrees <= n of the inputs, so truncation is exact.
+
+A map out of X (x) Y is a bimorphism, one map out of each summand
+X_p ^ Y_q; ``TensorSequence.map_out`` takes it summand by summand and
+builds the levelwise maps, so the maps out of a tensor read no wedge or
+smash bookkeeping themselves.  Checks raise ``sset.PreconditionError`` for arguments a
+construction does not take and ``sset.IdentityError`` for a failed square.
 """
 
 import itertools
@@ -17,7 +23,8 @@ from . import sset
 class SymmetricSequence:
     def __init__(self, levels, name=None):
         for n, lv in enumerate(levels):
-            assert lv.n == n, "level n needs a degree-n action"
+            if lv.n != n:
+                raise sset.PreconditionError(f"level {n} needs a degree-{n} action, not {lv.n}")
         self._levels = list(levels)
         self.name = name
 
@@ -43,13 +50,13 @@ def eval_level(X, n):
 
 
 def truncate(X, bound):
-    assert bound <= X.bound
+    if bound > X.bound:
+        raise sset.PreconditionError(f"cannot truncate {X!r} to bound {bound}")
     return SymmetricSequence([X.level(n) for n in range(bound + 1)], name=X.name)
 
 
 class SequenceMap:
     def __init__(self, source, target, components):
-        assert source.bound == target.bound == len(components) - 1
         self.source = source
         self.target = target
         self.components = list(components)
@@ -69,7 +76,10 @@ class SequenceMap:
         return hash(tuple(map(hash, self.components)))
 
     def compose(self, other):
-        assert other.target is self.source
+        if other.target is not self.source:
+            raise sset.PreconditionError(
+                f"{self.source!r} is not the target of {other.target!r}"
+            )
         return SequenceMap(
             other.source,
             self.target,
@@ -77,15 +87,32 @@ class SequenceMap:
         )
 
     def validate(self):
+        """Each component a simplicial map commuting with the generators.
+
+        Unequal bounds, or a component between the wrong spaces, raise
+        ``sset.PreconditionError``; a failure raises ``sset.IdentityError``
+        naming the level and the first cell where it fails.
+        """
+        if not self.source.bound == self.target.bound == len(self.components) - 1:
+            raise sset.PreconditionError(
+                f"a map {self.source!r} -> {self.target!r} needs one component per "
+                f"level and equal bounds, not {len(self.components)} components"
+            )
         for n, f in enumerate(self.components):
-            assert f.source is self.source.space(n)
-            assert f.target is self.target.space(n)
-            assert f.is_valid()
+            if f.source is not self.source.space(n) or f.target is not self.target.space(n):
+                raise sset.PreconditionError(
+                    f"level {n}: {f!r} is not between the level-{n} spaces"
+                )
+            bad = f.failure(f"level {n}: ")
+            if bad:
+                raise bad
             src, tgt = self.source.level(n), self.target.level(n)
             for i in range(n - 1):
-                left = f.compose(src.generators[i])
-                right = tgt.generators[i].compose(f)
-                assert left == right, (n, i)
+                sset.require_equal(
+                    f.compose(src.generators[i]),
+                    tgt.generators[i].compose(f),
+                    f"level {n}: f t_{i} = t_{i} f",
+                )
         return True
 
     def is_isomorphism(self):
@@ -133,7 +160,8 @@ def unit_sequence(bound):
 
 def free_G_map(src, tgt, f):
     """G_n(f) for a map f of pointed spaces, copywise on the orbit wedge."""
-    assert src.free_degree == tgt.free_degree
+    if src.free_degree != tgt.free_degree:
+        raise sset.PreconditionError(f"{src!r} and {tgt!r} are free in different degrees")
     n = src.free_degree
     components = []
     for m in range(src.bound + 1):
@@ -156,11 +184,13 @@ class TensorSequence(SymmetricSequence):
     """X (x) Y with the summand bookkeeping needed to map in and out.
 
     parts[n] lists the (p, q, mu) summands in wedge order; smashes[(p, q)]
-    is the one smash object shared by all mu-copies at that bidegree.
+    is the one smash object shared by all mu-copies at that bidegree.  Maps
+    out are built by ``map_out``; maps in by ``include``.
     """
 
     def __init__(self, X, Y, name=None):
-        assert X.bound == Y.bound, "tensor needs equal bounds"
+        if X.bound != Y.bound:
+            raise sset.PreconditionError(f"tensor needs equal bounds: {X.bound}, {Y.bound}")
         self.X = X
         self.Y = Y
         N = X.bound
@@ -188,10 +218,41 @@ class TensorSequence(SymmetricSequence):
             levels.append(eq.EquivariantSpace(w.space, n, gens))
         super().__init__(levels, name=name or f"({X.name}(x){Y.name})")
 
+    def inclusion(self, n, p, q, mu):
+        """The map of the smash X_p ^ Y_q onto its mu-copy at degree n."""
+        return self.wedges[n].inclusions[self.part_index[n][(p, q, mu)]]
+
     def include(self, n, p, q, mu, form):
         """Push a form of the smash X_p ^ Y_q into the mu-copy at degree n."""
-        idx = self.part_index[n][(p, q, mu)]
-        return self.wedges[n].inclusions[idx].apply(form)
+        return self.inclusion(n, p, q, mu).apply(form)
+
+    def map_out(self, target, summand):
+        """The SequenceMap X (x) Y -> target given summand by summand.
+
+        ``summand(n, p, q, mu)`` returns a function (fa, fb) -> form of
+        ``target.space(n)``: the map out of the (p, q, mu) copy of
+        X_p ^ Y_q, on coordinate pairs as ``SmashResult.map_out`` takes
+        them.  It is called once per summand that has cells, on its first
+        cell, and its function once per cell; base vertices go to base.
+        """
+        components = []
+        for n in range(self.bound + 1):
+            space, part_of = self.space(n), self.wedges[n].part_of
+            base = ((), target.space(n).basepoint)
+            routes = {}
+            assign = {}
+            for c in space.cell_ids():
+                if part_of[c] is None:
+                    assign[c] = base
+                    continue
+                idx, orig = part_of[c]
+                if idx not in routes:
+                    p, q, mu = self.parts[n][idx]
+                    routes[idx] = (self.smashes[(p, q)].pair_rep, summand(n, p, q, mu))
+                pair_rep, value = routes[idx]
+                assign[c] = value(*pair_rep[orig])
+            components.append(sset.SimplicialMap(space, target.space(n), assign))
+        return SequenceMap(self, target, components)
 
     def summand_of(self, n, cell):
         """((p, q, mu), original smash cell) of a wedge cell; None at base."""
@@ -246,21 +307,17 @@ def tensor(X, Y, name=None):
 
 def tensor_map(T_src, T_tgt, f, g):
     """f (x) g: tensor(f.source, g.source) -> tensor(f.target, g.target)."""
-    assert T_src.X is f.source and T_src.Y is g.source
-    assert T_tgt.X is f.target and T_tgt.Y is g.target
-    components = []
-    for n in range(T_src.bound + 1):
-        space = T_src.space(n)
-        assign = {space.basepoint: ((), T_tgt.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            (p, q, mu), fa, fb = T_src.coordinates(n, c)
-            sm = T_tgt.smashes[(p, q)]
-            moved = sm.form_of_pair(f.level(p).apply(fa), g.level(q).apply(fb))
-            assign[c] = T_tgt.include(n, p, q, mu, moved)
-        components.append(sset.SimplicialMap(space, T_tgt.space(n), assign))
-    return SequenceMap(T_src, T_tgt, components)
+    if not (T_src.X is f.source and T_tgt.X is f.target):
+        raise sset.PreconditionError(f"{f!r} does not run between the left factors")
+    if not (T_src.Y is g.source and T_tgt.Y is g.target):
+        raise sset.PreconditionError(f"{g!r} does not run between the right factors")
+
+    def summand(n, p, q, mu):
+        sm, fp, gq = T_tgt.smashes[(p, q)], f.level(p), g.level(q)
+        into = T_tgt.inclusion(n, p, q, mu)
+        return lambda fa, fb: into.apply(sm.form_of_pair(fp.apply(fa), gq.apply(fb)))
+
+    return T_src.map_out(T_tgt, summand)
 
 
 def twist_iso(T_xy, T_yx):
@@ -270,30 +327,18 @@ def twist_iso(T_xy, T_yx):
     form of m_mu . rho_{q,p}, swapping the smash factors and letting the
     block parts act.
     """
-    assert T_xy.X is T_yx.Y and T_xy.Y is T_yx.X
+    if not (T_xy.X is T_yx.Y and T_xy.Y is T_yx.X):
+        raise sset.PreconditionError(f"{T_yx!r} is not the twist of {T_xy!r}")
     X, Y = T_xy.X, T_xy.Y
-    components = []
-    for n in range(T_xy.bound + 1):
-        space = T_xy.space(n)
-        assign = {space.basepoint: ((), T_yx.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            (p, q, mu), fa, fb = T_xy.coordinates(n, c)
-            delta = eq.compose_perm(
-                eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p)
-            )
-            mu2, beta, gamma = eq.coset_factor(
-                delta, tuple(range(q)), q, p
-            )
-            sm = T_yx.smashes[(q, p)]
-            moved = sm.form_of_pair(
-                Y.level(q).act(beta).apply(fb),
-                X.level(p).act(gamma).apply(fa),
-            )
-            assign[c] = T_yx.include(n, q, p, mu2, moved)
-        components.append(sset.SimplicialMap(space, T_yx.space(n), assign))
-    return SequenceMap(T_xy, T_yx, components)
+
+    def summand(n, p, q, mu):
+        delta = eq.compose_perm(eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p))
+        mu2, beta, gamma = eq.coset_factor(delta, tuple(range(q)), q, p)
+        sm, ay, ax = T_yx.smashes[(q, p)], Y.level(q).act(beta), X.level(p).act(gamma)
+        into = T_yx.inclusion(n, q, p, mu2)
+        return lambda fa, fb: into.apply(sm.form_of_pair(ay.apply(fb), ax.apply(fa)))
+
+    return T_xy.map_out(T_yx, summand)
 
 
 def assoc_iso(T_xy, T_xy_z, T_yz, T_x_yz):
@@ -304,16 +349,13 @@ def assoc_iso(T_xy, T_xy_z, T_yz, T_x_yz):
     with block remainders acting inside the smash factors.
     """
     X, Y, Z = T_xy.X, T_xy.Y, T_xy_z.Y
-    assert T_xy_z.X is T_xy and T_x_yz.Y is T_yz
-    assert T_x_yz.X is X and T_yz.X is Y and T_yz.Y is Z
-    components = []
-    for n in range(T_xy_z.bound + 1):
-        space = T_xy_z.space(n)
-        assign = {space.basepoint: ((), T_x_yz.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            (s, r, nu), fab, fz = T_xy_z.coordinates(n, c)
+    if not (T_xy_z.X is T_xy and T_x_yz.Y is T_yz):
+        raise sset.PreconditionError("the outer tensors must be built on the inner ones")
+    if not (T_x_yz.X is X and T_yz.X is Y and T_yz.Y is Z):
+        raise sset.PreconditionError("both sides need the same three factors")
+
+    def summand(n, s, r, nu):
+        def value(fab, fz):
             w, abcell = fab
             (p, q, mu), fx0, fy0 = T_xy.coordinates(s, abcell)
             fx = sset.word_compose(w, fx0)
@@ -322,12 +364,8 @@ def assoc_iso(T_xy, T_xy_z, T_yz, T_x_yz):
                 eq.shuffle_perm(nu, s, r),
                 eq.block_sum(eq.shuffle_perm(mu, p, q), eq.identity_perm(r)),
             )
-            nu2, beta, rest = eq.coset_factor(
-                delta, tuple(range(p)), p, q + r
-            )
-            mu2, gamma, eps = eq.coset_factor(
-                rest, tuple(range(q)), q, r
-            )
+            nu2, beta, rest = eq.coset_factor(delta, tuple(range(p)), p, q + r)
+            mu2, gamma, eps = eq.coset_factor(rest, tuple(range(q)), q, r)
             inner = T_x_yz.Y.include(
                 q + r,
                 q,
@@ -341,31 +379,24 @@ def assoc_iso(T_xy, T_xy_z, T_yz, T_x_yz):
             outer = T_x_yz.smashes[(p, q + r)].form_of_pair(
                 X.level(p).act(beta).apply(fx), inner
             )
-            assign[c] = T_x_yz.include(n, p, q + r, nu2, outer)
-        components.append(sset.SimplicialMap(space, T_x_yz.space(n), assign))
-    return SequenceMap(T_xy_z, T_x_yz, components)
+            return T_x_yz.include(n, p, q + r, nu2, outer)
+
+        return value
+
+    return T_xy_z.map_out(T_x_yz, summand)
+
+
+def _check_unit(U):
+    if U.space(0).n_cells(0) != 2 or not all(
+        sset.is_pointlike(U.space(m)) for m in range(1, U.bound + 1)
+    ):
+        raise sset.PreconditionError(f"{U!r} is not the unit: S^0 in degree 0, points above")
 
 
 def runit_iso(T):
-    """(X (x) unit) -> X, collapsing the (n, 0) summands."""
-    X, U = T.X, T.Y
-    assert U.space(0).n_cells(0) == 2 and all(
-        sset.is_pointlike(U.space(m)) for m in range(1, U.bound + 1)
-    )
-    components = []
-    for n in range(T.bound + 1):
-        space = T.space(n)
-        assign = {space.basepoint: ((), X.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            (p, q, mu), fa, fb = T.coordinates(n, c)
-            if q:
-                assign[c] = X.space(n).base(space.dim_of[c])
-            else:
-                assign[c] = fa
-        components.append(sset.SimplicialMap(space, X.space(n), assign))
-    return SequenceMap(T, X, components)
+    """(X (x) unit) -> X, reading the (n, 0) summands, the only ones with cells."""
+    _check_unit(T.Y)
+    return T.map_out(T.X, lambda n, p, q, mu: lambda fa, fb: fa)
 
 
 def runit_iso_inverse(T):
@@ -385,25 +416,9 @@ def runit_iso_inverse(T):
 
 
 def lunit_iso(T):
-    """(unit (x) X) -> X, collapsing the (0, n) summands."""
-    U, X = T.X, T.Y
-    assert U.space(0).n_cells(0) == 2 and all(
-        sset.is_pointlike(U.space(m)) for m in range(1, U.bound + 1)
-    )
-    components = []
-    for n in range(T.bound + 1):
-        space = T.space(n)
-        assign = {space.basepoint: ((), X.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            (p, q, mu), fa, fb = T.coordinates(n, c)
-            if p:
-                assign[c] = X.space(n).base(space.dim_of[c])
-            else:
-                assign[c] = fb
-        components.append(sset.SimplicialMap(space, X.space(n), assign))
-    return SequenceMap(T, X, components)
+    """(unit (x) X) -> X, reading the (0, n) summands, the only ones with cells."""
+    _check_unit(T.X)
+    return T.map_out(T.Y, lambda n, p, q, mu: lambda fa, fb: fb)
 
 
 def lunit_iso_inverse(T):
@@ -429,31 +444,26 @@ def free_tensor_iso(T, target, sm_kl):
     K ^ L indexed by m_mu . (rho (+) tau).
     """
     Gp, Gq = T.X, T.Y
-    p, q = Gp.free_degree, Gq.free_degree
-    free = target.level(p + q)
-    components = []
-    for n in range(T.bound + 1):
-        space = T.space(n)
-        assign = {space.basepoint: ((), target.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            # every other level is a wedge of smashes with a point factor
-            assert n == p + q
-            (a, b, mu), fa, fb = T.coordinates(n, c)
-            wa, ca = fa
-            wb, cb = fb
-            rho, ka = Gp.level(a).cell_coords(ca)
-            tau, lb = Gq.level(b).cell_coords(cb)
+    free = target.level(Gp.free_degree + Gq.free_degree)
+
+    def summand(n, p, q, mu):
+        # every other summand is a smash with a point factor, so has no cells
+        if (p, q) != (Gp.free_degree, Gq.free_degree):
+            raise sset.PreconditionError(f"{T!r} has cells in the ({p}, {q}) summand")
+        lp, lq, shuffle = Gp.level(p), Gq.level(q), eq.shuffle_perm(mu, p, q)
+
+        def value(fa, fb):
+            (wa, ca), (wb, cb) = fa, fb
+            rho, ka = lp.cell_coords(ca)
+            tau, lb = lq.cell_coords(cb)
             pair = sm_kl.form_of_pair(
                 sset.word_compose(wa, ((), ka)), sset.word_compose(wb, ((), lb))
             )
-            total = eq.compose_perm(
-                eq.shuffle_perm(mu, a, b), eq.block_sum(rho, tau)
-            )
-            assign[c] = free.copies[total].apply(pair)
-        components.append(sset.SimplicialMap(space, target.space(n), assign))
-    return SequenceMap(T, target, components)
+            return free.copies[eq.compose_perm(shuffle, eq.block_sum(rho, tau))].apply(pair)
+
+        return value
+
+    return T.map_out(target, summand)
 
 
 class SmashSpaceSequence(SymmetricSequence):
@@ -482,21 +492,15 @@ def smash_space(X, K):
 
 def smash_space_iso(S, T):
     """The natural isomorphism X ^ K -> X (x) G_0 K."""
-    X, K = S.base_seq, S.K
-    G = T.Y
-    assert T.X is X
-    copy = G.level(0).copies[()]  # K onto its wedge copy in degree 0
+    if T.X is not S.base_seq:
+        raise sset.PreconditionError(f"{T!r} is not a tensor of {S.base_seq!r}")
+    copy = T.Y.level(0).copies[()]  # K onto its wedge copy in degree 0
     components = []
     for n in range(S.bound + 1):
-        space = S.space(n)
-        sm_t = T.smashes[(n, 0)]
-        mu = tuple(range(n))
-        assign = {space.basepoint: ((), T.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            fx, fk = S.smashes[n].pair_rep[c]
-            moved = sm_t.form_of_pair(fx, copy.apply(fk))
-            assign[c] = T.include(n, n, 0, mu, moved)
-        components.append(sset.SimplicialMap(space, T.space(n), assign))
+        sm_t, into = T.smashes[(n, 0)], T.inclusion(n, n, 0, tuple(range(n)))
+        components.append(
+            S.smashes[n].map_out(
+                T.space(n), lambda fx, fk: into.apply(sm_t.form_of_pair(fx, copy.apply(fk)))
+            )
+        )
     return SequenceMap(S, T, components)

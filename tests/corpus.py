@@ -41,6 +41,19 @@ def random_space(r, max_cells=4):
             return X
 
 
+def relabelled(X, r):
+    """X under shuffled cell ids, its basepoint never the lowest vertex
+    when it has another one."""
+    ids = list(X.cell_ids())
+    rename = dict(zip(ids, r.sample(range(len(ids)), len(ids))))
+    top = max(X.cells[0], key=rename.get)
+    if top != X.basepoint and rename[X.basepoint] == min(rename[v] for v in X.cells[0]):
+        rename[X.basepoint], rename[top] = rename[top], rename[X.basepoint]
+    cells = {k: [rename[c] for c in cs] for k, cs in X.cells.items()}
+    faces = {rename[c]: tuple((w, rename[t]) for w, t in fs) for c, fs in X.faces.items()}
+    return sset.PointedSimplicialSet(cells, faces, rename[X.basepoint], name=f"{X.name}'")
+
+
 def random_subcomplex_inclusion(r, X, keep_chance=0.6):
     """A random face-closed subset of the cells, as an inclusion map."""
     keep = {X.basepoint}

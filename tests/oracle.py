@@ -11,9 +11,9 @@ The last section is different: it keeps constructions the package replaced
 smash of spectra as a triple-tensor coequalizer, the Smith form without its
 unit shortcuts, kernel coordinates through a rational inverse, the map
 enumerator that scans every candidate form, the lifting search that composes
-per square, and maps out of quotients and pushouts written out cell by
-cell), built from package primitives, as references for the constructions
-that took their place.
+per square, and maps out of quotients, pushouts, smash products and
+tensors written out cell by cell), built from package primitives, as
+references for the constructions that took their place.
 """
 
 import itertools
@@ -769,3 +769,141 @@ def pushout_sigma(P, n):
         )
         assert sig.compose(lifted) == leg_n1.compose(part.sigma(n))
     return sig
+
+
+# Maps out of smash products and tensors written out cell by cell, each
+# reading the representative pair of every cell, the base included.
+
+
+def smash_map_cellwise(sm_src, sm_tgt, f, g):
+    """f ^ g between smash products; f: A -> A', g: B -> B'."""
+    from symspec import sset
+
+    assign = {}
+    for c in sm_src.space.cell_ids():
+        fa, fb = sm_src.pair_rep[c]
+        assign[c] = sm_tgt.form_of_pair(f.apply(fa), g.apply(fb))
+    return sset.SimplicialMap(sm_src.space, sm_tgt.space, assign)
+
+
+def tensor_map_cellwise(T_src, T_tgt, f, g):
+    """f (x) g: tensor(f.source, g.source) -> tensor(f.target, g.target)."""
+    from symspec import sset
+    from symspec import symseq as sq
+
+    components = []
+    for n in range(T_src.bound + 1):
+        space = T_src.space(n)
+        assign = {space.basepoint: ((), T_tgt.space(n).basepoint)}
+        for c in space.cell_ids():
+            if c == space.basepoint:
+                continue
+            (p, q, mu), fa, fb = T_src.coordinates(n, c)
+            sm = T_tgt.smashes[(p, q)]
+            moved = sm.form_of_pair(f.level(p).apply(fa), g.level(q).apply(fb))
+            assign[c] = T_tgt.include(n, p, q, mu, moved)
+        components.append(sset.SimplicialMap(space, T_tgt.space(n), assign))
+    return sq.SequenceMap(T_src, T_tgt, components)
+
+
+def twist_iso_cellwise(T_xy, T_yx):
+    """The symmetry X (x) Y -> Y (x) X."""
+    from symspec import equivariant as eq
+    from symspec import sset
+    from symspec import symseq as sq
+
+    X, Y = T_xy.X, T_xy.Y
+    components = []
+    for n in range(T_xy.bound + 1):
+        space = T_xy.space(n)
+        assign = {space.basepoint: ((), T_yx.space(n).basepoint)}
+        for c in space.cell_ids():
+            if c == space.basepoint:
+                continue
+            (p, q, mu), fa, fb = T_xy.coordinates(n, c)
+            delta = eq.compose_perm(
+                eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p)
+            )
+            mu2, beta, gamma = eq.coset_factor(
+                delta, tuple(range(q)), q, p
+            )
+            sm = T_yx.smashes[(q, p)]
+            moved = sm.form_of_pair(
+                Y.level(q).act(beta).apply(fb),
+                X.level(p).act(gamma).apply(fa),
+            )
+            assign[c] = T_yx.include(n, q, p, mu2, moved)
+        components.append(sset.SimplicialMap(space, T_yx.space(n), assign))
+    return sq.SequenceMap(T_xy, T_yx, components)
+
+
+def assoc_iso_cellwise(T_xy, T_xy_z, T_yz, T_x_yz):
+    """The associator (X (x) Y) (x) Z -> X (x) (Y (x) Z)."""
+    from symspec import equivariant as eq
+    from symspec import sset
+    from symspec import symseq as sq
+
+    X, Y, Z = T_xy.X, T_xy.Y, T_xy_z.Y
+    components = []
+    for n in range(T_xy_z.bound + 1):
+        space = T_xy_z.space(n)
+        assign = {space.basepoint: ((), T_x_yz.space(n).basepoint)}
+        for c in space.cell_ids():
+            if c == space.basepoint:
+                continue
+            (s, r, nu), fab, fz = T_xy_z.coordinates(n, c)
+            w, abcell = fab
+            (p, q, mu), fx0, fy0 = T_xy.coordinates(s, abcell)
+            fx = sset.word_compose(w, fx0)
+            fy = sset.word_compose(w, fy0)
+            delta = eq.compose_perm(
+                eq.shuffle_perm(nu, s, r),
+                eq.block_sum(eq.shuffle_perm(mu, p, q), eq.identity_perm(r)),
+            )
+            nu2, beta, rest = eq.coset_factor(
+                delta, tuple(range(p)), p, q + r
+            )
+            mu2, gamma, eps = eq.coset_factor(
+                rest, tuple(range(q)), q, r
+            )
+            inner = T_x_yz.Y.include(
+                q + r,
+                q,
+                r,
+                mu2,
+                T_yz.smashes[(q, r)].form_of_pair(
+                    Y.level(q).act(gamma).apply(fy),
+                    Z.level(r).act(eps).apply(fz),
+                ),
+            )
+            outer = T_x_yz.smashes[(p, q + r)].form_of_pair(
+                X.level(p).act(beta).apply(fx), inner
+            )
+            assign[c] = T_x_yz.include(n, p, q + r, nu2, outer)
+        components.append(sset.SimplicialMap(space, T_x_yz.space(n), assign))
+    return sq.SequenceMap(T_xy_z, T_x_yz, components)
+
+
+def left_action_map_cellwise(X, T):
+    """lambda: S (x) X -> X collapsing the sphere factor through sigma^p."""
+    from symspec import equivariant as eq
+    from symspec import sset
+    from symspec import symseq as sq
+
+    components = []
+    for n in range(T.bound + 1):
+        space = T.space(n)
+        assign = {space.basepoint: ((), X.space(n).basepoint)}
+        for c in space.cell_ids():
+            if c == space.basepoint:
+                continue
+            (p, q, mu), fs, fx = T.coordinates(n, c)
+            if p:
+                val = X.sigma_power(p, q).apply(
+                    X.power_smash(p, q).form_of_pair(fs, fx)
+                )
+            else:
+                val = fx
+            assign[c] = X.level(n).act(eq.shuffle_perm(mu, p, q)).apply(val)
+        components.append(sset.SimplicialMap(space, X.space(n), assign))
+    return sq.SequenceMap(T, X.seq, components)

@@ -111,6 +111,49 @@ def test_broken_identity_is_rejected_in_optimized_mode(tmp_path):
     assert json.loads(proc.stderr) == {"error": reason}
 
 
+def validate_optimized(path):
+    src = os.path.dirname(os.path.dirname(sset.__file__))
+    return subprocess.run(
+        [sys.executable, "-O", "-m", "symspec", "validate", str(path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+def test_broken_structure_square_is_rejected_in_optimized_mode(tmp_path):
+    # level 2 twisted by a transposition: levelwise equivariant, but the
+    # square at level 1 fails; without its checks, -O answered ok
+    tower = eq.SphereTower()
+    S = sp.sphere_spectrum(2, tower)
+    twist = tower.action(2).act(eq.transposition(2, 0))
+    comps = [sset.identity_map(S.space(0)), sset.identity_map(S.space(1)), twist]
+    f = tmp_path / "twisted.json"
+    f.write_text(io.canonical(io.dump(sp.SpectrumMap(S, S, comps))))
+    proc = validate_optimized(f)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "type": "validation_report",
+        "ok": False,
+        "reason": f"{f}: components do not commute with sigma (IdentityError: "
+        "cell 2: level 1: f sigma = sigma (1 ^ f) fails, ((), '3') != ((), '2'))",
+    }
+
+
+def test_broken_group_relation_is_rejected_in_optimized_mode(tmp_path):
+    # a constant Sigma_2 generator is simplicial but not an involution;
+    # without its checks, -O answered ok
+    X = sset.circle()
+    f = tmp_path / "constant.json"
+    f.write_text(io.canonical(io.dump(eq.EquivariantSpace(X, 2, [sset.constant_map(X, X)]))))
+    proc = validate_optimized(f)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "type": "validation_report",
+        "ok": False,
+        "reason": f"{f}: group relations fail (IdentityError: "
+        "cell '1': t_0 t_0 = 1 fails, ((0,), '0') != ((), '1'))",
+    }
+
+
 def test_malformed_json_reports_position(capsys, tmp_path):
     f = tmp_path / "broken.json"
     f.write_text('{"type": "space", "cells": }')

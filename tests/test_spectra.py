@@ -5,7 +5,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import corpus
 import oracle
 from symspec import equivariant as eq
 from symspec import spectra as sp
@@ -117,6 +119,34 @@ def test_spectrum_map_validate_catches_broken_square(tower):
     f.seq_map.validate()  # levelwise equivariant all the same
     with pytest.raises(AssertionError):
         f.validate()
+
+
+_CORPUS = {}
+
+
+def left_action_case(index):
+    """Spectrum ``index`` of the bound-3 corpus and S (x) X, built once."""
+    if not _CORPUS:
+        tower = eq.SphereTower()
+        for X in corpus.spectrum_corpus(tower):
+            S = sp.sphere_spectrum(X.bound, tower)
+            _CORPUS[len(_CORPUS)] = (X, sq.tensor(S.seq, X.seq))
+    return _CORPUS[index]
+
+
+def outcome(build):
+    try:
+        return build()
+    except KeyError as exc:  # the corpus spectrum with a malformed sigma
+        return type(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10))
+def test_left_action_map_matches_its_cellwise_oracle(index):
+    X, T = left_action_case(index)
+    got = outcome(lambda: sp.left_action_map(X, T))
+    assert got == outcome(lambda: oracle.left_action_map_cellwise(X, T))
 
 
 # ---------------------------------------------------------------------------

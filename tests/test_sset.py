@@ -285,6 +285,35 @@ def test_smash_unit_isos():
     assert from_B2.compose(to_B2) == sset.identity_map(right.space)
 
 
+def test_unit_isos_send_a_high_basepoint_to_the_base():
+    # B's basepoint 1 is not its lowest vertex, so the wedge pair that
+    # represents the smash's base vertex has B-coordinate ((), 0)
+    B = sset.PointedSimplicialSet({0: (0, 1), 1: (2,)}, {2: (((), 0), ((), 1))}, 1)
+    S0 = sset.zero_sphere()
+    left, right = sset.smash(S0, B), sset.smash(B, S0)
+    for sm, unit in ((left, sset.smash_lunit), (right, sset.smash_runit)):
+        to_B, from_B = unit(sm)
+        assert to_B.assign[sm.space.basepoint] == ((), 1)
+        assert to_B.is_valid()
+        assert to_B.compose(from_B) == sset.identity_map(B)
+        assert from_B.compose(to_B) == sset.identity_map(sm.space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_maps_out_of_a_smash_send_a_high_basepoint_to_the_base(seed):
+    r = random.Random(seed)
+    A, B = (corpus.relabelled(corpus.random_space(r, 3), r) for _ in range(2))
+    f, g = r.choice(sset.all_maps(A, A)), r.choice(sset.all_maps(B, B))
+    sm = sset.smash(A, B)
+    got = sset.smash_map(sm, sm, f, g)
+    assert got.assign[sm.space.basepoint] == ((), sm.space.basepoint)
+    assert got == oracle.smash_map_cellwise(sm, sm, f, g)
+    S0 = corpus.relabelled(sset.zero_sphere(), r)
+    for to_A, _ in (sset.smash_lunit(sset.smash(S0, A)), sset.smash_runit(sset.smash(A, S0))):
+        assert to_A.is_valid() and to_A.is_isomorphism()
+
+
 def test_smash_swap_and_assoc_are_isos():
     A, B, C = sset.circle(), sset.zero_sphere(), sset.delta_plus(1)
     ab = sset.smash(A, B)
@@ -384,6 +413,13 @@ def test_preconditions_survive_optimized_mode():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["IdentityError"] + ["PreconditionError"] * 3
+
+
+def test_quotient_names_a_form_on_a_missing_cell():
+    pair = (((), 1), ((), 99))
+    with pytest.raises(sset.PreconditionError, match=r"names 99, not a cell") as info:
+        sset.quotient_by_pairs(sset.delta_plus(1), [pair])
+    assert repr(pair) in str(info.value)
 
 
 def test_precondition_errors_are_also_assertion_errors():

@@ -1,5 +1,10 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import corpus
+import oracle
 from symspec import equivariant as eq
 from symspec import sset
 from symspec import symseq as sq
@@ -307,3 +312,28 @@ def test_smash_space_and_iso():
     iso = sq.smash_space_iso(Sm, T)
     iso.validate()
     assert iso.is_isomorphism()
+
+
+# --- maps out of tensors against their cell-by-cell oracles ------------------
+
+
+def constant_seq_map(X):
+    return sq.SequenceMap(
+        X, X, [sset.constant_map(X.space(n), X.space(n)) for n in range(X.bound + 1)]
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_tensor_maps_match_their_cellwise_oracles(seed):
+    r = random.Random(seed)
+    _, (A, B, C, _) = corpus.coherence_fixture(r)
+    f = r.choice([sq.identity_seq_map, constant_seq_map])(A)
+    g = r.choice([sq.identity_seq_map, constant_seq_map])(B)
+    T_ab, T_ba, T_bc = sq.tensor(A, B), sq.tensor(B, A), sq.tensor(B, C)
+    assert sq.tensor_map(T_ab, T_ab, f, g) == oracle.tensor_map_cellwise(T_ab, T_ab, f, g)
+    assert sq.twist_iso(T_ab, T_ba) == oracle.twist_iso_cellwise(T_ab, T_ba)
+    T_ab_c, T_a_bc = sq.tensor(T_ab, C), sq.tensor(A, T_bc)
+    assert sq.assoc_iso(T_ab, T_ab_c, T_bc, T_a_bc) == oracle.assoc_iso_cellwise(
+        T_ab, T_ab_c, T_bc, T_a_bc
+    )
