@@ -22,7 +22,8 @@ def identity_perm(n):
 
 
 def compose_perm(a, b):
-    assert len(a) == len(b)
+    if len(a) != len(b):
+        raise sset.PreconditionError(f"permutations {a!r} and {b!r} differ in length")
     return tuple(a[b[i]] for i in range(len(b)))
 
 
@@ -67,7 +68,8 @@ def reduced_word(perm):
 
 def block_embed(a, n):
     """Sigma_p included in Sigma_n on the first p letters."""
-    assert len(a) <= n
+    if len(a) > n:
+        raise sset.PreconditionError(f"{a!r} is not in Sigma_{len(a)} <= Sigma_{n}")
     return tuple(a) + tuple(range(len(a), n))
 
 
@@ -107,7 +109,11 @@ def coset_factor(alpha, mu, p, q):
     rho = compose_perm(m2inv, delta)
     beta = rho[:p]
     gamma = tuple(v - p for v in rho[p:])
-    assert all(v < p for v in beta) and all(0 <= v < q for v in gamma)
+    if not (all(v < p for v in beta) and all(0 <= v < q for v in gamma)):
+        raise sset.IdentityError(
+            (alpha, mu), f"m_mu2^-1 alpha m_mu = beta (+) gamma in Sigma_{p} x Sigma_{q}",
+            rho, (beta, gamma),
+        )
     return mu2, beta, gamma
 
 
@@ -123,7 +129,10 @@ class EquivariantSpace:
     """
 
     def __init__(self, space, n, generators):
-        assert len(generators) == max(n - 1, 0)
+        if len(generators) != max(n - 1, 0):
+            raise sset.PreconditionError(
+                f"Sigma_{n} needs {max(n - 1, 0)} generators, got {len(generators)}"
+            )
         self.space = space
         self.n = n
         self.generators = list(generators)
@@ -134,7 +143,8 @@ class EquivariantSpace:
 
     def act(self, perm):
         """The simplicial map of a permutation, assembled from generators."""
-        assert len(perm) == self.n
+        if len(perm) != self.n:
+            raise sset.PreconditionError(f"{perm!r} is not in Sigma_{self.n}")
         if perm not in self._acts:
             out = sset.identity_map(self.space)
             for i in reduced_word(perm):
@@ -226,9 +236,12 @@ def free_orbit(n, K):
 class SphereTower:
     """S^n built as S^1 ^ S^(n-1), sharing one circle across all levels.
 
+    The Sigma_n action is built by induction, as sigma: S^1 ^ S^(n-1) ->
+    S^n is Sigma_1 x Sigma_(n-1)-equivariant: t_i for i >= 1 is S^1 ^ t_(i-1)
+    of S^(n-1), and t_0 swaps the two circle coordinates in front.
     flatten/unflatten convert between a form over S^n and an n-tuple of
-    forms over the circle, which makes coordinate permutations and the
-    concatenation pairings S^p ^ S^q -> S^(p+q) one-liners.
+    forms over the circle; they serve the concatenation pairings
+    S^p ^ S^q -> S^(p+q) (``concat_map``) only.
     """
 
     def __init__(self):
@@ -257,7 +270,8 @@ class SphereTower:
         )
 
     def unflatten(self, n, coords):
-        assert len(coords) == n and n >= 1
+        if len(coords) != n or n < 1:
+            raise sset.PreconditionError(f"{len(coords)} circle coordinates are no form of S^{n}")
         if n == 1:
             return coords[0]
         self.space(n)
@@ -266,21 +280,41 @@ class SphereTower:
         )
 
     def action(self, n):
-        """Sigma_n permuting the smash coordinates of S^n."""
+        """Sigma_n permuting the smash coordinates of S^n = S^1 ^ S^(n-1).
+
+        t_i for i >= 1 is S^1 ^ t_(i-1) of S^(n-1); t_0 swaps the first two
+        circle coordinates.  Forms are in normal form, so this is the same
+        map as permuting all n flattened coordinates.
+        """
         if n not in self._actions:
             space = self.space(n)
-            cells = space.cell_ids() if n > 1 else ()
-            flat = {c: self.flatten(n, ((), c)) for c in cells}
             gens = []
-            for i in range(n - 1):
-                assign = {}
-                for c, coords in flat.items():
-                    coords = list(coords)
-                    coords[i], coords[i + 1] = coords[i + 1], coords[i]
-                    assign[c] = self.unflatten(n, coords)
-                gens.append(sset.SimplicialMap(space, space, assign))
+            if n >= 2:
+                sm = self.smashes[n]
+                gens.append(sm.map_out(space, self._first_swap(n)))
+                for g in self.action(n - 1).generators:
+                    gens.append(sm.map_out(
+                        space, lambda f1, frest, g=g: sm.form_of_pair(f1, g.apply(frest))
+                    ))
             self._actions[n] = EquivariantSpace(space, n, gens)
         return self._actions[n]
+
+    def _first_swap(self, n):
+        """The pair function of t_0 on S^1 ^ S^(n-1), for n >= 2."""
+        sm = self.smashes[n]
+        if n == 2:
+            return lambda f1, frest: sm.form_of_pair(frest, f1)
+        inner = self.smashes[n - 1]
+
+        def swap(f1, frest):
+            w, c = frest
+            f2, f3 = inner.pair_rep[c]
+            return sm.form_of_pair(
+                sset.word_compose(w, f2),
+                inner.form_of_pair(f1, sset.word_compose(w, f3)),
+            )
+
+        return swap
 
     def concat_map(self, sm, p, q):
         """S^p ^ S^q -> S^(p+q) by coordinate concatenation; p, q >= 1."""
@@ -319,7 +353,10 @@ def balanced_smash(n, p, q, A):
     """
     if p + q != n:
         raise ValueError(f"balanced smash needs p+q=n, got {p}+{q} != {n}")
-    assert A.p == p and A.q == q
+    if A.p != p or A.q != q:
+        raise sset.PreconditionError(
+            f"balanced smash over Sigma_{p} x Sigma_{q} of a Sigma_{A.p} x Sigma_{A.q} space"
+        )
     shuffles = all_shuffles(p, q)
     w = sset.wedge([A.space] * len(shuffles), name=f"bal({A.space.name})")
     index = {mu: i for i, mu in enumerate(shuffles)}
@@ -344,7 +381,8 @@ def balanced_smash(n, p, q, A):
 def balanced_smash_map(bs_src, bs_tgt, f):
     """The copywise map of balanced smashes induced by a map of the cores."""
     w_s, w_t = bs_src.wedge, bs_tgt.wedge
-    assert bs_src.shuffles == bs_tgt.shuffles
+    if bs_src.shuffles != bs_tgt.shuffles:
+        raise sset.PreconditionError("balanced smashes over different shuffles")
     assign = {w_s.space.basepoint: ((), w_t.space.basepoint)}
     for c in w_s.space.cell_ids():
         if c == w_s.space.basepoint:
@@ -358,7 +396,8 @@ def is_equivariant(src, tgt, f):
     """True iff f intertwines the generator actions; degrees must match."""
     if src.n != tgt.n:
         raise ValueError("degree mismatch")
-    assert f.source is src.space and f.target is tgt.space
+    if f.source is not src.space or f.target is not tgt.space:
+        raise sset.PreconditionError(f"{f!r} is not a map {src.space!r} -> {tgt.space!r}")
     return all(
         f.compose(g) == h.compose(f)
         for g, h in zip(src.generators, tgt.generators)
@@ -369,7 +408,8 @@ def acts_freely_off_image(action, f):
     """Freeness of the action away from the image of a monomorphism."""
     if not f.is_monomorphism():
         raise ValueError("freeness check needs a monomorphism")
-    assert f.target is action.space
+    if f.target is not action.space:
+        raise sset.PreconditionError(f"{f!r} does not land in {action.space!r}")
     return acts_freely_off(action, {form[1] for form in f.assign.values()})
 
 

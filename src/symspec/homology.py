@@ -48,14 +48,46 @@ def mat_eq(A, B):
 
 
 class SNFResult:
-    """D = U . M . V with U, V unimodular, D diagonal, d_i >= 0, d_i | d_{i+1}."""
+    """D = U . M . V with U, V unimodular, D diagonal, d_i >= 0, d_i | d_{i+1}.
 
-    def __init__(self, D, U, V, U_inv, V_inv):
+    ``smith_normal_form`` passes V = V_inv = None and the column operations
+    it ran, ``(c1, c2)`` for a swap and ``(c1, c2, q)`` for col c1 += q col c2;
+    V and V_inv are built from them on the first read of either.
+    """
+
+    def __init__(self, D, U, V, U_inv, V_inv, col_ops=()):
         self.D = D
         self.U = U
-        self.V = V
+        self._V = V
         self.U_inv = U_inv
-        self.V_inv = V_inv
+        self._V_inv = V_inv
+        self._col_ops = col_ops
+
+    @property
+    def V(self):
+        if self._V is None:
+            self._replay()
+        return self._V
+
+    @property
+    def V_inv(self):
+        if self._V_inv is None:
+            self._replay()
+        return self._V_inv
+
+    def _replay(self):
+        # the column operations act on the rows of V's transpose and, inverted
+        # and in the same order, on the rows of V_inv
+        n = len(self.D[0]) if self.D else 0
+        Vt, V_inv = identity_matrix(n), identity_matrix(n)
+        for c1, c2, *q in self._col_ops:
+            if q:
+                Vt[c1] = [a + q[0] * b for a, b in zip(Vt[c1], Vt[c2])]
+                V_inv[c2] = [a - q[0] * b for a, b in zip(V_inv[c2], V_inv[c1])]
+            else:
+                Vt[c1], Vt[c2] = Vt[c2], Vt[c1]
+                V_inv[c1], V_inv[c2] = V_inv[c2], V_inv[c1]
+        self._V, self._V_inv = [list(col) for col in zip(*Vt)], V_inv
 
     @property
     def diagonal(self):
@@ -72,15 +104,16 @@ def smith_normal_form(M):
     Pivot rule: smallest nonzero absolute value, earliest (row, column)
     position on ties, which makes the reduction deterministic.  The scan
     stops at the first unit, which that rule already picks, and a unit
-    pivot skips the divisibility sweep, which it always passes.
+    pivot skips the divisibility sweep, which it always passes.  U and
+    U_inv are kept as the reduction runs; the column operations are only
+    recorded, and the result builds V and V_inv from them when first read.
     """
     A = [[int(v) for v in row] for row in M]
     m = len(A)
     n = len(A[0]) if A else 0
     U = identity_matrix(m)
     U_inv = identity_matrix(m)
-    V = identity_matrix(n)
-    V_inv = identity_matrix(n)
+    col_ops = []
 
     def row_swap(r1, r2):
         A[r1], A[r2] = A[r2], A[r1]
@@ -108,19 +141,13 @@ def smith_normal_form(M):
     def col_swap(c1, c2):
         for row in A:
             row[c1], row[c2] = row[c2], row[c1]
-        for row in V:
-            row[c1], row[c2] = row[c2], row[c1]
-        V_inv[c1], V_inv[c2] = V_inv[c2], V_inv[c1]
+        col_ops.append((c1, c2))
 
     def col_add(c1, c2, q):
         # col c1 += q * col c2
         for row in A:
             row[c1] += q * row[c2]
-        for row in V:
-            row[c1] += q * row[c2]
-        v1, v2 = V_inv[c1], V_inv[c2]
-        for j in range(n):
-            v2[j] -= q * v1[j]
+        col_ops.append((c1, c2, q))
 
     def find_pivot(t):
         best = None
@@ -177,7 +204,7 @@ def smith_normal_form(M):
             row_add(t, bad, 1)
             continue
         t += 1
-    return SNFResult(A, U, V, U_inv, V_inv)
+    return SNFResult(A, U, None, U_inv, None, col_ops)
 
 
 # ---------------------------------------------------------------------------

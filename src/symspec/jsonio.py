@@ -147,11 +147,11 @@ def _parse_assign(data, source, target, where):
 def _as_map(source, target, assign, where):
     try:
         m = sset.SimplicialMap(source, target, assign)
-        _check(m.is_valid(), f"{where}: not a simplicial map")
-    except FormatError:
-        raise
+        bad = m.failure()
     except Exception as exc:
-        raise FormatError(f"{where}: not a simplicial map ({_describe(exc)})") from exc
+        bad = exc
+    if bad is not None:
+        raise FormatError(f"{where}: not a simplicial map ({_describe(bad)})") from bad
     return m
 
 

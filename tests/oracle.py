@@ -12,8 +12,9 @@ smash of spectra as a triple-tensor coequalizer, the Smith form without its
 unit shortcuts, kernel coordinates through a rational inverse, the map
 enumerator that scans every candidate form, the lifting search that composes
 per square, and maps out of quotients, pushouts, smash products and
-tensors written out cell by cell), built from package primitives, as
-references for the constructions that took their place.
+tensors written out cell by cell, the sphere actions built from flattened
+circle coordinates), built from package primitives, as references for the
+constructions that took their place.
 """
 
 import itertools
@@ -907,3 +908,24 @@ def left_action_map_cellwise(X, T):
             assign[c] = X.level(n).act(eq.shuffle_perm(mu, p, q)).apply(val)
         components.append(sset.SimplicialMap(space, X.space(n), assign))
     return sq.SequenceMap(T, X.seq, components)
+
+
+def sphere_action_flat(tower, n):
+    """Sigma_n on S^n with every generator built from flattened coordinates:
+    each cell is flattened into n circle forms, two neighbours are swapped
+    and the tuple is rebuilt with n - 1 nested smash classes."""
+    from symspec import equivariant as eq
+    from symspec import sset
+
+    space = tower.space(n)
+    cells = space.cell_ids() if n > 1 else ()
+    flat = {c: tower.flatten(n, ((), c)) for c in cells}
+    gens = []
+    for i in range(n - 1):
+        assign = {}
+        for c, coords in flat.items():
+            coords = list(coords)
+            coords[i], coords[i + 1] = coords[i + 1], coords[i]
+            assign[c] = tower.unflatten(n, coords)
+        gens.append(sset.SimplicialMap(space, space, assign))
+    return eq.EquivariantSpace(space, n, gens)

@@ -154,6 +154,48 @@ def test_broken_group_relation_is_rejected_in_optimized_mode(tmp_path):
     }
 
 
+# The identity of Delta[1]+ with its edge (cell 3, faces 2 and 1) sent to
+# s_0 of vertex 1: every dimension matches, but d_0 fails at the edge.
+EDGE_FAILURE = "(IdentityError: cell '3': f(d_0 c) = d_0 f(c) fails, ((), '2') != ((), '1'))"
+
+
+def broken_map_files(tmp_path):
+    X = sset.delta_plus(1)
+    plain = io.dump(sset.identity_map(X))
+    plain["assign"]["3"] = [[0], "1"]
+    F = sp.free_F(0, X, 1, eq.SphereTower())
+    levelwise = io.dump(sp.identity_spectrum_map(F))
+    levelwise["levels"][0]["3"] = [[0], "1"]
+    acting = io.dump(eq.trivial_action(X, 2))
+    acting["generators"][0]["3"] = [[0], "1"]
+    out = []
+    for name, data, where in (
+        ("map", plain, ""),
+        ("spectrum_map", levelwise, ".levels[0]"),
+        ("equivariant", acting, ".generators[0]"),
+    ):
+        f = tmp_path / f"{name}.json"
+        f.write_text(io.canonical(data))
+        out.append((f, f"{f}{where}: not a simplicial map {EDGE_FAILURE}"))
+    return out
+
+
+def test_rejected_map_names_the_failing_cell(capsys, tmp_path):
+    for f, reason in broken_map_files(tmp_path):
+        code, data = payload(capsys, "validate", str(f))
+        assert code == 1
+        assert data == {"type": "validation_report", "ok": False, "reason": reason}
+
+
+def test_rejected_map_names_the_failing_cell_in_optimized_mode(tmp_path):
+    for f, reason in broken_map_files(tmp_path):
+        proc = validate_optimized(f)
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "type": "validation_report", "ok": False, "reason": reason
+        }
+
+
 def test_malformed_json_reports_position(capsys, tmp_path):
     f = tmp_path / "broken.json"
     f.write_text('{"type": "space", "cells": }')

@@ -2,10 +2,13 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symspec import equivariant as eq
 from symspec import sset
+
+import oracle
 
 
 perms = st.integers(2, 5).flatmap(
@@ -124,6 +127,36 @@ def test_sphere_action_validates():
     for n in [2, 3]:
         act = tower.action(n)
         assert act.validate()
+
+
+def test_sphere_action_matches_the_flattened_oracle():
+    tower = eq.SphereTower()
+    for n in range(7):
+        act = tower.action(n)
+        ref = oracle.sphere_action_flat(tower, n)
+        assert len(act.generators) == len(ref.generators) == max(n - 1, 0)
+        for g, h in zip(act.generators, ref.generators):
+            assert g.assign == h.assign, n
+
+
+def test_sphere_action_validates_through_level_six():
+    tower = eq.SphereTower()
+    for n in range(2, 7):
+        assert tower.action(n).validate(), n
+
+
+def test_bad_arguments_raise_precondition_errors():
+    X = sset.circle()
+    calls = [
+        lambda: eq.compose_perm((0, 1), (0,)),
+        lambda: eq.block_embed((0, 1, 2), 2),
+        lambda: eq.EquivariantSpace(X, 3, []),
+        lambda: eq.trivial_action(X, 2).act((0, 1, 2)),
+        lambda: eq.SphereTower().unflatten(2, (((), 0),)),
+    ]
+    for call in calls:
+        with pytest.raises(sset.PreconditionError):
+            call()
 
 
 def test_sphere_action_transposition_swaps_triangles():

@@ -66,6 +66,38 @@ def test_snf_is_deterministic():
     assert a.D == b.D and a.U == b.U and a.V == b.V
 
 
+EDGE_MATRICES = [[], [[]], [[0, 0, 0], [0, 0, 0]], [[4, 6, 10]], [[0, -3, 0, 9]]]
+
+
+def test_snf_edge_cases_rebuild_v_from_the_recorded_columns():
+    for M in EDGE_MATRICES:
+        m, n = len(M), len(M[0]) if M else 0
+        v_first = hl.smith_normal_form(M)
+        V, V_inv = v_first.V, v_first.V_inv
+        assert v_first.V is V and v_first.V_inv is V_inv
+        u_first = hl.smith_normal_form(M)
+        U = u_first.U
+        assert (u_first.V, u_first.V_inv, u_first.V) == (V, V_inv, V)
+        assert (v_first.D, v_first.U, v_first.U_inv) == (u_first.D, U, u_first.U_inv)
+        assert hl.mat_mul(hl.mat_mul(U, M), V) == v_first.D, M
+        assert hl.mat_mul(V, V_inv) == hl.identity_matrix(n), M
+        assert hl.mat_mul(U, u_first.U_inv) == hl.identity_matrix(m), M
+        old = oracle.smith_normal_form_full_scan(M)
+        assert (old.D, old.U, old.V, old.U_inv, old.V_inv) == (
+            v_first.D, U, V, v_first.U_inv, V_inv
+        ), M
+
+
+def test_snf_edge_case_shapes():
+    assert hl.smith_normal_form([]).V == []
+    res = hl.smith_normal_form([[]])
+    assert (res.D, res.U, res.V, res.V_inv, res.diagonal) == ([[]], [[1]], [], [], [])
+    zero = hl.smith_normal_form([[0, 0, 0], [0, 0, 0]])
+    assert zero.V == hl.identity_matrix(3) and zero.rank == 0
+    row = hl.smith_normal_form([[4, 6, 10]])
+    assert row.diagonal == [2] and row.D == [[2, 0, 0]]
+
+
 matrices = st.integers(0, 5).flatmap(
     lambda r: st.integers(0 if r == 0 else 1, 5).flatmap(
         lambda c: st.lists(
