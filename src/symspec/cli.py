@@ -316,6 +316,8 @@ def cmd_tensor(ws, args):
 
 def cmd_free(ws, args):
     K = resolve_space(ws, args.space)
+    if args.f < 0:
+        raise InputError(f"free degree {args.f} is negative")
     if args.f > ws.bound:
         raise InputError(f"free degree {args.f} exceeds the bound {ws.bound}")
     return io.dump_spectrum(sp.free_F(args.f, K, ws.bound, ws.tower)), 0

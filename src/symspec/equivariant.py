@@ -236,12 +236,12 @@ def free_orbit(n, K):
 class SphereTower:
     """S^n built as S^1 ^ S^(n-1), sharing one circle across all levels.
 
-    The Sigma_n action is built by induction, as sigma: S^1 ^ S^(n-1) ->
-    S^n is Sigma_1 x Sigma_(n-1)-equivariant: t_i for i >= 1 is S^1 ^ t_(i-1)
-    of S^(n-1), and t_0 swaps the two circle coordinates in front.
-    flatten/unflatten convert between a form over S^n and an n-tuple of
-    forms over the circle; they serve the concatenation pairings
-    S^p ^ S^q -> S^(p+q) (``concat_map``) only.
+    Everything on S^n runs by induction on n through the smash
+    S^1 ^ S^(n-1), whose ``split`` peels off the first circle coordinate.
+    The Sigma_n action uses that sigma: S^1 ^ S^(n-1) -> S^n is
+    Sigma_1 x Sigma_(n-1)-equivariant: t_i for i >= 1 is S^1 ^ t_(i-1) of
+    S^(n-1), and t_0 swaps the two circle coordinates in front.  The
+    concatenation S^p ^ S^q -> S^(p+q) sends (t ^ s) ^ y to t ^ (s ^ y).
     """
 
     def __init__(self):
@@ -258,33 +258,12 @@ class SphereTower:
             self.spaces[m] = sm.space
         return self.spaces[n]
 
-    def flatten(self, n, form):
-        """Circle-coordinate forms of a simplex of S^n (n >= 1)."""
-        if n == 1:
-            return (form,)
-        self.space(n)
-        w, c = form
-        f1, frest = self.smashes[n].pair_rep[c]
-        return (sset.word_compose(w, f1),) + self.flatten(
-            n - 1, sset.word_compose(w, frest)
-        )
-
-    def unflatten(self, n, coords):
-        if len(coords) != n or n < 1:
-            raise sset.PreconditionError(f"{len(coords)} circle coordinates are no form of S^{n}")
-        if n == 1:
-            return coords[0]
-        self.space(n)
-        return self.smashes[n].form_of_pair(
-            coords[0], self.unflatten(n - 1, coords[1:])
-        )
-
     def action(self, n):
         """Sigma_n permuting the smash coordinates of S^n = S^1 ^ S^(n-1).
 
         t_i for i >= 1 is S^1 ^ t_(i-1) of S^(n-1); t_0 swaps the first two
         circle coordinates.  Forms are in normal form, so this is the same
-        map as permuting all n flattened coordinates.
+        map as permuting all n circle coordinates at once.
         """
         if n not in self._actions:
             space = self.space(n)
@@ -301,29 +280,33 @@ class SphereTower:
 
     def _first_swap(self, n):
         """The pair function of t_0 on S^1 ^ S^(n-1), for n >= 2."""
-        sm = self.smashes[n]
+        pair = self.smashes[n].form_of_pair
         if n == 2:
-            return lambda f1, frest: sm.form_of_pair(frest, f1)
-        inner = self.smashes[n - 1]
+            return lambda f1, frest: pair(frest, f1)
+        split, inner_pair = self.smashes[n - 1].split, self.smashes[n - 1].form_of_pair
 
         def swap(f1, frest):
-            w, c = frest
-            f2, f3 = inner.pair_rep[c]
-            return sm.form_of_pair(
-                sset.word_compose(w, f2),
-                inner.form_of_pair(f1, sset.word_compose(w, f3)),
-            )
+            f2, f3 = split(frest)
+            return pair(f2, inner_pair(f1, f3))
 
         return swap
 
     def concat_map(self, sm, p, q):
-        """S^p ^ S^q -> S^(p+q) by coordinate concatenation; p, q >= 1."""
+        """S^p ^ S^q -> S^(p+q) by coordinate concatenation; p, q >= 1.
+
+        By induction on p: s ^ y with s = t ^ s' in S^1 ^ S^(p-1) goes to
+        t ^ (s' ^ y), and for p = 1 the pair is already a form of S^(1+q).
+        """
         if sm.A is not self.space(p) or sm.B is not self.space(q):
             raise sset.PreconditionError(f"{sm.space!r} is not the smash of S^{p} and S^{q}")
-        return sm.map_out(
-            self.space(p + q),
-            lambda fp, fq: self.unflatten(p + q, self.flatten(p, fp) + self.flatten(q, fq)),
-        )
+
+        def concat(p, fp, fq):
+            if p == 1:
+                return self.smashes[1 + q].form_of_pair(fp, fq)
+            f1, frest = self.smashes[p].split(fp)
+            return self.smashes[p + q].form_of_pair(f1, concat(p - 1, frest, fq))
+
+        return sm.map_out(self.space(p + q), lambda fp, fq: concat(p, fp, fq))
 
 
 def sphere_action(n, tower=None):

@@ -246,7 +246,7 @@ def _dump_sigma_level(X, n):
     for c in sm.space.cell_ids():
         if c == sm.space.basepoint:
             continue
-        fa, fb = sm.pair_rep[c]
+        fa, fb = sm.split(((), c))
         rows.append([dump_form(fa), dump_form(fb), dump_form(sig.assign[c])])
     rows.sort()
     return rows
@@ -262,7 +262,7 @@ def dump_spectrum(X):
     }
 
 
-def load_spectrum(data, tower=None, where="spectrum", quick=True):
+def load_spectrum(data, tower=None, where="spectrum"):
     bound = _field(data, "bound", int, where)
     _check(bound >= 0, f"{where}: the bound must be nonnegative")
     levels_data = _field(data, "levels", list, where)
@@ -333,7 +333,8 @@ def load_spectrum(data, tower=None, where="spectrum", quick=True):
     # force every structure map now so format errors surface at load time
     for n in range(bound):
         X.sigma(n)
-    report = sp.validate_spectrum(X, quick=quick)
+    # sigma and sigma^2 force the higher iterates, so loading checks those
+    report = sp.validate_spectrum(X, quick=True)
     _check(
         report["ok"],
         f"{where}: spectrum axioms fail ({report['failures'][:3]})",

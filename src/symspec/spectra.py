@@ -75,22 +75,25 @@ class SymmetricSpectrum:
         return self._power[key]
 
     def sigma_power(self, p, n):
-        """sigma^p: S^p ^ X_n -> X_{n+p}, iterating from the inner factor."""
+        """sigma^p: S^p ^ X_n -> X_{n+p}, the iterate sigma . (S^1 ^ sigma^(p-1))
+        on S^p = S^1 ^ S^(p-1); each sigma^(p-1) is built once."""
         if not (p >= 1 and p + n <= self.bound):
             raise sset.PreconditionError(f"no sigma^{p} on level {n} of {self!r}")
         if p == 1:
             return self.sigma(n)
         key = (p, n)
         if key not in self._sigma_power:
-            # innermost coordinate first: (S^1 ^ X_m, sigma(m)) for m >= n
-            steps = [(self.structure_smash(m), self.sigma(m)) for m in range(n, n + p)]
+            source = self.power_smash(p, n)
+            split = self.tower.smashes[p].split
+            inner, inner_sm = self.sigma_power(p - 1, n), self.power_smash(p - 1, n)
+            outer, outer_sm = self.sigma(n + p - 1), self.structure_smash(n + p - 1)
 
             def value(fs, fx):
-                for t, (sm, sigma) in zip(reversed(self.tower.flatten(p, fs)), steps):
-                    fx = sigma.apply(sm.form_of_pair(t, fx))
-                return fx
+                t, rest = split(fs)
+                fx = inner.apply(inner_sm.form_of_pair(rest, fx))
+                return outer.apply(outer_sm.form_of_pair(t, fx))
 
-            self._sigma_power[key] = self.power_smash(p, n).map_out(self.space(n + p), value)
+            self._sigma_power[key] = source.map_out(self.space(n + p), value)
         return self._sigma_power[key]
 
 
@@ -310,7 +313,7 @@ def _module_sigma(X, T, n):
         p, q, mu = T.parts[n][idx]
         into = T.part_index[n + 1][(p + 1, q, (0,) + tuple(m + 1 for m in mu))]
         return (
-            T.smashes[(p, q)].pair_rep,
+            T.smashes[(p, q)].split,
             X.structure_smash(p),
             X.sigma(p),
             T.smashes[(p + 1, q)],
@@ -324,10 +327,9 @@ def _module_sigma(X, T, n):
         idx, orig = part_of[tc]
         if idx not in routes:
             routes[idx] = route(idx)
-        pair_rep, s1_x, sigma, sm, into = routes[idx]
-        fa0, fb0 = pair_rep[orig]
-        g = sigma.apply(s1_x.form_of_pair(ft, sset.word_compose(w, fa0)))
-        return into.apply(sm.form_of_pair(g, sset.word_compose(w, fb0)))
+        split, s1_x, sigma, sm, into = routes[idx]
+        fa, fb = split((w, orig))
+        return into.apply(sm.form_of_pair(sigma.apply(s1_x.form_of_pair(ft, fa)), fb))
 
     return value
 
@@ -351,8 +353,8 @@ def free_F(n, K, N, tower=None):
     Level m is (Sigma_m)+ ^_{Sigma_{m-n}} (S^{m-n} ^ K) for m >= n and a
     point below.
     """
-    if n > N:
-        raise IndexError(f"free degree {n} above bound {N}")
+    if not 0 <= n <= N:
+        raise IndexError(f"free degree {n} outside 0..{N}")
     tower = tower or eq.SphereTower()
     sph = sphere_spectrum(N, tower)
     G = sq.free_G(n, K, N)
@@ -423,21 +425,10 @@ def free_extension(F, Z, phi):
 def free_unit_inclusion(F):
     """The adjunction unit K -> (F_n K)_n, into the identity-coset copy."""
     n = F.free_degree
-    K = F.K
     sm = F.T.smashes[(0, n)]
     copy = F.G.level(n).copies[eq.identity_perm(n)]
-    s0pt = sset._sole_point(F.sphere.space(0))
-    space = F.space(n)
-    assign = {K.basepoint: ((), space.basepoint)}
-    for c in K.cell_ids():
-        if c == K.basepoint:
-            continue
-        k = K.dim_of[c]
-        assign[c] = F.T.include(
-            n, 0, n, (),
-            sm.form_of_pair(sset.base_form(s0pt, k), copy.apply(((), c))),
-        )
-    return sset.SimplicialMap(K, space, assign)
+    s0_in = sm.left_slice(sset._sole_point(F.sphere.space(0)))
+    return F.T.inclusion(n, 0, n, ()).compose(s0_in.compose(copy))
 
 
 def smash_free_iso(SXY, big, sm_kl):
@@ -649,10 +640,8 @@ class SmashSpectrum(SymmetricSpectrum):
             for c in sm.space.cell_ids():
                 if c == sm.space.basepoint:
                     continue
-                x0, y0 = sm.pair_rep[c]
                 for ft, w in _circle_pairings(sm.space.dim_of[c], edge):
-                    x = sset.word_compose(w, x0)
-                    y = sset.word_compose(w, y0)
+                    x, y = sm.split((w, c))
                     via_x = sm_x.form_of_pair(sig_x.apply(sx.form_of_pair(ft, x)), y)
                     via_y = sm_y.form_of_pair(x, sig_y.apply(sy.form_of_pair(ft, y)))
                     for into_x, into_y in copies:
@@ -713,20 +702,12 @@ def smash_unit_iso(SX):
         ],
     )
     pt = sset._sole_point(SX.X.space(0))
-    inv_comps = []
-    for n in range(N + 1):
-        space = X.space(n)
-        sm = SX.T.smashes[(0, n)]
-        assign = {space.basepoint: ((), SX.space(n).basepoint)}
-        for c in space.cell_ids():
-            if c == space.basepoint:
-                continue
-            k = space.dim_of[c]
-            form = SX.T.include(
-                n, 0, n, (), sm.form_of_pair(sset.base_form(pt, k), ((), c))
-            )
-            assign[c] = SX.quotients[n].projection.apply(form)
-        inv_comps.append(sset.SimplicialMap(space, SX.space(n), assign))
+    inv_comps = [
+        SX.quotients[n].projection.compose(
+            SX.T.inclusion(n, 0, n, ()).compose(SX.T.smashes[(0, n)].left_slice(pt))
+        )
+        for n in range(N + 1)
+    ]
     return fwd, SpectrumMap(X, SX, inv_comps)
 
 
@@ -812,9 +793,7 @@ class ProlongSpectrum(SymmetricSpectrum):
         tgt_sm = seq.smashes[n + 1]
 
         def value(ft, fz):
-            w, zc = fz
-            fx, fk = seq.smashes[n].pair_rep[zc]
-            fx, fk = sset.word_compose(w, fx), sset.word_compose(w, fk)
+            fx, fk = seq.smashes[n].split(fz)
             val = X.sigma(n).apply(X.structure_smash(n).form_of_pair(ft, fx))
             return tgt_sm.form_of_pair(val, fk)
 
@@ -963,16 +942,9 @@ def pushout_spectrum(F, G, name=None):
 
 def _vertex_map(X, K, vertex_cell, P):
     """X -> X ^ K at a chosen vertex of K; P = prolong_smash(X, K)."""
-    comps = []
-    for n in range(X.bound + 1):
-        space = X.space(n)
-        sm = P.seq.smashes[n]
-        assign = {}
-        for c in space.cell_ids():
-            k = space.dim_of[c]
-            assign[c] = sm.form_of_pair(((), c), sset.base_form(vertex_cell, k))
-        comps.append(sset.SimplicialMap(space, P.space(n), assign))
-    return SpectrumMap(X, P, comps)
+    return SpectrumMap(
+        X, P, [P.seq.smashes[n].right_slice(vertex_cell) for n in range(X.bound + 1)]
+    )
 
 
 def mapping_cylinder(f):
@@ -1022,29 +994,29 @@ def _space_pushout_product(f, g):
     return corner
 
 
-def _smash_pushout_product(f, g):
-    """The corner of two spectrum maps, smashing over the sphere."""
-    U, V = f.source, f.target
-    Xs, Ys = g.source, g.target
-    sux = smash_spectra(U, Xs)
-    svx = smash_spectra(V, Xs)
-    suy = smash_spectra(U, Ys)
-    svy = smash_spectra(V, Ys)
-    a = smash_map_spectra(sux, svx, f, identity_spectrum_map(Xs))
-    b = smash_map_spectra(sux, suy, identity_spectrum_map(U), g)
+def _corner(f, g, smash_of, map_of):
+    """The corner of f: U -> V and g: X -> Y for one smash construction:
+    smash_of(A, B) builds A ^ B and map_of(src, tgt, f, g) the map f ^ g
+    between two of them, None standing for an identity.  Returns the
+    corner map and the four smashes, keyed "ux", "vx", "uy", "vy"."""
+    U, V, Xs, Ys = f.source, f.target, g.source, g.target
+    ux, vx, uy, vy = smash_of(U, Xs), smash_of(V, Xs), smash_of(U, Ys), smash_of(V, Ys)
+    a, b = map_of(ux, vx, f, None), map_of(ux, uy, None, g)
     P, leg1, leg2 = pushout_spectrum(a, b, name=f"corner({U.name},{Xs.name})")
-    to_vy = (
-        smash_map_spectra(svx, svy, identity_spectrum_map(V), g),
-        smash_map_spectra(suy, svy, f, identity_spectrum_map(Ys)),
-    )
+    to_vy = (map_of(vx, vy, None, g), map_of(uy, vy, f, None))
     comps = [
         sset.map_out_of_pushout(po, to_vy[0].level(n), to_vy[1].level(n))
         for n, po in enumerate(P.pushouts)
     ]
-    corner = SpectrumMap(P, svy, comps)
+    corner = SpectrumMap(P, vy, comps)
     corner.corner_legs = (leg1, leg2)
-    corner.corner_smash_spectra = {"ux": sux, "vx": svx, "uy": suy, "vy": svy}
-    return corner
+    return corner, {"ux": ux, "vx": vx, "uy": uy, "vy": vy}
+
+
+def _smash_map_or_identity(src, tgt, f, g):
+    f = f if f is not None else identity_spectrum_map(src.X)
+    g = g if g is not None else identity_spectrum_map(src.Y)
+    return smash_map_spectra(src, tgt, f, g)
 
 
 def pushout_product(f, g):
@@ -1056,27 +1028,11 @@ def pushout_product(f, g):
     if isinstance(f, sset.SimplicialMap):
         return _space_pushout_product(f, g)
     if isinstance(g, SpectrumMap):
-        return _smash_pushout_product(f, g)
-    U, V = f.source, f.target
-    Xs, Ys = g.source, g.target
-    pux = prolong_smash(U, Xs)
-    pvx = prolong_smash(V, Xs)
-    puy = prolong_smash(U, Ys)
-    pvy = prolong_smash(V, Ys)
-    a = prolong_map(pux, pvx, f=f)
-    b = prolong_map(pux, puy, g=g)
-    P, leg1, leg2 = pushout_spectrum(a, b, name=f"corner({U.name},{Xs.name})")
-    to_vy = (
-        prolong_map(pvx, pvy, g=g),
-        prolong_map(puy, pvy, f=f),
-    )
-    comps = [
-        sset.map_out_of_pushout(po, to_vy[0].level(n), to_vy[1].level(n))
-        for n, po in enumerate(P.pushouts)
-    ]
-    corner = SpectrumMap(P, pvy, comps)
-    corner.corner_legs = (leg1, leg2)
-    corner.corner_prolongs = {"ux": pux, "vx": pvx, "uy": puy, "vy": pvy}
+        corner, smashes = _corner(f, g, smash_spectra, _smash_map_or_identity)
+        corner.corner_smash_spectra = smashes
+    else:
+        corner, prolongs = _corner(f, g, prolong_smash, prolong_map)
+        corner.corner_prolongs = prolongs
     return corner
 
 

@@ -23,8 +23,11 @@ order of its pairs.
 Each colimit owns its universal property: a map out of a wedge is
 ``WedgeResult.map_out``, out of a smash ``SmashResult.map_out`` (one value
 per coordinate pair off the wedge), out of a quotient or pushout
-``descend``.  A map out of a smash thus never reads ``pair_rep`` itself,
-and never sees the wedge pair that represents the base vertex.
+``descend``.  The smash alone owns its pair encoding: ``split`` and
+``form_of_pair`` convert between a form of A ^ B and its coordinate pair,
+and ``left_slice``/``right_slice`` map a factor in at a vertex of the
+other.  No other module of the package reads ``pair_rep``, so a new
+encoding changes ``SmashResult`` and nothing else.
 """
 
 import functools
@@ -757,13 +760,16 @@ def quotient(X, inclusion, name=None):
 
 
 class SmashResult:
-    """Smash product with the pair bookkeeping needed to map out of it.
+    """Smash product with the pair bookkeeping needed to map in and out.
 
     pair_rep[c] is a representative coordinate pair of the smash cell c;
     id_of sends each jointly nondegenerate pair off the wedge to its cell.
-    ``prod`` and ``quot`` (the product and the quotient map from it onto
-    ``space``) are built on first use only.  Maps out of the smash are
-    built by ``map_out``; maps into it by ``form_of_pair``.
+    Both are read here only: ``split`` gives the pair of any form and
+    ``form_of_pair`` the form of any pair, maps out of the smash are built
+    by ``map_out``, and the slices at a vertex, A -> A ^ B and B -> A ^ B,
+    by ``right_slice`` and ``left_slice``.  ``prod`` and ``quot`` (the
+    product and the quotient map from it onto ``space``) are built on
+    first use only.
     """
 
     def __init__(self, A, B, space, id_of, pair_rep):
@@ -806,6 +812,28 @@ class SmashResult:
         bp, base = self.space.basepoint, ((), target.basepoint)
         assign = {c: base if c == bp else value(*pair) for c, pair in self.pair_rep.items()}
         return SimplicialMap(self.space, target, assign)
+
+    def split(self, form):
+        """The coordinate pair of a form of A ^ B, its word applied to both
+        coordinates; the inverse of ``form_of_pair``.  A form on the base
+        vertex splits into a pair on the wedge."""
+        w, c = form
+        fa, fb = self.pair_rep[c]
+        if not w:
+            return fa, fb
+        return word_compose(w, fa), word_compose(w, fb)
+
+    def left_slice(self, a):
+        """The map B -> A ^ B, y |-> a ^ y, at the vertex a of A."""
+        B, pair = self.B, self.form_of_pair
+        assign = {c: pair(base_form(a, B.dim_of[c]), ((), c)) for c in B.cell_ids()}
+        return SimplicialMap(B, self.space, assign)
+
+    def right_slice(self, b):
+        """The map A -> A ^ B, x |-> x ^ b, at the vertex b of B."""
+        A, pair = self.A, self.form_of_pair
+        assign = {c: pair(((), c), base_form(b, A.dim_of[c])) for c in A.cell_ids()}
+        return SimplicialMap(A, self.space, assign)
 
     def form_of_pair(self, fa, fb):
         """Smash class of a coordinate pair (forms of equal dimension)."""
@@ -896,10 +924,8 @@ def smash_assoc(sm_ab, sm_ab_c, sm_bc, sm_a_bc):
     """The associator (A ^ B) ^ C -> A ^ (B ^ C)."""
 
     def value(fab, fc):
-        w, t = fab
-        fa, fb = sm_ab.pair_rep[t]
-        inner = sm_bc.form_of_pair(word_compose(w, fb), fc)
-        return sm_a_bc.form_of_pair(word_compose(w, fa), inner)
+        fa, fb = sm_ab.split(fab)
+        return sm_a_bc.form_of_pair(fa, sm_bc.form_of_pair(fb, fc))
 
     return sm_ab_c.map_out(sm_a_bc.space, value)
 
@@ -911,26 +937,12 @@ def _sole_point(space):
 
 def smash_lunit(sm):
     """For S^0 ^ B: the isomorphism to B and its inverse."""
-    B = sm.B
-    to_B = sm.map_out(B, lambda fa, fb: fb)
-    pt = _sole_point(sm.A)
-    back = {}
-    for c in B.cell_ids():
-        k = B.dim_of[c]
-        back[c] = sm.form_of_pair(base_form(pt, k), ((), c))
-    return to_B, SimplicialMap(B, sm.space, back)
+    return sm.map_out(sm.B, lambda fa, fb: fb), sm.left_slice(_sole_point(sm.A))
 
 
 def smash_runit(sm):
     """For B ^ S^0: the isomorphism to B and its inverse."""
-    B = sm.A
-    to_B = sm.map_out(B, lambda fa, fb: fa)
-    pt = _sole_point(sm.B)
-    back = {}
-    for c in B.cell_ids():
-        k = B.dim_of[c]
-        back[c] = sm.form_of_pair(((), c), base_form(pt, k))
-    return to_B, SimplicialMap(B, sm.space, back)
+    return sm.map_out(sm.A, lambda fa, fb: fa), sm.right_slice(_sole_point(sm.B))
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,8 @@ def point_sequence(bound):
 
 def free_G(n, K, bound):
     """The sequence with Sigma_n+ ^ K in degree n and points elsewhere."""
-    if n > bound:
-        raise IndexError(f"free degree {n} above bound {bound}")
+    if not 0 <= n <= bound:
+        raise IndexError(f"free degree {n} outside 0..{bound}")
     levels = []
     for m in range(bound + 1):
         if m == n:
@@ -248,9 +248,9 @@ class TensorSequence(SymmetricSequence):
                 idx, orig = part_of[c]
                 if idx not in routes:
                     p, q, mu = self.parts[n][idx]
-                    routes[idx] = (self.smashes[(p, q)].pair_rep, summand(n, p, q, mu))
-                pair_rep, value = routes[idx]
-                assign[c] = value(*pair_rep[orig])
+                    routes[idx] = (self.smashes[(p, q)].split, summand(n, p, q, mu))
+                split, value = routes[idx]
+                assign[c] = value(*split(((), orig)))
             components.append(sset.SimplicialMap(space, target.space(n), assign))
         return SequenceMap(self, target, components)
 
@@ -265,7 +265,7 @@ class TensorSequence(SymmetricSequence):
     def coordinates(self, n, cell):
         """((p, q, mu), form in X_p, form in Y_q) of a non-base wedge cell."""
         (p, q, mu), orig = self.summand_of(n, cell)
-        fa, fb = self.smashes[(p, q)].pair_rep[orig]
+        fa, fb = self.smashes[(p, q)].split(((), orig))
         return (p, q, mu), fa, fb
 
     def _block_action(self, p, q, beta, gamma, tables):
@@ -400,19 +400,12 @@ def runit_iso(T):
 
 
 def runit_iso_inverse(T):
-    X, U = T.X, T.Y
-    pt = next(v for v in U.space(0).cells[0] if v != U.space(0).basepoint)
-    components = []
-    for n in range(T.bound + 1):
-        mu = tuple(range(n))
-        sm = T.smashes[(n, 0)]
-        assign = {}
-        for c in X.space(n).cell_ids():
-            k = X.space(n).dim_of[c]
-            moved = sm.form_of_pair(((), c), sset.base_form(pt, k))
-            assign[c] = T.include(n, n, 0, mu, moved)
-        components.append(sset.SimplicialMap(X.space(n), T.space(n), assign))
-    return SequenceMap(X, T, components)
+    pt = sset._sole_point(T.Y.space(0))
+    components = [
+        T.inclusion(n, n, 0, tuple(range(n))).compose(T.smashes[(n, 0)].right_slice(pt))
+        for n in range(T.bound + 1)
+    ]
+    return SequenceMap(T.X, T, components)
 
 
 def lunit_iso(T):
@@ -422,19 +415,12 @@ def lunit_iso(T):
 
 
 def lunit_iso_inverse(T):
-    U, X = T.X, T.Y
-    pt = next(v for v in U.space(0).cells[0] if v != U.space(0).basepoint)
-    components = []
-    for n in range(T.bound + 1):
-        mu = ()
-        sm = T.smashes[(0, n)]
-        assign = {}
-        for c in X.space(n).cell_ids():
-            k = X.space(n).dim_of[c]
-            moved = sm.form_of_pair(sset.base_form(pt, k), ((), c))
-            assign[c] = T.include(n, 0, n, mu, moved)
-        components.append(sset.SimplicialMap(X.space(n), T.space(n), assign))
-    return SequenceMap(X, T, components)
+    pt = sset._sole_point(T.X.space(0))
+    components = [
+        T.inclusion(n, 0, n, ()).compose(T.smashes[(0, n)].left_slice(pt))
+        for n in range(T.bound + 1)
+    ]
+    return SequenceMap(T.Y, T, components)
 
 
 def free_tensor_iso(T, target, sm_kl):

@@ -12,7 +12,8 @@ smash of spectra as a triple-tensor coequalizer, the Smith form without its
 unit shortcuts, kernel coordinates through a rational inverse, the map
 enumerator that scans every candidate form, the lifting search that composes
 per square, and maps out of quotients, pushouts, smash products and
-tensors written out cell by cell, the sphere actions built from flattened
+tensors written out cell by cell, the sphere actions, the iterated
+structure maps sigma^p and the sphere concatenation built from flattened
 circle coordinates), built from package primitives, as references for the
 constructions that took their place.
 """
@@ -910,6 +911,29 @@ def left_action_map_cellwise(X, T):
     return sq.SequenceMap(T, X.seq, components)
 
 
+def flatten(tower, n, form):
+    """The n circle-coordinate forms of a form of S^n (n >= 1), read by
+    splitting S^n = S^1 ^ S^(n-1) one representative pair at a time."""
+    from symspec import sset
+
+    if n == 1:
+        return (form,)
+    tower.space(n)
+    w, c = form
+    f1, frest = tower.smashes[n].pair_rep[c]
+    return (sset.word_compose(w, f1),) + flatten(tower, n - 1, sset.word_compose(w, frest))
+
+
+def unflatten(tower, n, coords):
+    """The form of S^n with the given n circle coordinates."""
+    if len(coords) != n or n < 1:
+        raise ValueError(f"{len(coords)} circle coordinates are no form of S^{n}")
+    if n == 1:
+        return coords[0]
+    tower.space(n)
+    return tower.smashes[n].form_of_pair(coords[0], unflatten(tower, n - 1, coords[1:]))
+
+
 def sphere_action_flat(tower, n):
     """Sigma_n on S^n with every generator built from flattened coordinates:
     each cell is flattened into n circle forms, two neighbours are swapped
@@ -919,13 +943,37 @@ def sphere_action_flat(tower, n):
 
     space = tower.space(n)
     cells = space.cell_ids() if n > 1 else ()
-    flat = {c: tower.flatten(n, ((), c)) for c in cells}
+    flat = {c: flatten(tower, n, ((), c)) for c in cells}
     gens = []
     for i in range(n - 1):
         assign = {}
         for c, coords in flat.items():
             coords = list(coords)
             coords[i], coords[i + 1] = coords[i + 1], coords[i]
-            assign[c] = tower.unflatten(n, coords)
+            assign[c] = unflatten(tower, n, coords)
         gens.append(sset.SimplicialMap(space, space, assign))
     return eq.EquivariantSpace(space, n, gens)
+
+
+def concat_map_flat(tower, sm, p, q):
+    """S^p ^ S^q -> S^(p+q) by flattening both factors and rebuilding the
+    concatenated circle coordinates."""
+    return sm.map_out(
+        tower.space(p + q),
+        lambda fp, fq: unflatten(tower, p + q, flatten(tower, p, fp) + flatten(tower, q, fq)),
+    )
+
+
+def sigma_power_flat(X, p, n):
+    """sigma^p: S^p ^ X_n -> X_{n+p} with the sphere coordinate flattened
+    and its circles applied one sigma at a time, innermost first."""
+    if p == 1:
+        return X.sigma(n)
+    steps = [(X.structure_smash(m), X.sigma(m)) for m in range(n, n + p)]
+
+    def value(fs, fx):
+        for t, (sm, sigma) in zip(reversed(flatten(X.tower, p, fs)), steps):
+            fx = sigma.apply(sm.form_of_pair(t, fx))
+        return fx
+
+    return X.power_smash(p, n).map_out(X.space(n + p), value)

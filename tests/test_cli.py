@@ -518,6 +518,13 @@ def test_env_bound_must_be_integer(capsys, monkeypatch):
     assert code == 2
 
 
+def test_negative_free_degree_is_rejected(capsys):
+    code, out, err = run(capsys, "free", "--f", "-1", "--space", "point")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": "free degree -1 is negative"}
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "symspec", "validate", "sphere", "--bound", "1"],

@@ -1,6 +1,7 @@
 """Permutation calculus and group actions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from symspec import equivariant as eq
 from symspec import sset
 
+import corpus
 import oracle
 
 
@@ -152,7 +154,6 @@ def test_bad_arguments_raise_precondition_errors():
         lambda: eq.block_embed((0, 1, 2), 2),
         lambda: eq.EquivariantSpace(X, 3, []),
         lambda: eq.trivial_action(X, 2).act((0, 1, 2)),
-        lambda: eq.SphereTower().unflatten(2, (((), 0),)),
     ]
     for call in calls:
         with pytest.raises(sset.PreconditionError):
@@ -175,15 +176,30 @@ def test_sphere_action_transposition_swaps_triangles():
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_flatten_unflatten_roundtrip(data):
+def test_split_inverts_form_of_pair(data):
+    # on the tower's S^1 ^ S^(n-1) and on the smash of two random spaces
+    if data.draw(st.booleans()):
+        tower = eq.SphereTower()
+        n = data.draw(st.integers(2, 4))
+        tower.space(n)
+        sm = tower.smashes[n]
+    else:
+        r = random.Random(data.draw(st.integers(0, 10**9)))
+        sm = sset.smash(corpus.random_space(r), corpus.random_space(r))
+    k = data.draw(st.integers(0, sm.space.dim + 1))
+    form = data.draw(st.sampled_from(sm.space.forms(k)))
+    fa, fb = sm.split(form)
+    assert sm.A.form_dim(fa) == sm.B.form_dim(fb) == k
+    assert sm.form_of_pair(fa, fb) == form
+
+
+def test_concat_map_matches_the_flattened_oracle():
     tower = eq.SphereTower()
-    n = data.draw(st.integers(1, 3))
-    space = tower.space(n)
-    k = data.draw(st.integers(0, n + 1))
-    form = data.draw(st.sampled_from(space.forms(k)))
-    coords = tower.flatten(n, form)
-    assert len(coords) == n
-    assert tower.unflatten(n, coords) == form
+    for p in range(1, 4):
+        for q in range(1, 4):
+            sm = sset.smash(tower.space(p), tower.space(q))
+            ref = oracle.concat_map_flat(tower, sm, p, q)
+            assert tower.concat_map(sm, p, q).assign == ref.assign, (p, q)
 
 
 def test_concat_map_is_simplicial():

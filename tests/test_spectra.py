@@ -1,5 +1,6 @@
 """Spectrum-level constructions: structure maps, smash, free spectra."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import corpus
 import oracle
 from symspec import equivariant as eq
+from symspec import jsonio
 from symspec import spectra as sp
 from symspec import sset
 from symspec import symseq as sq
@@ -99,6 +101,53 @@ def test_quick_validation_agrees_on_good_and_bad(tower):
     seq = sq.SymmetricSequence(levels, name="mutant")
     mut = sp.SymmetricSpectrum(tower, seq, S._builder, name="mutant")
     assert not sp.validate_spectrum(mut, quick=True)["ok"]
+
+
+def sigma_power_cases(tower):
+    """S, F_0 S^1, F_1 S^1, F_0 S^1 ^ F_0 S^1 and a loaded free spectrum,
+    all at bound 3."""
+    F0 = sp.free_F(0, sset.circle(), 3, tower)
+    loaded = sp.free_F(1, sset.zero_sphere(), 3, tower)
+    text = jsonio.canonical(jsonio.dump_spectrum(loaded))
+    return [
+        sp.sphere_spectrum(3, tower),
+        F0,
+        sp.free_F(1, sset.circle(), 3, tower),
+        sp.smash_spectra(F0, sp.free_F(0, sset.circle(), 3, tower)),
+        jsonio.load_spectrum(json.loads(text), tower),
+    ]
+
+
+def test_sigma_power_matches_the_flattened_oracle(tower):
+    for X in sigma_power_cases(tower):
+        for p in range(1, X.bound + 1):
+            for n in range(X.bound - p + 1):
+                ref = oracle.sigma_power_flat(X, p, n)
+                assert X.sigma_power(p, n).assign == ref.assign, (X.name, p, n)
+
+
+def mutated_spectra(tower):
+    """The broken and unusual spectra of the validator corpus, plus one with
+    a trivial action on a sphere level."""
+    S = sp.sphere_spectrum(3, tower)
+    levels = [tower.action(0), tower.action(1), eq.trivial_action(tower.space(2), 2)]
+    seq = sq.SymmetricSequence(levels + [tower.action(3)], name="mutant")
+    return [
+        corpus.trivial_action_spectrum(tower),
+        corpus.broken_equivariance_spectrum(tower),
+        corpus.broken_shape_spectrum(tower),
+        sp.SymmetricSpectrum(tower, seq, S._builder, name="mutant"),
+    ]
+
+
+def test_validation_reports_match_the_flattened_sigma_power():
+    reports = [sp.validate_spectrum(X) for X in mutated_spectra(eq.SphereTower())]
+    flat = []
+    for X in mutated_spectra(eq.SphereTower()):
+        X.sigma_power = lambda p, n, X=X: oracle.sigma_power_flat(X, p, n)
+        flat.append(sp.validate_spectrum(X))
+    assert reports == flat
+    assert [r["ok"] for r in reports] == [True, False, False, False]
 
 
 def test_no_structure_map_at_the_top_level(tower):
@@ -200,6 +249,13 @@ def test_free_zero_is_the_suspension_spectrum(tower):
 def test_free_degree_above_bound_errors(tower):
     with pytest.raises(IndexError):
         sp.free_F(3, sset.circle(), 2, tower)
+
+
+def test_negative_free_degree_errors(tower):
+    with pytest.raises(IndexError):
+        sp.free_F(-1, sset.point(), 2, tower)
+    with pytest.raises(IndexError):
+        sq.free_G(-1, sset.point(), 2)
 
 
 def test_free_map_of_monomorphism_is_levelwise_mono(tower):
