@@ -257,10 +257,18 @@ def _same_category(ws, i, p):
         )
 
 
+def _same_bound(command, a, b):
+    """Two spectra or sequences that one command combines share a level bound."""
+    if a.bound != b.bound:
+        raise InputError(f"{command} needs equal bounds, got {a.bound} and {b.bound}")
+
+
 def cmd_check_lift(ws, args):
     i = resolve_map(ws, args.i)
     p = resolve_map(ws, args.p)
     _same_category(ws, i, p)
+    if isinstance(i, sp.SpectrumMap):
+        _same_bound("check-lift", i.source, p.source)
     result = mc.has_lifting_property(i, p, budget=ws.budget)
     payload = {
         "type": "lifting_report",
@@ -282,6 +290,7 @@ def cmd_smash(ws, args):
     if isinstance(a, sp.SymmetricSpectrum):
         b = resolve_any(ws, args.b)
         if isinstance(b, sp.SymmetricSpectrum):
+            _same_bound("smash", a, b)
             return io.dump_spectrum(sp.smash_spectra(a, b)), 0
         b = _want(b, (sset.PointedSimplicialSet,), args.b)
         return io.dump_spectrum(sp.prolong_smash(a, b)), 0
@@ -307,10 +316,7 @@ def _as_sequence(ws, token):
 def cmd_tensor(ws, args):
     A = _as_sequence(ws, args.a)
     B = _as_sequence(ws, args.b)
-    if A.bound != B.bound:
-        raise InputError(
-            f"tensor needs equal bounds, got {A.bound} and {B.bound}"
-        )
+    _same_bound("tensor", A, B)
     return io.dump_sequence(sq.tensor(A, B)), 0
 
 
@@ -362,6 +368,8 @@ def cmd_pushout_product(ws, args):
     g = resolve_map(ws, args.g)
     if isinstance(f, sset.SimplicialMap) and isinstance(g, sp.SpectrumMap):
         raise InputError("spectrum operand must come first in pushout-product")
+    if isinstance(g, sp.SpectrumMap):
+        _same_bound("pushout-product", f.source, g.source)
     corner = sp.pushout_product(f, g)
     if not args.check:
         return io.dump(corner), 0
@@ -413,6 +421,9 @@ _GEN_KINDS = {"boundary": "FI_boundary", "horn": "FI_horn", "J": "J_cylinder"}
 
 
 def cmd_gen_sets(ws, args):
+    for flag, value in (("--levels", args.levels), ("--dims", args.dims)):
+        if value < 0:
+            raise InputError(f"gen-sets {flag} {value} is negative")
     maps = sp.generating_sets(
         _GEN_KINDS[args.kind], args.levels, args.dims, tower=ws.tower
     )
@@ -532,7 +543,14 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--require-homotopy", action="store_true")
 
-    p = common(sub.add_parser("gen-sets", help="generating families of maps"))
+    p = common(
+        sub.add_parser(
+            "gen-sets",
+            help="generating families of maps",
+            description="Generating families of maps.  Their spectra are built at "
+            "bound levels + 1, so --bound does not apply.",
+        )
+    )
     p.add_argument("--kind", choices=sorted(_GEN_KINDS), required=True)
     p.add_argument("--levels", type=int, required=True, help="largest free degree")
     p.add_argument("--dims", type=int, required=True, help="largest simplex dimension")

@@ -5,6 +5,10 @@ goes, and composition is function composition, ``compose(a, b)(i) = a[b[i]]``.
 An action is stored on the Coxeter generators (i, i+1) only; the map for an
 arbitrary permutation is assembled along a bubble-sort reduced word, so
 storing and validating the generators pins the whole action.
+
+The free orbit Sigma_n+ ^ K and the balanced smash are wedges of copies.
+Their generators and copywise maps are ``WedgeResult.map_out`` of one map
+per copy; only ``FreeOrbitSpace.cell_coords`` reads which copy a cell is in.
 """
 
 import functools
@@ -192,28 +196,22 @@ def trivial_action(space, n):
 class FreeOrbitSpace(EquivariantSpace):
     """Sigma_n+ ^ K: one copy of K per permutation, permuted by left action.
 
-    copies[perm] is the inclusion of K onto that copy.
+    perms lists the permutations in wedge order, and copies[perm] is the
+    inclusion of K onto that copy; the generator t sends the perm-copy onto
+    the (t . perm)-copy.
     """
 
     def __init__(self, n, K):
         perms = sorted(itertools.permutations(range(n)))
         w = sset.wedge([K] * len(perms), name=f"Sigma_{n}+^{K.name}")
         self.K = K
-        self.perm_index = {p: i for i, p in enumerate(perms)}
-        self.copies = {p: w.inclusions[i] for i, p in enumerate(perms)}
+        self.perms = perms
+        self.copies = dict(zip(perms, w.inclusions))
         self.wedge = w
         gens = []
         for i in range(n - 1):
             t = transposition(n, i)
-            assign = {}
-            for c in w.space.cell_ids():
-                if w.part_of[c] is None:
-                    assign[c] = ((), w.space.basepoint)
-                else:
-                    idx, orig = w.part_of[c]
-                    target = compose_perm(t, perms[idx])
-                    assign[c] = self.copies[target].assign[orig]
-            gens.append(sset.SimplicialMap(w.space, w.space, assign))
+            gens.append(w.map_out([self.copies[compose_perm(t, p)] for p in perms]))
         super().__init__(w.space, n, gens)
 
     def cell_coords(self, c):
@@ -222,7 +220,7 @@ class FreeOrbitSpace(EquivariantSpace):
         if loc is None:
             return None
         idx, orig = loc
-        return sorted(self.perm_index)[idx], orig
+        return self.perms[idx], orig
 
 
 def free_orbit(n, K):
@@ -342,19 +340,15 @@ def balanced_smash(n, p, q, A):
         )
     shuffles = all_shuffles(p, q)
     w = sset.wedge([A.space] * len(shuffles), name=f"bal({A.space.name})")
-    index = {mu: i for i, mu in enumerate(shuffles)}
+    into = dict(zip(shuffles, w.inclusions))
     gens = []
     for i in range(n - 1):
         t = transposition(n, i)
-        assign = {w.space.basepoint: ((), w.space.basepoint)}
-        for c in w.space.cell_ids():
-            if c == w.space.basepoint:
-                continue
-            idx, orig = w.part_of[c]
-            mu2, beta, gamma = coset_factor(t, shuffles[idx], p, q)
-            moved = A.act(beta, gamma).apply(((), orig))
-            assign[c] = w.inclusions[index[mu2]].apply(moved)
-        gens.append(sset.SimplicialMap(w.space, w.space, assign))
+        legs = []
+        for mu in shuffles:
+            mu2, beta, gamma = coset_factor(t, mu, p, q)
+            legs.append(into[mu2].compose(A.act(beta, gamma)))
+        gens.append(w.map_out(legs))
     out = EquivariantSpace(w.space, n, gens)
     out.wedge = w
     out.shuffles = shuffles
@@ -366,13 +360,7 @@ def balanced_smash_map(bs_src, bs_tgt, f):
     w_s, w_t = bs_src.wedge, bs_tgt.wedge
     if bs_src.shuffles != bs_tgt.shuffles:
         raise sset.PreconditionError("balanced smashes over different shuffles")
-    assign = {w_s.space.basepoint: ((), w_t.space.basepoint)}
-    for c in w_s.space.cell_ids():
-        if c == w_s.space.basepoint:
-            continue
-        idx, orig = w_s.part_of[c]
-        assign[c] = w_t.inclusions[idx].apply(f.apply(((), orig)))
-    return sset.SimplicialMap(w_s.space, w_t.space, assign)
+    return w_s.map_out([into.compose(f) for into in w_t.inclusions])
 
 
 def is_equivariant(src, tgt, f):
@@ -385,15 +373,6 @@ def is_equivariant(src, tgt, f):
         f.compose(g) == h.compose(f)
         for g, h in zip(src.generators, tgt.generators)
     )
-
-
-def acts_freely_off_image(action, f):
-    """Freeness of the action away from the image of a monomorphism."""
-    if not f.is_monomorphism():
-        raise ValueError("freeness check needs a monomorphism")
-    if f.target is not action.space:
-        raise sset.PreconditionError(f"{f!r} does not land in {action.space!r}")
-    return acts_freely_off(action, {form[1] for form in f.assign.values()})
 
 
 def acts_freely_off(action, image_cells):

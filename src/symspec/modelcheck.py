@@ -133,12 +133,7 @@ def stable_cofibration_check(f):
                 f"equivariant at level {n}"
             )
         mono = cn.is_monomorphism()
-        if mono:
-            free = eq.acts_freely_off_image(Y.level(n), cn)
-        else:
-            free = eq.acts_freely_off(
-                Y.level(n), {fm[1] for fm in cn.assign.values()}
-            )
+        free = eq.acts_freely_off(Y.level(n), {fm[1] for fm in cn.assign.values()})
         levels.append(
             {
                 "level": n,

@@ -306,28 +306,26 @@ def _module_sigma(X, T, n):
     m_{(0,)+(mu+1)}, so nothing is left to act inside the factors.  The
     data of each summand is looked up once, on its first simplex.
     """
-    space, part_of = T.space(n), T.wedges[n].part_of
+    space = T.space(n)
     routes = {}
 
-    def route(idx):
-        p, q, mu = T.parts[n][idx]
-        into = T.part_index[n + 1][(p + 1, q, (0,) + tuple(m + 1 for m in mu))]
+    def route(p, q, mu):
         return (
             T.smashes[(p, q)].split,
             X.structure_smash(p),
             X.sigma(p),
             T.smashes[(p + 1, q)],
-            T.wedges[n + 1].inclusions[into],
+            T.inclusion(n + 1, p + 1, q, (0,) + tuple(m + 1 for m in mu)),
         )
 
     def value(ft, fx):
         w, tc = fx
         if tc == space.basepoint:
             return T.space(n + 1).base(space.form_dim(fx))
-        idx, orig = part_of[tc]
-        if idx not in routes:
-            routes[idx] = route(idx)
-        split, s1_x, sigma, sm, into = routes[idx]
+        part, orig = T.summand_of(n, tc)
+        if part not in routes:
+            routes[part] = route(*part)
+        split, s1_x, sigma, sm, into = routes[part]
         fa, fb = split((w, orig))
         return into.apply(sm.form_of_pair(sigma.apply(s1_x.form_of_pair(ft, fa)), fb))
 
@@ -619,8 +617,6 @@ class SmashSpectrum(SymmetricSpectrum):
             return []
         X, Y, T = self.X, self.Y, self.T
         edge = X.tower.s1.cells[1][0]
-        incl = T.wedges[n].inclusions
-        index = T.part_index[n]
         # the (1, n-1)-shuffle sending letter 0 to i is t_{i-1} ... t_0, so
         # the generators move each pair through all n positions in turn
         gens = T.level(n).generators
@@ -635,7 +631,7 @@ class SmashSpectrum(SymmetricSpectrum):
             for mu in eq.all_shuffles(p, q):
                 up = tuple(m + 1 for m in mu)
                 copies.append(
-                    (incl[index[(p + 1, q, (0,) + up)]], incl[index[(p, q + 1, up)]])
+                    (T.inclusion(n, p + 1, q, (0,) + up), T.inclusion(n, p, q + 1, up))
                 )
             for c in sm.space.cell_ids():
                 if c == sm.space.basepoint:

@@ -8,9 +8,13 @@ and letting beta, gamma act inside the smash factors.  Degree n of a tensor
 depends only on degrees <= n of the inputs, so truncation is exact.
 
 A map out of X (x) Y is a bimorphism, one map out of each summand
-X_p ^ Y_q; ``TensorSequence.map_out`` takes it summand by summand and
-builds the levelwise maps, so the maps out of a tensor read no wedge or
-smash bookkeeping themselves.  Checks raise ``sset.PreconditionError`` for arguments a
+X_p ^ Y_q; ``TensorSequence.map_out`` takes it summand by summand, so the
+maps out of a tensor read no wedge or smash bookkeeping themselves.  Each
+degree is a wedge of copies, and its generators and the levels of
+``map_out`` are ``WedgeResult.map_out`` of one map per copy.  Only
+``TensorSequence`` reads its wedge bookkeeping (``wedges``, ``parts``,
+``part_index``); other modules reach a summand through ``inclusion`` and
+``summand_of``.  Checks raise ``sset.PreconditionError`` for arguments a
 construction does not take and ``sset.IdentityError`` for a failed square.
 """
 
@@ -198,7 +202,7 @@ class TensorSequence(SymmetricSequence):
         self.parts = {}
         self.part_index = {}
         self.wedges = {}
-        tables = {}  # block actions, shared by the generators of all levels
+        blocks = {}  # block actions, shared by the generators of all levels
         levels = []
         for n in range(N + 1):
             parts = []
@@ -214,7 +218,7 @@ class TensorSequence(SymmetricSequence):
             self.parts[n] = parts
             self.part_index[n] = {t: i for i, t in enumerate(parts)}
             self.wedges[n] = w
-            gens = [self._generator(n, i, tables) for i in range(n - 1)]
+            gens = [self._generator(n, i, blocks) for i in range(n - 1)]
             levels.append(eq.EquivariantSpace(w.space, n, gens))
         super().__init__(levels, name=name or f"({X.name}(x){Y.name})")
 
@@ -232,26 +236,20 @@ class TensorSequence(SymmetricSequence):
         ``summand(n, p, q, mu)`` returns a function (fa, fb) -> form of
         ``target.space(n)``: the map out of the (p, q, mu) copy of
         X_p ^ Y_q, on coordinate pairs as ``SmashResult.map_out`` takes
-        them.  It is called once per summand that has cells, on its first
-        cell, and its function once per cell; base vertices go to base.
+        them.  It is called once per summand that has cells, and its
+        function once per cell; base vertices go to base.
         """
         components = []
         for n in range(self.bound + 1):
-            space, part_of = self.space(n), self.wedges[n].part_of
-            base = ((), target.space(n).basepoint)
-            routes = {}
-            assign = {}
-            for c in space.cell_ids():
-                if part_of[c] is None:
-                    assign[c] = base
-                    continue
-                idx, orig = part_of[c]
-                if idx not in routes:
-                    p, q, mu = self.parts[n][idx]
-                    routes[idx] = (self.smashes[(p, q)].split, summand(n, p, q, mu))
-                split, value = routes[idx]
-                assign[c] = value(*split(((), orig)))
-            components.append(sset.SimplicialMap(space, target.space(n), assign))
+            tn = target.space(n)
+            legs = []
+            for p, q, mu in self.parts[n]:
+                sm = self.smashes[(p, q)]
+                if sset.is_pointlike(sm.space):
+                    legs.append(sset.constant_map(sm.space, tn))
+                else:
+                    legs.append(sm.map_out(tn, summand(n, p, q, mu)))
+            components.append(self.wedges[n].map_out(legs))
         return SequenceMap(self, target, components)
 
     def summand_of(self, n, cell):
@@ -268,37 +266,26 @@ class TensorSequence(SymmetricSequence):
         fa, fb = self.smashes[(p, q)].split(((), orig))
         return (p, q, mu), fa, fb
 
-    def _block_action(self, p, q, beta, gamma, tables):
-        """beta ^ gamma on the smash X_p ^ Y_q, tabulated on its cells."""
+    def _block_action(self, p, q, beta, gamma, blocks):
+        """beta ^ gamma on the smash X_p ^ Y_q, cached per (p, q, beta, gamma)."""
         key = (p, q, beta, gamma)
-        table = tables.get(key)
-        if table is None:
+        block = blocks.get(key)
+        if block is None:
             sm = self.smashes[(p, q)]
             ax, ay = self.X.level(p).act(beta), self.Y.level(q).act(gamma)
-            table = tables[key] = sset.smash_map(sm, sm, ax, ay).assign
-        return table
+            block = blocks[key] = sset.smash_map(sm, sm, ax, ay)
+        return block
 
-    def _generator(self, n, i, tables):
+    def _generator(self, n, i, blocks):
+        """t_i on degree n: the (p, q, mu) copy goes by beta ^ gamma onto the
+        (p, q, mu2) copy, where t_i . m_mu = m_mu2 . (beta (+) gamma)."""
         t = eq.transposition(n, i)
-        w = self.wedges[n]
-        # per summand: the block action and the summand it lands in
-        routes = []
+        legs = []
         for p, q, mu in self.parts[n]:
             mu2, beta, gamma = eq.coset_factor(t, mu, p, q)
-            routes.append(
-                (
-                    self._block_action(p, q, beta, gamma, tables),
-                    w.inclusions[self.part_index[n][(p, q, mu2)]],
-                )
-            )
-        assign = {w.space.basepoint: ((), w.space.basepoint)}
-        for c in w.space.cell_ids():
-            if c == w.space.basepoint:
-                continue
-            idx, orig = w.part_of[c]
-            table, into = routes[idx]
-            assign[c] = into.apply(table[orig])
-        return sset.SimplicialMap(w.space, w.space, assign)
+            block = self._block_action(p, q, beta, gamma, blocks)
+            legs.append(self.inclusion(n, p, q, mu2).compose(block))
+        return self.wedges[n].map_out(legs)
 
 
 def tensor(X, Y, name=None):

@@ -11,8 +11,9 @@ The last section is different: it keeps constructions the package replaced
 smash of spectra as a triple-tensor coequalizer, the Smith form without its
 unit shortcuts, kernel coordinates through a rational inverse, the map
 enumerator that scans every candidate form, the lifting search that composes
-per square, and maps out of quotients, pushouts, smash products and
-tensors written out cell by cell, the sphere actions, the iterated
+per square, maps out of quotients, pushouts, smash products and tensors
+written out cell by cell, the Sigma_n actions and maps on wedges of copies
+read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere concatenation built from flattened
 circle coordinates), built from package primitives, as references for the
 constructions that took their place.
@@ -977,3 +978,139 @@ def sigma_power_flat(X, p, n):
         return fx
 
     return X.power_smash(p, n).map_out(X.space(n + p), value)
+
+
+# Maps out of wedges of copies written out cell by cell, each reading the
+# (part, original cell) of every wedge cell: the Sigma_n actions on free
+# orbits, balanced smashes and tensors, the copywise map of balanced smashes,
+# maps out of a tensor and the module sigma.
+
+
+def free_orbit_generators_cellwise(fo):
+    """The generators of Sigma_n+ ^ K: the perm-copy of a cell goes to the
+    (t . perm)-copy, the permutations of the wedge order re-sorted."""
+    from symspec import equivariant as eq
+    from symspec import sset
+
+    n, w = fo.n, fo.wedge
+    perms = sorted(itertools.permutations(range(n)))
+    gens = []
+    for i in range(n - 1):
+        t = eq.transposition(n, i)
+        assign = {}
+        for c in w.space.cell_ids():
+            if w.part_of[c] is None:
+                assign[c] = ((), w.space.basepoint)
+            else:
+                idx, orig = w.part_of[c]
+                assign[c] = fo.copies[eq.compose_perm(t, perms[idx])].assign[orig]
+        gens.append(sset.SimplicialMap(w.space, w.space, assign))
+    return gens
+
+
+def balanced_smash_generators_cellwise(bs, p, q, A):
+    """The generators of (Sigma_n)+ ^_{Sigma_p x Sigma_q} A, each cell of the
+    mu-copy moved by beta x gamma into the mu2-copy."""
+    from symspec import equivariant as eq
+    from symspec import sset
+
+    w, shuffles = bs.wedge, bs.shuffles
+    index = {mu: i for i, mu in enumerate(shuffles)}
+    gens = []
+    for i in range(bs.n - 1):
+        t = eq.transposition(bs.n, i)
+        assign = {w.space.basepoint: ((), w.space.basepoint)}
+        for c in w.space.cell_ids():
+            if c == w.space.basepoint:
+                continue
+            idx, orig = w.part_of[c]
+            mu2, beta, gamma = eq.coset_factor(t, shuffles[idx], p, q)
+            moved = A.act(beta, gamma).apply(((), orig))
+            assign[c] = w.inclusions[index[mu2]].apply(moved)
+        gens.append(sset.SimplicialMap(w.space, w.space, assign))
+    return gens
+
+
+def balanced_smash_map_cellwise(bs_src, bs_tgt, f):
+    """The copywise map of balanced smashes, f applied cell by cell."""
+    from symspec import sset
+
+    w_s, w_t = bs_src.wedge, bs_tgt.wedge
+    assign = {w_s.space.basepoint: ((), w_t.space.basepoint)}
+    for c in w_s.space.cell_ids():
+        if c == w_s.space.basepoint:
+            continue
+        idx, orig = w_s.part_of[c]
+        assign[c] = w_t.inclusions[idx].apply(f.apply(((), orig)))
+    return sset.SimplicialMap(w_s.space, w_t.space, assign)
+
+
+def tensor_generators_cellwise(T, n):
+    """The generators of (X (x) Y)_n, each cell of the (p, q, mu) copy moved
+    by beta ^ gamma into the (p, q, mu2) copy."""
+    from symspec import equivariant as eq
+    from symspec import sset
+
+    w = T.wedges[n]
+    gens = []
+    for i in range(n - 1):
+        t = eq.transposition(n, i)
+        assign = {w.space.basepoint: ((), w.space.basepoint)}
+        for c in w.space.cell_ids():
+            if c == w.space.basepoint:
+                continue
+            idx, orig = w.part_of[c]
+            p, q, mu = T.parts[n][idx]
+            mu2, beta, gamma = eq.coset_factor(t, mu, p, q)
+            sm = T.smashes[(p, q)]
+            block = sset.smash_map(sm, sm, T.X.level(p).act(beta), T.Y.level(q).act(gamma))
+            into = w.inclusions[T.part_index[n][(p, q, mu2)]]
+            assign[c] = into.apply(block.assign[orig])
+        gens.append(sset.SimplicialMap(w.space, w.space, assign))
+    return gens
+
+
+def tensor_map_out_cellwise(T, target, summand):
+    """``TensorSequence.map_out`` cell by cell: ``summand`` is called on the
+    first cell of each summand, its function on the split of every cell."""
+    from symspec import sset
+    from symspec import symseq as sq
+
+    components = []
+    for n in range(T.bound + 1):
+        space, part_of = T.space(n), T.wedges[n].part_of
+        routes = {}
+        assign = {}
+        for c in space.cell_ids():
+            if part_of[c] is None:
+                assign[c] = ((), target.space(n).basepoint)
+                continue
+            idx, orig = part_of[c]
+            if idx not in routes:
+                p, q, mu = T.parts[n][idx]
+                routes[idx] = (T.smashes[(p, q)].split, summand(n, p, q, mu))
+            split, value = routes[idx]
+            assign[c] = value(*split(((), orig)))
+        components.append(sset.SimplicialMap(space, target.space(n), assign))
+    return sq.SequenceMap(T, target, components)
+
+
+def module_sigma_cellwise(X, T, n):
+    """sigma of the module T = X.seq (x) W on level n, as (ft, fx) -> form,
+    reading the summand of each cell from the wedge of level n."""
+    space = T.space(n)
+
+    def value(ft, fx):
+        w, tc = fx
+        if tc == space.basepoint:
+            return T.space(n + 1).base(space.form_dim(fx))
+        idx, orig = T.wedges[n].part_of[tc]
+        p, q, mu = T.parts[n][idx]
+        into = T.wedges[n + 1].inclusions[
+            T.part_index[n + 1][(p + 1, q, (0,) + tuple(m + 1 for m in mu))]
+        ]
+        fa, fb = T.smashes[(p, q)].split((w, orig))
+        moved = X.sigma(p).apply(X.structure_smash(p).form_of_pair(ft, fa))
+        return into.apply(T.smashes[(p + 1, q)].form_of_pair(moved, fb))
+
+    return value

@@ -525,6 +525,60 @@ def test_negative_free_degree_is_rejected(capsys):
     assert json.loads(err) == {"error": "free degree -1 is negative"}
 
 
+def dump_bounds(tmp_path, *bounds):
+    """F_0(S^0) and its identity map at each bound, as files."""
+    files = []
+    for N in bounds:
+        F = sp.free_F(0, sset.zero_sphere(), N, eq.SphereTower())
+        spec, ident = tmp_path / f"F{N}.json", tmp_path / f"id{N}.json"
+        spec.write_text(io.canonical(io.dump_spectrum(F)))
+        ident.write_text(io.canonical(io.dump_spectrum_map(sp.identity_spectrum_map(F))))
+        files.append((str(spec), str(ident)))
+    return files
+
+
+@pytest.mark.parametrize(
+    "command", ["smash", "tensor", "check-lift", "pushout-product"]
+)
+def test_unequal_bounds_are_an_input_error(capsys, tmp_path, command):
+    (spec1, id1), (spec2, id2) = dump_bounds(tmp_path, 1, 2)
+    operands = {
+        "smash": [spec1, spec2],
+        "tensor": [spec1, spec2],
+        "check-lift": ["--i", id1, "--p", id2],
+        "pushout-product": [id1, id2],
+    }[command]
+    code, out, err = run(capsys, command, *operands)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": f"{command} needs equal bounds, got 1 and 2"}
+
+
+def test_equal_bounds_pass_the_bound_check(capsys, tmp_path):
+    ((spec, ident),) = dump_bounds(tmp_path, 1)
+    assert run(capsys, "smash", spec, spec)[0] == 0
+    assert run(capsys, "check-lift", "--i", ident, "--p", ident)[0] == 0
+    assert run(capsys, "pushout-product", ident, ident)[0] == 0
+
+
+@pytest.mark.parametrize("flag,value", [("--levels", "-1"), ("--dims", "-2")])
+def test_gen_sets_rejects_negative_sizes(capsys, flag, value):
+    sizes = {"--levels": "0", "--dims": "1", flag: value}
+    argv = ["gen-sets", "--kind", "boundary"] + [x for kv in sizes.items() for x in kv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err) == {"error": f"gen-sets {flag} {value} is negative"}
+
+
+def test_gen_sets_help_names_its_bound(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-sets", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "built at bound levels + 1, so --bound does not apply" in text
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "symspec", "validate", "sphere", "--bound", "1"],

@@ -370,25 +370,66 @@ def test_is_equivariant_degree_mismatch():
         )
 
 
-def test_acts_freely_off_image():
-    import pytest
+def test_acts_freely_off_the_image_of_a_map():
+    def image(f):
+        return {form[1] for form in f.assign.values()}
 
     fo = eq.free_orbit(2, sset.zero_sphere())
     triv = eq.trivial_action(sset.zero_sphere(), 2)
     # the identity exempts everything
     circ = sset.circle()
-    assert eq.acts_freely_off_image(
-        eq.trivial_action(circ, 2), sset.identity_map(circ)
+    assert eq.acts_freely_off(
+        eq.trivial_action(circ, 2), image(sset.identity_map(circ))
     )
     pt = sset.point()
     base_in = sset.SimplicialMap(
         pt, fo.space, {pt.basepoint: ((), fo.space.basepoint)}
     )
-    assert eq.acts_freely_off_image(fo, base_in)
+    assert eq.acts_freely_off(fo, image(base_in))
     base_in2 = sset.SimplicialMap(
         pt, triv.space, {pt.basepoint: ((), triv.space.basepoint)}
     )
-    assert not eq.acts_freely_off_image(triv, base_in2)
-    collapse = sset.constant_map(sset.circle(), fo.space)
-    with pytest.raises(ValueError):
-        eq.acts_freely_off_image(fo, collapse)
+    assert not eq.acts_freely_off(triv, image(base_in2))
+
+
+# --- maps out of wedges of copies against their cell-by-cell oracles --------
+
+
+def random_biaction(r):
+    """Sigma_p x Sigma_q acting trivially, or through the two blocks of the
+    Sigma_(p+q) action on a free orbit or on a sphere."""
+    p, q = r.randint(0, 2), r.randint(0, 2)
+    kind = r.randrange(3)
+    if kind == 0:
+        return trivial_biaction(corpus.random_space(r, 3), p, q)
+    if kind == 1:
+        act = eq.free_orbit(p + q, corpus.random_space(r, 3))
+    else:
+        act = eq.sphere_action(p + q)
+    gens = act.generators
+    return eq.BiAction(act.space, p, q, gens[: max(p - 1, 0)], gens[p : p + q - 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_wedge_actions_match_their_cellwise_oracles(seed):
+    r = random.Random(seed)
+    fo = eq.free_orbit(r.randint(0, 3), corpus.random_space(r, 3))
+    assert fo.generators == oracle.free_orbit_generators_cellwise(fo)
+    ordered = sorted(itertools.permutations(range(fo.n)))
+    for c in fo.space.cell_ids():
+        loc = fo.wedge.part_of[c]
+        assert fo.cell_coords(c) == (loc and (ordered[loc[0]], loc[1]))
+    A = random_biaction(r)
+    p, q = A.p, A.q
+    bs = eq.balanced_smash(p + q, p, q, A)
+    assert bs.generators == oracle.balanced_smash_generators_cellwise(bs, p, q, A)
+    if r.random() < 0.5:
+        f, src, tgt = sset.identity_map(A.space), A, A
+    else:
+        f = corpus.random_subcomplex_inclusion(r, corpus.random_space(r, 3))
+        src, tgt = trivial_biaction(f.source, p, q), trivial_biaction(f.target, p, q)
+    bs_src, bs_tgt = eq.balanced_smash(p + q, p, q, src), eq.balanced_smash(p + q, p, q, tgt)
+    F = eq.balanced_smash_map(bs_src, bs_tgt, f)
+    assert F == oracle.balanced_smash_map_cellwise(bs_src, bs_tgt, f)
+    assert eq.is_equivariant(bs_src, bs_tgt, F)

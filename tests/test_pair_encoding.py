@@ -7,35 +7,19 @@ module reaches the coordinate pairs through ``split``, ``form_of_pair``,
 """
 
 import ast
-import os
 
 import pytest
 
-import symspec
-
-SRC = os.path.dirname(symspec.__file__)
+from encoding_scan import MODULES, parse, uses
 
 OWNER = "sset.py"
 
-OTHER_MODULES = sorted(
-    name for name in os.listdir(SRC) if name.endswith(".py") and name != OWNER
-)
-
-
-def parse(module):
-    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
-        return ast.parse(fh.read(), filename=module)
+OTHER_MODULES = [name for name in MODULES if name != OWNER]
 
 
 def pair_rep_lines(tree):
     """Lines naming pair_rep: as an attribute, a variable or a string."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(tree)
-        if (isinstance(node, ast.Attribute) and node.attr == "pair_rep")
-        or (isinstance(node, ast.Name) and node.id == "pair_rep")
-        or (isinstance(node, ast.Constant) and node.value == "pair_rep")
-    )
+    return [line for line, _ in uses(tree, "pair_rep")]
 
 
 @pytest.mark.parametrize("module", OTHER_MODULES)

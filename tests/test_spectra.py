@@ -198,6 +198,23 @@ def test_left_action_map_matches_its_cellwise_oracle(index):
     assert got == outcome(lambda: oracle.left_action_map_cellwise(X, T))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=10), st.booleans())
+def test_module_sigma_matches_its_cellwise_oracle(index, inner):
+    """sigma of the module S (x) X, or of X (x) Y under the smash X ^ Y."""
+    Z, T = left_action_case(index)
+    X = sp.sphere_spectrum(Z.bound, Z.tower)
+    if inner and isinstance(Z, sp.SmashSpectrum):
+        X, T = Z.X, Z.T
+    for n in range(T.bound):
+        sm = sset.smash(X.tower.s1, T.space(n))
+        got = outcome(lambda: sm.map_out(T.space(n + 1), sp._module_sigma(X, T, n)))
+        want = outcome(
+            lambda: sm.map_out(T.space(n + 1), oracle.module_sigma_cellwise(X, T, n))
+        )
+        assert got == want
+
+
 # ---------------------------------------------------------------------------
 # bar sphere
 

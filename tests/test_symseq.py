@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,3 +338,34 @@ def test_tensor_maps_match_their_cellwise_oracles(seed):
     assert sq.assoc_iso(T_ab, T_ab_c, T_bc, T_a_bc) == oracle.assoc_iso_cellwise(
         T_ab, T_ab_c, T_bc, T_a_bc
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**9))
+def test_tensor_generators_and_maps_out_match_the_wedge_oracles(seed):
+    """Generators against the cell-by-cell loop, and tensor_map, twist_iso
+    and free_tensor_iso against themselves with map_out read cell by cell."""
+    r = random.Random(seed)
+    bound, (A, B, _, _) = corpus.coherence_fixture(r)
+    T_ab, T_ba = sq.tensor(A, B), sq.tensor(B, A)
+    for n in range(bound + 1):
+        assert T_ab.level(n).generators == oracle.tensor_generators_cellwise(T_ab, n)
+    f = r.choice([sq.identity_seq_map, constant_seq_map])(A)
+    g = r.choice([sq.identity_seq_map, constant_seq_map])(B)
+    p = r.randint(0, bound)
+    q = r.randint(0, bound - p)
+    K, L = corpus.random_space(r, 3), corpus.random_space(r, 3)
+    T_pq = sq.tensor(sq.free_G(p, K, bound), sq.free_G(q, L, bound))
+    KL = sset.smash(K, L)
+    free = sq.free_G(p + q, KL.space, bound)
+
+    def build():
+        return (
+            sq.tensor_map(T_ab, T_ab, f, g),
+            sq.twist_iso(T_ab, T_ba),
+            sq.free_tensor_iso(T_pq, free, KL),
+        )
+
+    got = build()
+    with mock.patch.object(sq.TensorSequence, "map_out", oracle.tensor_map_out_cellwise):
+        assert got == build()
