@@ -3,7 +3,8 @@
 Operands are JSON files or builtin names; builtins are resolved by what the
 command expects in that position, so boundary:2 names the space in
 `homology boundary:2` and the inclusion into the simplex in
-`check-lift --i boundary:2 ...`.
+`check-lift --i boundary:2 ...`.  Builtins are matched before files, so
+free:0:K.json is the free spectrum on the space in K.json.
 
 Exit codes: 0 success or property confirmed, 1 property refuted, 2 input
 error, 3 search budget exceeded.  Output is deterministic canonical JSON;
@@ -112,15 +113,11 @@ def _want(obj, kinds, token):
     return obj
 
 
-def resolve_space(ws, token):
-    if _looks_like_file(token):
-        return _want(_load_file(ws, token), (sset.PointedSimplicialSet,), token)
+def _builtin_space(token):
+    """The builtin space the token names, or None."""
     if token == "point":
         return sset.point()
-    m = _SPHERE_N.match(token)
-    if m:
-        return sset.sphere(int(m.group(1)))
-    m = _HZ.match(token)
+    m = _SPHERE_N.match(token) or _HZ.match(token)
     if m:
         return sset.sphere(int(m.group(1)))
     m = _BOUNDARY.match(token)
@@ -132,12 +129,23 @@ def resolve_space(ws, token):
         if not (1 <= r and 0 <= i <= r):
             raise InputError(f"{token}: horn indices out of range")
         return sset.horn_plus(r, i)
+    return None
+
+
+def _space_or_file(ws, token):
+    X = _builtin_space(token)
+    if X is not None:
+        return X
+    if _looks_like_file(token):
+        return _load_file(ws, token)
     raise InputError(f"{token}: not a file and not a builtin space")
 
 
+def resolve_space(ws, token):
+    return _want(_space_or_file(ws, token), (sset.PointedSimplicialSet,), token)
+
+
 def resolve_spectrum(ws, token):
-    if _looks_like_file(token):
-        return _want(_load_file(ws, token), (sp.SymmetricSpectrum,), token)
     if token == "sphere":
         return sp.sphere_spectrum(ws.bound, ws.tower)
     if token == "point":
@@ -151,6 +159,8 @@ def resolve_spectrum(ws, token):
                 f"{token}: free degree {n} exceeds the bound {ws.bound}"
             )
         return sp.free_F(n, K, ws.bound, ws.tower)
+    if _looks_like_file(token):
+        return _want(_load_file(ws, token), (sp.SymmetricSpectrum,), token)
     raise InputError(f"{token}: not a file and not a builtin spectrum")
 
 
@@ -164,22 +174,11 @@ def _point_into(ws, X):
 
 def resolve_map(ws, token):
     """A simplicial or spectrum map; builtins name their canonical arrow."""
-    if _looks_like_file(token):
-        return _want(
-            _load_file(ws, token), (sset.SimplicialMap, sp.SpectrumMap), token
-        )
-    m = _BOUNDARY.match(token)
+    m = _BOUNDARY.match(token) or _HORN.match(token)
     if m:
         r = int(m.group(1))
-        return sset.subset_inclusion(sset.boundary_plus(r), sset.delta_plus(r))
-    m = _HORN.match(token)
-    if m:
-        r, i = int(m.group(1)), int(m.group(2))
-        if not (1 <= r and 0 <= i <= r):
-            raise InputError(f"{token}: horn indices out of range")
-        return sset.subset_inclusion(sset.horn_plus(r, i), sset.delta_plus(r))
-    m = _FREE.match(token)
-    if m:
+        return sset.subset_inclusion(_builtin_space(token), sset.delta_plus(r))
+    if _FREE.match(token):
         return _point_into(ws, resolve_spectrum(ws, token))
     m = _IDENTITY.match(token)
     if m:
@@ -188,17 +187,17 @@ def resolve_map(ws, token):
             return sset.identity_map(resolve_space(ws, inner))
         except InputError:
             return sp.identity_spectrum_map(resolve_spectrum(ws, inner))
+    if _looks_like_file(token):
+        return _want(
+            _load_file(ws, token), (sset.SimplicialMap, sp.SpectrumMap), token
+        )
     raise InputError(f"{token}: not a file and not a builtin map")
 
 
 def resolve_any(ws, token):
-    if _looks_like_file(token):
-        return _load_file(ws, token)
-    if token in ("sphere",):
+    if token == "sphere" or _FREE.match(token):
         return resolve_spectrum(ws, token)
-    if _FREE.match(token):
-        return resolve_spectrum(ws, token)
-    return resolve_space(ws, token)
+    return _space_or_file(ws, token)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,17 @@ per generator); kernels come from an integer column reduction, torsion from
 Smith normal form of the boundary written in kernel coordinates.  Those
 coordinates come from back-substitution against the kernel columns brought
 to echelon form by the same column reduction.
+
+Every degree has degree data, the empty degrees included: no cells gives an
+empty kernel and the zero group, so no caller branches on the rank.  A
+homology class is pushed along a chain map one way, ``_pushed_classes``;
+the stable reports push along one suspension-then-structure-map chain map
+per level, ``_suspension_push``, over the levels and Hurewicz gate of
+``_stable_levels``.
+
+``mat_mul`` and ``mat_eq`` have no caller in the package.  They stay public
+because the tests check Smith forms with them and the benchmark tracer
+times ``mat_mul``.
 """
 
 from . import sset
@@ -391,6 +402,7 @@ class _DegreeData:
     """Cycle/boundary bookkeeping of one degree of a complex."""
 
     def __init__(self, C, k):
+        self.k = k
         if k == 0:
             kernel = [{j: 1} for j in range(C.rank(0))]
             rank_out = 0
@@ -559,8 +571,6 @@ def normalized_chains(X):
 
 def homology(C, k):
     """H_k of the complex as an explicit abelian group."""
-    if k < 0 or C.rank(k) == 0:
-        return HomologyGroup(0)
     return C.degree_data(k).group
 
 
@@ -629,39 +639,12 @@ class InducedMap:
         D = normalized_chains(f.target)
         self.source_complex = C
         self.target_complex = D
-        src = C.degree_data(k) if C.rank(k) else None
-        tgt = D.degree_data(k) if D.rank(k) else None
-        self.source_group = src.group if src else HomologyGroup(0)
-        self.target_group = tgt.group if tgt else HomologyGroup(0)
-
-        def classify(j, chain):
-            if tgt is None:
-                if chain:
-                    raise HomologyInputError(
-                        f"H_{k} generator {j} maps to a nonzero chain "
-                        f"but the target has no degree-{k} cells"
-                    )
-                return (), ()
-            return tgt.class_of(chain)
-
-        fr = self.target_group.free_rank
-        cols = []
-        tors_cols = []
-        if src is not None:
-            for j, g in enumerate(src.free_gen_chains):
-                free, tors = classify(j, chain_push(f, k, g, C, D))
-                cols.append((free, tors))
-            for j, g in enumerate(src.torsion_gen_chains):
-                free, tors = classify(j, chain_push(f, k, g, C, D))
-                if any(free):
-                    raise HomologyInputError(
-                        f"H_{k} torsion generator {j} mapped to free part"
-                    )
-                tors_cols.append(tors)
-        self.matrix = [[c[0][i] for c in cols] for i in range(fr)]
-        self.free_to_torsion = [c[1] for c in cols]
-        self.torsion_matrix = [[t[i] for t in tors_cols]
-                               for i in range(len(self.target_group.torsion))]
+        src, tgt = C.degree_data(k), D.degree_data(k)
+        self.source_group = src.group
+        self.target_group = tgt.group
+        self.matrix, self.torsion_matrix = _pushed_classes(
+            src, tgt, lambda g: chain_push(f, k, g, C, D)
+        )
 
     def is_isomorphism(self):
         return _map_is_iso(
@@ -757,18 +740,9 @@ class SuspensionChainMap:
         return True
 
     def induces_isomorphism(self, k):
-        src = homology(self.source, k)
-        tgt = homology(self.target, k + 1)
-        if src != tgt:
-            return False
-        if src.is_zero:
-            return True
-        matrix, residues = _pushed_classes(
-            self.source.degree_data(k),
-            self.target.degree_data(k + 1),
-            lambda g: self.apply_chain(k, g),
-        )
-        return _map_is_iso(src, tgt, matrix, residues)
+        src, tgt = self.source.degree_data(k), self.target.degree_data(k + 1)
+        matrix, residues = _pushed_classes(src, tgt, lambda g: self.apply_chain(k, g))
+        return _map_is_iso(src.group, tgt.group, matrix, residues)
 
 
 def suspension_chain_map(X, sm=None):
@@ -798,22 +772,47 @@ def hurewicz_gate(space, d):
     return True
 
 
-def _transition(X, n, k, data_n, data_n1, C_n1):
-    """Free/torsion matrices of H_{k+n}(X_n) -> H_{k+n+1}(X_{n+1})."""
-    E = SuspensionChainMap(X.space(n), X.structure_smash(n))
-    sig = X.sigma(n)
+def _stable_levels(k, bound, spaces, require_homotopy):
+    """The levels n of a weight-k report and its interpretation.
+
+    n runs from max(0, -k) to bound; the reading is "homotopy" when every
+    space in spaces(n) clears the Hurewicz gate in degree k + n.
+    """
+    ns = list(range(max(0, -k), bound + 1))
+    gate_ok = all(hurewicz_gate(X, k + n) for n in ns for X in spaces(n))
+    if require_homotopy and not gate_ok:
+        raise HurewiczGateError(
+            "a level has cells below the stable range; homology-only"
+        )
+    return ns, "homotopy" if gate_ok else "homology-only"
+
+
+def _suspension_push(X, n, k):
+    """The chain map C_{k+n}(X_n) -> C_{k+n+1}(X_{n+1}): the suspension
+    into S^1 ^ X_n, then sigma.  The suspension is built on the first
+    push, so a level with nothing to push never builds it."""
+    E = None
 
     def push(chain):
-        mid = E.apply_chain(k + n, chain)
-        return chain_push(sig, k + n + 1, mid, E.target, C_n1)
+        nonlocal E
+        if E is None:
+            E = SuspensionChainMap(X.space(n), X.structure_smash(n))
+        return chain_push(X.sigma(n), k + n + 1, E.apply_chain(k + n, chain), E.target)
 
-    return _pushed_classes(data_n, data_n1, push)
+    return push
 
 
 def _pushed_classes(src, tgt, push):
     """Free matrix and torsion residues of src's generators pushed into tgt."""
     cols = [tgt.class_of(push(g))[0] for g in src.free_gen_chains]
-    tors = [tgt.class_of(push(g))[1] for g in src.torsion_gen_chains]
+    tors = []
+    for j, g in enumerate(src.torsion_gen_chains):
+        free, residues = tgt.class_of(push(g))
+        if any(free):
+            raise HomologyInputError(
+                f"H_{src.k} torsion generator {j} mapped to free part"
+            )
+        tors.append(residues)
     matrix = [[c[i] for c in cols] for i in range(tgt.group.free_rank)]
     residues = [[t[i] for t in tors] for i in range(len(tgt.group.torsion))]
     return matrix, residues
@@ -858,37 +857,15 @@ def stable_colimit(X, k, require_homotopy=False):
     push through the structure map.  The homotopy reading is only claimed
     when every level clears the Hurewicz gate.
     """
-    first = max(0, -k)
-    ns = list(range(first, X.bound + 1))
-    data = {}
-    entries = []
-    gate_ok = True
-    for n in ns:
-        C = normalized_chains(X.space(n))
-        d = C.degree_data(k + n) if C.rank(k + n) else None
-        group = d.group if d else HomologyGroup(0)
-        data[n] = (C, d)
-        entries.append((n, group))
-        if not hurewicz_gate(X.space(n), k + n):
-            gate_ok = False
-    interpretation = "homotopy" if gate_ok else "homology-only"
-    if require_homotopy and not gate_ok:
-        raise HurewiczGateError(
-            "a level has cells below the stable range; homology-only"
-        )
+    ns, interpretation = _stable_levels(
+        k, X.bound, lambda n: [X.space(n)], require_homotopy
+    )
+    data = [normalized_chains(X.space(n)).degree_data(k + n) for n in ns]
+    entries = [(n, d.group) for n, d in zip(ns, data)]
     maps = []
-    for n in ns[:-1]:
-        C_n, d_n = data[n]
-        C_n1, d_n1 = data[n + 1]
-        g_n = d_n.group if d_n else HomologyGroup(0)
-        g_n1 = d_n1.group if d_n1 else HomologyGroup(0)
-        if d_n is None or g_n.is_zero:
-            matrix = [[] for _ in range(g_n1.free_rank)]
-            residues = [[] for _ in range(len(g_n1.torsion))]
-            iso = g_n1.is_zero
-        else:
-            matrix, residues = _transition(X, n, k, d_n, d_n1, C_n1)
-            iso = _map_is_iso(g_n, g_n1, matrix, residues)
+    for n, d_n, d_n1 in zip(ns, data, data[1:]):
+        matrix, residues = _pushed_classes(d_n, d_n1, _suspension_push(X, n, k))
+        iso = _map_is_iso(d_n.group, d_n1.group, matrix, residues)
         maps.append((matrix, residues, iso))
     stabilized = len(maps) >= 2 and maps[-1][2] and maps[-2][2]
     stable_from = None
@@ -941,49 +918,26 @@ def stable_map_report(f, k, require_homotopy=False):
     never claims a stable equivalence by itself.
     """
     X, Y = f.source, f.target
-    first = max(0, -k)
-    ns = list(range(first, X.bound + 1))
-    gate_ok = all(
-        hurewicz_gate(X.space(n), k + n) and hurewicz_gate(Y.space(n), k + n)
-        for n in ns
+    ns, interpretation = _stable_levels(
+        k, X.bound, lambda n: [X.space(n), Y.space(n)], require_homotopy
     )
-    interpretation = "homotopy" if gate_ok else "homology-only"
-    if require_homotopy and not gate_ok:
-        raise HurewiczGateError(
-            "a level has cells below the stable range; homology-only"
-        )
-    levels = []
-    matrices = []
-    for n in ns:
-        im = InducedMap(f.level(n), k + n)
-        matrices.append(im)
-        levels.append((n, im.source_group, im.target_group))
+    matrices = [InducedMap(f.level(n), k + n) for n in ns]
+    levels = [(n, im.source_group, im.target_group) for n, im in zip(ns, matrices)]
     verdict = (
         "iso-at-all-computed-levels"
         if all(im.is_isomorphism() for im in matrices)
         else "not"
     )
     ladder = True
-    for n in ns[:-1]:
-        CX = normalized_chains(X.space(n))
-        CX1 = normalized_chains(X.space(n + 1))
-        CY1 = normalized_chains(Y.space(n + 1))
-        sx = CX.degree_data(k + n) if CX.rank(k + n) else None
-        sy1 = CY1.degree_data(k + n + 1) if CY1.rank(k + n + 1) else None
-        if sx is None or sy1 is None:
-            continue
-        EX = SuspensionChainMap(X.space(n), X.structure_smash(n))
-        EY = SuspensionChainMap(Y.space(n), Y.structure_smash(n))
-        for g in sx.free_gen_chains:
-            # around the top of the square
-            top = EX.apply_chain(k + n, g)
-            top = chain_push(X.sigma(n), k + n + 1, top, EX.target, CX1)
-            top = chain_push(f.level(n + 1), k + n + 1, top, CX1, CY1)
-            # around the bottom
-            bot = chain_push(f.level(n), k + n, g, CX,
-                             normalized_chains(Y.space(n)))
-            bot = EY.apply_chain(k + n, bot)
-            bot = chain_push(Y.sigma(n), k + n + 1, bot, EY.target, CY1)
+    for n, im, im1 in zip(ns, matrices, matrices[1:]):
+        push_x, push_y = _suspension_push(X, n, k), _suspension_push(Y, n, k)
+        sy1 = im1.target_complex.degree_data(k + n + 1)
+        for g in im.source_complex.degree_data(k + n).free_gen_chains:
+            # around the top of the square, then around the bottom
+            top = chain_push(im1.f, k + n + 1, push_x(g),
+                             im1.source_complex, im1.target_complex)
+            bot = push_y(chain_push(im.f, k + n, g,
+                                    im.source_complex, im.target_complex))
             if sy1.class_of(top) != sy1.class_of(bot):
                 ladder = False
     return StableMapReport(

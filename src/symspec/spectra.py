@@ -1024,8 +1024,7 @@ def pushout_product(f, g):
     if isinstance(f, sset.SimplicialMap):
         return _space_pushout_product(f, g)
     if isinstance(g, SpectrumMap):
-        corner, smashes = _corner(f, g, smash_spectra, _smash_map_or_identity)
-        corner.corner_smash_spectra = smashes
+        corner, _ = _corner(f, g, smash_spectra, _smash_map_or_identity)
     else:
         corner, prolongs = _corner(f, g, prolong_smash, prolong_map)
         corner.corner_prolongs = prolongs

@@ -28,6 +28,11 @@ per coordinate pair off the wedge), out of a quotient or pushout
 and ``left_slice``/``right_slice`` map a factor in at a vertex of the
 other.  No other module of the package reads ``pair_rep``, so a new
 encoding changes ``SmashResult`` and nothing else.
+
+``product`` has no caller in the package, since the smash is built off the
+wedge directly.  It stays public as the categorical product the smash is a
+quotient of: the tests build their reference smash on it and the benchmark
+tracer times it.
 """
 
 import functools
@@ -767,9 +772,7 @@ class SmashResult:
     Both are read here only: ``split`` gives the pair of any form and
     ``form_of_pair`` the form of any pair, maps out of the smash are built
     by ``map_out``, and the slices at a vertex, A -> A ^ B and B -> A ^ B,
-    by ``right_slice`` and ``left_slice``.  ``prod`` and ``quot`` (the
-    product and the quotient map from it onto ``space``) are built on
-    first use only.
+    by ``right_slice`` and ``left_slice``.
     """
 
     def __init__(self, A, B, space, id_of, pair_rep):
@@ -779,27 +782,6 @@ class SmashResult:
         self.id_of = id_of
         self.pair_rep = pair_rep
         self._classes = {}
-        self._prod = None
-        self._quot = None
-
-    @property
-    def prod(self):
-        if self._prod is None:
-            self._prod = product(self.A, self.B)
-        return self._prod
-
-    @property
-    def quot(self):
-        if self._quot is None:
-            prod = self.prod
-            class_of = {
-                c: self.form_of_pair(*prod.pair_of[c])
-                for c in prod.space.cell_ids()
-            }
-            self._quot = QuotientResult(
-                self.space, SimplicialMap(prod.space, self.space, class_of), class_of
-            )
-        return self._quot
 
     def map_out(self, target, value):
         """The map A ^ B -> target sending the base vertex to the base and

@@ -15,8 +15,9 @@ per square, maps out of quotients, pushouts, smash products and tensors
 written out cell by cell, the Sigma_n actions and maps on wedges of copies
 read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere concatenation built from flattened
-circle coordinates), built from package primitives, as references for the
-constructions that took their place.
+circle coordinates, the smash's quotient map from the product, and the
+homology reports with a push loop each), built from package primitives, as
+references for the constructions that took their place.
 """
 
 import itertools
@@ -1114,3 +1115,204 @@ def module_sigma_cellwise(X, T, n):
         return into.apply(T.smashes[(p + 1, q)].form_of_pair(moved, fb))
 
     return value
+
+
+def smash_quotient(sm):
+    """The quotient map from ``sset.product(sm.A, sm.B)`` onto the smash
+    ``sm.space``: each product cell goes to the form of its coordinate pair."""
+    from symspec import sset
+
+    prod = sset.product(sm.A, sm.B)
+    class_of = {c: sm.form_of_pair(*prod.pair_of[c]) for c in prod.space.cell_ids()}
+    projection = sset.SimplicialMap(prod.space, sm.space, class_of)
+    return sset.QuotientResult(sm.space, projection, class_of)
+
+
+# ---------------------------------------------------------------------------
+# the homology reports with one push loop each: the induced map that skips
+# the degrees without cells, the colimit transitions through their own
+# suspension, and the map report's ladder built from fresh complexes
+
+
+def _pushed_classes_unchecked(src, tgt, push):
+    cols = [tgt.class_of(push(g))[0] for g in src.free_gen_chains]
+    tors = [tgt.class_of(push(g))[1] for g in src.torsion_gen_chains]
+    matrix = [[c[i] for c in cols] for i in range(tgt.group.free_rank)]
+    residues = [[t[i] for t in tors] for i in range(len(tgt.group.torsion))]
+    return matrix, residues
+
+
+class InducedMapClassify:
+    """f pushed to H_k, classifying each generator's image on its own;
+    a degree without cells has no degree data and the zero group."""
+
+    def __init__(self, f, k):
+        from symspec import homology as hl
+
+        C = hl.normalized_chains(f.source)
+        D = hl.normalized_chains(f.target)
+        src = C.degree_data(k) if C.rank(k) else None
+        tgt = D.degree_data(k) if D.rank(k) else None
+        self.source_group = src.group if src else hl.HomologyGroup(0)
+        self.target_group = tgt.group if tgt else hl.HomologyGroup(0)
+
+        def classify(j, chain):
+            if tgt is None:
+                if chain:
+                    raise hl.HomologyInputError(
+                        f"H_{k} generator {j} maps to a nonzero chain "
+                        f"but the target has no degree-{k} cells"
+                    )
+                return (), ()
+            return tgt.class_of(chain)
+
+        fr = self.target_group.free_rank
+        cols = []
+        tors_cols = []
+        if src is not None:
+            for j, g in enumerate(src.free_gen_chains):
+                free, tors = classify(j, hl.chain_push(f, k, g, C, D))
+                cols.append((free, tors))
+            for j, g in enumerate(src.torsion_gen_chains):
+                free, tors = classify(j, hl.chain_push(f, k, g, C, D))
+                if any(free):
+                    raise hl.HomologyInputError(
+                        f"H_{k} torsion generator {j} mapped to free part"
+                    )
+                tors_cols.append(tors)
+        self.matrix = [[c[0][i] for c in cols] for i in range(fr)]
+        self.torsion_matrix = [[t[i] for t in tors_cols]
+                               for i in range(len(self.target_group.torsion))]
+
+    def is_isomorphism(self):
+        from symspec import homology as hl
+
+        return hl._map_is_iso(
+            self.source_group, self.target_group,
+            self.matrix, self.torsion_matrix,
+        )
+
+
+def _transition(X, n, k, data_n, data_n1, C_n1):
+    from symspec import homology as hl
+
+    E = hl.SuspensionChainMap(X.space(n), X.structure_smash(n))
+    sig = X.sigma(n)
+
+    def push(chain):
+        mid = E.apply_chain(k + n, chain)
+        return hl.chain_push(sig, k + n + 1, mid, E.target, C_n1)
+
+    return _pushed_classes_unchecked(data_n, data_n1, push)
+
+
+def stable_colimit_transitions(X, k, require_homotopy=False):
+    """The colimit report with a zero group's transition written out as
+    empty matrices and the others pushed through a fresh suspension."""
+    from symspec import homology as hl
+
+    first = max(0, -k)
+    ns = list(range(first, X.bound + 1))
+    data = {}
+    entries = []
+    gate_ok = True
+    for n in ns:
+        C = hl.normalized_chains(X.space(n))
+        d = C.degree_data(k + n) if C.rank(k + n) else None
+        group = d.group if d else hl.HomologyGroup(0)
+        data[n] = (C, d)
+        entries.append((n, group))
+        if not hl.hurewicz_gate(X.space(n), k + n):
+            gate_ok = False
+    interpretation = "homotopy" if gate_ok else "homology-only"
+    if require_homotopy and not gate_ok:
+        raise hl.HurewiczGateError(
+            "a level has cells below the stable range; homology-only"
+        )
+    maps = []
+    for n in ns[:-1]:
+        C_n, d_n = data[n]
+        C_n1, d_n1 = data[n + 1]
+        g_n = d_n.group if d_n else hl.HomologyGroup(0)
+        g_n1 = d_n1.group if d_n1 else hl.HomologyGroup(0)
+        if d_n is None or g_n.is_zero:
+            matrix = [[] for _ in range(g_n1.free_rank)]
+            residues = [[] for _ in range(len(g_n1.torsion))]
+            iso = g_n1.is_zero
+        elif d_n1 is None:
+            # the replaced loop read d_n1 here and failed; a map into a
+            # degree without cells is the zero map onto the zero group
+            matrix, residues, iso = [], [], False
+        else:
+            matrix, residues = _transition(X, n, k, d_n, d_n1, C_n1)
+            iso = hl._map_is_iso(g_n, g_n1, matrix, residues)
+        maps.append((matrix, residues, iso))
+    stabilized = len(maps) >= 2 and maps[-1][2] and maps[-2][2]
+    stable_from = None
+    if stabilized:
+        stable_from = ns[0]
+        for idx in range(len(maps) - 1, -1, -1):
+            if not maps[idx][2]:
+                stable_from = ns[idx + 1]
+                break
+        stable_group = entries[-1][1]
+    else:
+        stable_group = None
+    return hl.StableColimitReport(
+        k, entries, maps, stabilized, stable_from, stable_group,
+        interpretation,
+    )
+
+
+def stable_map_report_ladder(f, k, require_homotopy=False):
+    """The map report with its own gate loop and a ladder that builds
+    both suspensions per level and skips levels without cells."""
+    from symspec import homology as hl
+
+    X, Y = f.source, f.target
+    first = max(0, -k)
+    ns = list(range(first, X.bound + 1))
+    gate_ok = all(
+        hl.hurewicz_gate(X.space(n), k + n) and hl.hurewicz_gate(Y.space(n), k + n)
+        for n in ns
+    )
+    interpretation = "homotopy" if gate_ok else "homology-only"
+    if require_homotopy and not gate_ok:
+        raise hl.HurewiczGateError(
+            "a level has cells below the stable range; homology-only"
+        )
+    levels = []
+    matrices = []
+    for n in ns:
+        im = InducedMapClassify(f.level(n), k + n)
+        matrices.append(im)
+        levels.append((n, im.source_group, im.target_group))
+    verdict = (
+        "iso-at-all-computed-levels"
+        if all(im.is_isomorphism() for im in matrices)
+        else "not"
+    )
+    ladder = True
+    for n in ns[:-1]:
+        CX = hl.normalized_chains(X.space(n))
+        CX1 = hl.normalized_chains(X.space(n + 1))
+        CY1 = hl.normalized_chains(Y.space(n + 1))
+        sx = CX.degree_data(k + n) if CX.rank(k + n) else None
+        sy1 = CY1.degree_data(k + n + 1) if CY1.rank(k + n + 1) else None
+        if sx is None or sy1 is None:
+            continue
+        EX = hl.SuspensionChainMap(X.space(n), X.structure_smash(n))
+        EY = hl.SuspensionChainMap(Y.space(n), Y.structure_smash(n))
+        for g in sx.free_gen_chains:
+            top = EX.apply_chain(k + n, g)
+            top = hl.chain_push(X.sigma(n), k + n + 1, top, EX.target, CX1)
+            top = hl.chain_push(f.level(n + 1), k + n + 1, top, CX1, CY1)
+            bot = hl.chain_push(f.level(n), k + n, g, CX,
+                                hl.normalized_chains(Y.space(n)))
+            bot = EY.apply_chain(k + n, bot)
+            bot = hl.chain_push(Y.sigma(n), k + n + 1, bot, EY.target, CY1)
+            if sy1.class_of(top) != sy1.class_of(bot):
+                ladder = False
+    return hl.StableMapReport(
+        k, levels, matrices, verdict, interpretation, ladder,
+    )

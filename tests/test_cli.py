@@ -561,6 +561,38 @@ def test_equal_bounds_pass_the_bound_check(capsys, tmp_path):
     assert run(capsys, "pushout-product", ident, ident)[0] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "free:0:{}"],
+    ["cofibration", "free:0:{}", "--bound", "2"],
+    ["stable-colimit", "--spectrum", "free:1:{}", "--k", "0", "--bound", "2"],
+    ["check-lift", "--i", "boundary:1", "--p", "identity:{}"],
+    ["pushout-product", "identity:{}", "boundary:1"],
+])
+def test_builtin_operand_may_name_a_space_file(capsys, tmp_path, argv):
+    circle = tmp_path / "c1.json"
+    circle.write_text(io.canonical(io.dump_space(sset.sphere(1))))
+    from_file = run(capsys, *[a.format(circle) for a in argv])
+    assert from_file[0] == 0
+    assert from_file == run(capsys, *[a.format("sphere1") for a in argv])
+
+
+def test_identity_operand_may_name_a_spectrum_file(capsys, tmp_path):
+    ((spec, ident),) = dump_bounds(tmp_path, 1)
+    by_name = run(capsys, "pushout-product", f"identity:{spec}", f"identity:{spec}")
+    assert by_name[0] == 0
+    assert by_name == run(capsys, "pushout-product", ident, ident)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "horn:2:3"],
+    ["check-lift", "--i", "horn:2:3", "--p", "identity:sphere1"],
+])
+def test_horn_range_is_checked_for_spaces_and_maps(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "horn:2:3: horn indices out of range"}
+
+
 @pytest.mark.parametrize("flag,value", [("--levels", "-1"), ("--dims", "-2")])
 def test_gen_sets_rejects_negative_sizes(capsys, flag, value):
     sizes = {"--levels": "0", "--dims": "1", flag: value}

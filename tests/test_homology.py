@@ -15,6 +15,7 @@ import symspec.homology as hl
 import symspec.spectra as sp
 import symspec.sset as sset
 
+import corpus
 import oracle
 
 
@@ -730,3 +731,104 @@ def test_hz_level_six():
     data = C.degree_data(6)
     (gen,) = data.free_gen_chains
     assert data.class_of(gen) == ((1,), ())
+
+
+# ---------------------------------------------------------------------------
+# one push path against the per-report loops it replaced
+
+
+def test_torsion_pushed_to_free_part_is_rejected():
+    moore = hl.ChainComplex({1: 1, 2: 1}, {2: [{0: 2}]}, name="moore")
+    circle = hl.normalized_chains(sset.circle())
+    with pytest.raises(hl.HomologyInputError,
+                       match="H_1 torsion generator 0 mapped to free part"):
+        hl._pushed_classes(moore.degree_data(1), circle.degree_data(1), dict)
+
+
+def test_transition_into_a_degree_without_cells_is_zero(tower):
+    # level 2 of this spectrum is S^0 and level 3 has no 1-cells; the loop
+    # this path replaced read the degree-1 data of level 3 and failed
+    X = corpus.trivial_action_spectrum(tower)
+    rep = hl.stable_colimit(X, -2)
+    assert [(n, g) for n, g in rep.entries] == [(2, Z()), (3, Z(0))]
+    assert rep.maps == [([], [], False)]
+    assert not rep.stabilized
+
+
+def induced_map_fields(im):
+    return im.source_group, im.target_group, im.matrix, im.torsion_matrix
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_induced_map_matches_the_classify_loop(seed):
+    # targets include the point and S^0, whose empty degrees the old loop
+    # answered without degree data
+    r = random.Random(seed)
+    A = corpus.random_space(r, max_cells=4)
+    X = r.choice(corpus.space_menu() + [sset.point(), sset.zero_sphere()])
+    f = r.choice(sset.all_maps(A, X))
+    for k in range(-1, max(A.dim, X.dim) + 2):
+        new, old = hl.InducedMap(f, k), oracle.InducedMapClassify(f, k)
+        assert induced_map_fields(new) == induced_map_fields(old), (f, k)
+        assert new.is_isomorphism() == old.is_isomorphism(), (f, k)
+
+
+@pytest.fixture(scope="module")
+def report_spectra(tower):
+    return corpus.spectrum_corpus(tower)
+
+
+def report_or_error(report, *args):
+    try:
+        rep = report(*args)
+    except hl.HurewiczGateError as exc:
+        return "raised", str(exc)
+    if isinstance(rep, hl.StableColimitReport):
+        return rep.to_json(), rep.maps, rep.stable_from, rep.stable_group
+    return (rep.to_json(), rep.ladder_commutes,
+            [induced_map_fields(im) for im in rep.matrices])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_stable_colimit_matches_the_transition_loop(report_spectra, data):
+    X = data.draw(st.sampled_from(report_spectra))
+    k = data.draw(st.integers(-X.bound - 1, 2))
+    require = data.draw(st.booleans())
+    assert report_or_error(hl.stable_colimit, X, k, require) == report_or_error(
+        oracle.stable_colimit_transitions, X, k, require
+    ), (X, k, require)
+
+
+def collapsed_level_map(X, m):
+    """Levelwise the identity of X but constant at level m: equivariant at
+    every level, and its ladder squares at m - 1 and m need not commute."""
+    comps = [sset.identity_map(X.space(n)) for n in range(X.bound + 1)]
+    comps[m] = sset.constant_map(X.space(m), X.space(m))
+    return sp.SpectrumMap(X, X, comps)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_stable_map_report_matches_the_ladder_loop(tower, report_spectra, data):
+    kind = data.draw(st.sampled_from(["identity", "cofibration", "collapsed"]))
+    if kind == "cofibration":
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        f = corpus.random_stable_cofibration(random.Random(seed), tower)
+    else:
+        X = data.draw(st.sampled_from(report_spectra))
+        if kind == "identity":
+            f = sp.identity_spectrum_map(X)
+        else:
+            f = collapsed_level_map(X, data.draw(st.integers(0, X.bound)))
+    k = data.draw(st.integers(-f.source.bound - 1, 2))
+    require = data.draw(st.booleans())
+    assert report_or_error(hl.stable_map_report, f, k, require) == report_or_error(
+        oracle.stable_map_report_ladder, f, k, require
+    ), (f, k, require)
+
+
+def test_collapsing_a_level_breaks_the_ladder(tower):
+    S = sp.sphere_spectrum(2, tower)
+    assert not hl.stable_map_report(collapsed_level_map(S, 1), 0).ladder_commutes
