@@ -36,6 +36,10 @@ class InputError(Exception):
         super().__init__(payload.get("error", "input error"))
 
 
+class InvalidFileError(InputError):
+    """A file that parses as JSON but does not hold a valid object."""
+
+
 class Workspace:
     """Shared circle tower plus the bound/budget configuration.
 
@@ -101,7 +105,7 @@ def _load_file(ws, token):
     try:
         return io.load(data, tower=ws.tower, where=token)
     except io.FormatError as exc:
-        raise InputError(str(exc)) from exc
+        raise InvalidFileError(str(exc)) from exc
 
 
 def _want(obj, kinds, token):
@@ -207,18 +211,9 @@ def resolve_any(ws, token):
 def cmd_validate(ws, args):
     try:
         obj = resolve_any(ws, args.object)
-    except InputError as exc:
-        # parseable but invalid objects are a refuted property, not bad input
-        if _looks_like_file(args.object) and "malformed JSON" not in str(exc):
-            payload = dict(exc.payload)
-            if "error" not in payload:
-                raise
-            return (
-                {"type": "validation_report", "ok": False,
-                 "reason": payload["error"]},
-                1,
-            )
-        raise
+    except InvalidFileError as exc:
+        # a parseable but invalid object is a refuted property, not bad input
+        return {"type": "validation_report", "ok": False, "reason": str(exc)}, 1
     report = {"type": "validation_report", "ok": True}
     if isinstance(obj, sp.SymmetricSpectrum):
         res = sp.validate_spectrum(obj, quick=args.quick)

@@ -219,15 +219,20 @@ def dump_sequence(S):
     }
 
 
-def load_sequence(data, where="sequence"):
-    levels_data = _field(data, "levels", list, where)
-    _check(levels_data, f"{where}: a sequence needs at least level 0")
+def _load_levels(levels_data, where):
+    """The level list of a sequence or spectrum; level n must have degree n."""
     levels = []
     for n, lv in enumerate(levels_data):
         level = load_equivariant(lv, f"{where}.levels[{n}]")
         _check(level.n == n, f"{where}.levels[{n}]: degree must equal the level")
         levels.append(level)
-    return sq.SymmetricSequence(levels, name=data.get("name"))
+    return levels
+
+
+def load_sequence(data, where="sequence"):
+    levels_data = _field(data, "levels", list, where)
+    _check(levels_data, f"{where}: a sequence needs at least level 0")
+    return sq.SymmetricSequence(_load_levels(levels_data, where), name=data.get("name"))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +280,7 @@ def load_spectrum(data, tower=None, where="spectrum"):
         len(sigma_data) == bound,
         f"{where}: bound {bound} needs {bound} structure maps",
     )
-    levels = []
-    for n, lv in enumerate(levels_data):
-        level = load_equivariant(lv, f"{where}.levels[{n}]")
-        _check(level.n == n, f"{where}.levels[{n}]: degree must equal the level")
-        levels.append(level)
-    seq = sq.SymmetricSequence(levels, name=data.get("name"))
+    seq = sq.SymmetricSequence(_load_levels(levels_data, where), name=data.get("name"))
     tower = tower or eq.SphereTower()
     s1_by_str = {str(c): c for c in tower.s1.cell_ids()}
 

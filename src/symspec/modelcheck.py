@@ -12,6 +12,7 @@ from . import equivariant as eq
 from . import homology as hl
 from . import spectra as sp
 from . import sset
+from . import symseq as sq
 from .sset import Budget, BudgetExceeded
 
 DEFAULT_LIFT_BUDGET = 10 ** 6
@@ -40,19 +41,17 @@ def _check_same_frame(A, X, what):
 
 
 def _latching_data(X):
-    """(X ^ Sbar, the natural map X ^ Sbar -> X), cached on X."""
+    """(X ^ Sbar, the comparison X ^ Sbar -> X), cached on X: L_nX is
+    (X ^ Sbar)_n, and the comparison is the action of Sbar on X, the left
+    action after the twist X (x) Sbar -> Sbar (x) X, descended once."""
     if not hasattr(X, "_latching"):
-        tower = X.tower
-        bar = sp.bar_sphere(X.bound, tower)
-        S = sp.sphere_spectrum(X.bound, tower)
+        bar = sp.bar_sphere(X.bound, X.tower)
         XB = sp.smash_spectra(X, bar)
-        XS = sp.smash_spectra(X, S)
-        SX = sp.smash_spectra(S, X)
-        incl = sp.smash_map_spectra(
-            XB, XS, sp.identity_spectrum_map(X), sp.bar_inclusion(bar, S)
+        T_bx = sq.tensor(bar.seq, X.seq)
+        act = sp.left_action_map(X, T_bx).compose(sq.twist_iso(XB.T, T_bx))
+        nat = sp.SpectrumMap(
+            XB, X, [sset.descend(q.projection, act.level(n)) for n, q in enumerate(XB.quotients)]
         )
-        unit = sp.smash_unit_iso(SX)[0]
-        nat = unit.compose(sp.smash_comm_iso(XS, SX)).compose(incl)
         X._latching = (XB, nat)
     return X._latching
 
@@ -60,9 +59,9 @@ def _latching_data(X):
 def latching(X, n):
     """The n-th latching space L_nX with its natural map to X_n.
 
-    Returns (EquivariantSpace, SimplicialMap).  Smashing with the
-    truncated sphere collects at level n everything reachable from
-    lower levels through the structure maps.
+    Returns (EquivariantSpace, SimplicialMap): L_nX = (X ^ Sbar)_n, which
+    collects at level n what lower levels reach through the structure
+    maps, and the twisted left action of Sbar on X, descended once.
     """
     if not 0 <= n <= X.bound:
         raise IndexError(f"latching level {n} outside [0, {X.bound}]")
@@ -109,11 +108,7 @@ def latching_corner(f):
     YB, nat_y = _latching_data(Y)
     Lf = sp.smash_map_spectra(XB, YB, f, sp.identity_spectrum_map(XB.Y))
     P, _, _ = sp.pushout_spectrum(nat_x, Lf, name=f"corner({X.name}->{Y.name})")
-    comps = [
-        sset.map_out_of_pushout(po, f.level(n), nat_y.level(n))
-        for n, po in enumerate(P.pushouts)
-    ]
-    return sp.SpectrumMap(P, Y, comps)
+    return sp.map_out_of_pushout(P, f, nat_y)
 
 
 def stable_cofibration_check(f):

@@ -936,6 +936,16 @@ def pushout_spectrum(F, G, name=None):
     return P, leg1, leg2
 
 
+def map_out_of_pushout(P, to1, to2):
+    """h: P -> Z with h . leg1 = to1 and h . leg2 = to2, for P from
+    ``pushout_spectrum``: ``sset.map_out_of_pushout`` on each level."""
+    comps = [
+        sset.map_out_of_pushout(po, to1.level(n), to2.level(n))
+        for n, po in enumerate(P.pushouts)
+    ]
+    return SpectrumMap(P, to1.target, comps)
+
+
 def _vertex_map(X, K, vertex_cell, P):
     """X -> X ^ K at a chosen vertex of K; P = prolong_smash(X, K)."""
     return SpectrumMap(
@@ -959,12 +969,11 @@ def mapping_cylinder(f):
     i = leg1.compose(end1)
     s = leg2
     # r: collapse the interval, then f, and the identity on the Y part
-    r_comps = []
-    for n, po in enumerate(Mf.pushouts):
-        fn, Yn = f.level(n), Y.space(n)
-        collapse = cyl.seq.smashes[n].map_out(Yn, lambda fx, fi: fn.apply(fx))
-        r_comps.append(sset.map_out_of_pushout(po, collapse, sset.identity_map(Yn)))
-    r = SpectrumMap(Mf, Y, r_comps)
+    collapse = [
+        sm.map_out(Y.space(n), lambda fx, fi: f.level(n).apply(fx))
+        for n, sm in enumerate(cyl.seq.smashes)
+    ]
+    r = map_out_of_pushout(Mf, SpectrumMap(cyl, Y, collapse), identity_spectrum_map(Y))
     return Mf, i, r, s
 
 
@@ -999,12 +1008,7 @@ def _corner(f, g, smash_of, map_of):
     ux, vx, uy, vy = smash_of(U, Xs), smash_of(V, Xs), smash_of(U, Ys), smash_of(V, Ys)
     a, b = map_of(ux, vx, f, None), map_of(ux, uy, None, g)
     P, leg1, leg2 = pushout_spectrum(a, b, name=f"corner({U.name},{Xs.name})")
-    to_vy = (map_of(vx, vy, None, g), map_of(uy, vy, f, None))
-    comps = [
-        sset.map_out_of_pushout(po, to_vy[0].level(n), to_vy[1].level(n))
-        for n, po in enumerate(P.pushouts)
-    ]
-    corner = SpectrumMap(P, vy, comps)
+    corner = map_out_of_pushout(P, map_of(vx, vy, None, g), map_of(uy, vy, f, None))
     corner.corner_legs = (leg1, leg2)
     return corner, {"ux": ux, "vx": vx, "uy": uy, "vy": vy}
 

@@ -15,8 +15,9 @@ per square, maps out of quotients, pushouts, smash products and tensors
 written out cell by cell, the Sigma_n actions and maps on wedges of copies
 read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere concatenation built from flattened
-circle coordinates, the smash's quotient map from the product, and the
-homology reports with a push loop each), built from package primitives, as
+circle coordinates, the smash's quotient map from the product, the
+homology reports with a push loop each, and the latching comparison
+through three smash spectra), built from package primitives, as
 references for the constructions that took their place.
 """
 
@@ -434,6 +435,25 @@ def _triple_tensor_maps(X, Y, T_xy):
         T_x_sy, T_xy, sq.identity_seq_map(X.seq), sp.left_action_map(Y, T_sy)
     ).compose(al)
     return r_map, l_map, T_xs_y
+
+
+def latching_by_three_smashes(X):
+    """(X ^ Sbar, the comparison X ^ Sbar -> X) the long way, uncached.
+
+    X ^ Sbar goes into X ^ S by the bar inclusion, onto S ^ X by the
+    symmetry and onto X by the unit isomorphism: three smash spectra, two
+    of them built only to be collapsed again.
+    """
+    from symspec import spectra as sp
+
+    bar = sp.bar_sphere(X.bound, X.tower)
+    S = sp.sphere_spectrum(X.bound, X.tower)
+    XB, XS, SX = sp.smash_spectra(X, bar), sp.smash_spectra(X, S), sp.smash_spectra(S, X)
+    incl = sp.smash_map_spectra(
+        XB, XS, sp.identity_spectrum_map(X), sp.bar_inclusion(bar, S)
+    )
+    unit = sp.smash_unit_iso(SX)[0]
+    return XB, unit.compose(sp.smash_comm_iso(XS, SX)).compose(incl)
 
 
 def smith_normal_form_full_scan(M):

@@ -78,6 +78,16 @@ def test_validate_names_a_face_on_a_missing_cell(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("token", ["{}", "free:0:{}"])
+def test_validate_unreadable_file_is_input_error(capsys, tmp_path, token):
+    # only a file that parses and fails validation refutes the property
+    missing = tmp_path / "nonexistent.json"
+    code, out, err = run(capsys, "validate", token.format(missing))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"].startswith(f"cannot read {missing}: ")
+    assert run(capsys, "homology", str(missing))[::2] == (code, err)
+
+
 def test_broken_identity_is_rejected_in_optimized_mode(tmp_path):
     # d_1 and d_2 of the 2-simplex swapped: without its checks, -O let
     # `validate` answer ok and `homology` fail with a traceback

@@ -103,6 +103,68 @@ def test_latching_map_validates_as_spectrum_map(tower):
     assert nat.validate()
 
 
+@pytest.fixture(scope="module")
+def valid_corpus(tower):
+    """The corpus spectra that validate: all but the two broken on purpose."""
+    valid = [X for X in corpus.spectrum_corpus(tower) if sp.validate_spectrum(X)["ok"]]
+    assert len(valid) == 9
+    return valid
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("corpus"), st.integers(min_value=0, max_value=8)),
+        st.tuples(st.just("cofibration"), st.integers(min_value=0, max_value=10 ** 6)),
+    )
+)
+def test_latching_matches_the_three_smash_oracle(tower, valid_corpus, case):
+    kind, k = case
+    if kind == "corpus":
+        spectra = [valid_corpus[k]]
+    else:
+        f = corpus.random_stable_cofibration(random.Random(k), tower)
+        spectra = [f.source, f.target]
+    for X in spectra:
+        XB, nat = mc._latching_data(X)
+        old_XB, old_nat = oracle.latching_by_three_smashes(X)
+        for n in range(X.bound + 1):
+            new, old, where = XB.level(n), old_XB.level(n), (case, X.name, n)
+            assert new.space.cells == old.space.cells, where
+            assert new.space.faces == old.space.faces, where
+            assert new.space.basepoint == old.space.basepoint, where
+            assert [g.assign for g in new.generators] == [
+                g.assign for g in old.generators
+            ], where
+            assert nat.level(n).assign == old_nat.level(n).assign, where
+
+
+@pytest.fixture
+def smashes_built(monkeypatch):
+    """The SmashSpectrum instances constructed while the test runs."""
+    built = []
+    init = sp.SmashSpectrum.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp.SmashSpectrum, "__init__", counting)
+    return built
+
+
+def test_latching_builds_one_smash(tower, smashes_built):
+    F = sp.free_F(1, sset.circle(), 3, tower)
+    mc.latching(F, 2)
+    assert len(smashes_built) == 1
+
+
+def test_cofibration_check_builds_one_smash_per_endpoint(tower, smashes_built):
+    F = sp.free_F(0, sset.zero_sphere(), 3, tower)
+    mc.stable_cofibration_check(point_into(F, tower))
+    assert len(smashes_built) == 2
+
+
 def test_latching_out_of_bound(tower):
     F = sp.free_F(0, sset.circle(), 2, tower)
     with pytest.raises(IndexError):
