@@ -182,7 +182,7 @@ def resolve_map(ws, token):
     if m:
         r = int(m.group(1))
         return sset.subset_inclusion(_builtin_space(token), sset.delta_plus(r))
-    if _FREE.match(token):
+    if token == "sphere" or _FREE.match(token):
         return _point_into(ws, resolve_spectrum(ws, token))
     m = _IDENTITY.match(token)
     if m:

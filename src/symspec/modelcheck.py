@@ -12,7 +12,6 @@ from . import equivariant as eq
 from . import homology as hl
 from . import spectra as sp
 from . import sset
-from . import symseq as sq
 from .sset import Budget, BudgetExceeded
 
 DEFAULT_LIFT_BUDGET = 10 ** 6
@@ -41,27 +40,28 @@ def _check_same_frame(A, X, what):
 
 
 def _latching_data(X):
-    """(X ^ Sbar, the comparison X ^ Sbar -> X), cached on X: L_nX is
-    (X ^ Sbar)_n, and the comparison is the action of Sbar on X, the left
-    action after the twist X (x) Sbar -> Sbar (x) X, descended once."""
+    """(X ^ Sbar, the comparison X ^ Sbar -> X), cached on X: L_nX = (X ^ Sbar)_n.
+    The comparison is x ^ s |-> m_mu . rho_{q,p} . sigma^q(s ^ x) on the (p, q, mu)
+    copy of X (x) Sbar, descended once: the left action after the twist into
+    Sbar (x) X, whose block part passes through the equivariant sigma^q."""
     if not hasattr(X, "_latching"):
-        bar = sp.bar_sphere(X.bound, X.tower)
-        XB = sp.smash_spectra(X, bar)
-        T_bx = sq.tensor(bar.seq, X.seq)
-        act = sp.left_action_map(X, T_bx).compose(sq.twist_iso(XB.T, T_bx))
-        nat = sp.SpectrumMap(
-            XB, X, [sset.descend(q.projection, act.level(n)) for n, q in enumerate(XB.quotients)]
-        )
-        X._latching = (XB, nat)
+        XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
+
+        def summand(n, p, q, mu):  # q >= 1 on every summand with cells: Sbar_0 is a point
+            delta = eq.compose_perm(eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p))
+            act, sig, sm = X.level(n).act(delta), X.sigma_power(q, p), X.power_smash(q, p)
+            return lambda fx, fs: act.apply(sig.apply(sm.form_of_pair(fs, fx)))
+        comps = zip(XB.quotients, XB.T.map_out(X.seq, summand).components)
+        X._latching = XB, sp.SpectrumMap(XB, X, [sset.descend(q.projection, a) for q, a in comps])
     return X._latching
 
 
 def latching(X, n):
     """The n-th latching space L_nX with its natural map to X_n.
 
-    Returns (EquivariantSpace, SimplicialMap): L_nX = (X ^ Sbar)_n, which
-    collects at level n what lower levels reach through the structure
-    maps, and the twisted left action of Sbar on X, descended once.
+    Returns (EquivariantSpace, SimplicialMap): L_nX = (X ^ Sbar)_n, what lower
+    levels reach through the structure maps, and the twisted left action of Sbar
+    on X, which is m_mu . rho_{q,p} . sigma^q(s ^ x) by equivariance of sigma^q.
     """
     if not 0 <= n <= X.bound:
         raise IndexError(f"latching level {n} outside [0, {X.bound}]")

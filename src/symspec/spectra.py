@@ -376,7 +376,8 @@ def free_F_map(src, tgt, f):
 
 
 def left_action_map(X, T):
-    """lambda: S (x) X -> X collapsing the sphere factor through sigma^p."""
+    """lambda: S (x) X -> X collapsing the sphere factor through sigma^p; in
+    the package only ``smash_unit_iso`` uses it (the latching map needs no S (x) X)."""
     if T.Y is not X.seq:
         raise sset.PreconditionError(f"{T!r} is not a tensor with {X.seq!r}")
 

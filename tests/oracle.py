@@ -17,8 +17,9 @@ read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere concatenation built from flattened
 circle coordinates, the smash's quotient map from the product, the
 homology reports with a push loop each, and the latching comparison
-through three smash spectra), built from package primitives, as
-references for the constructions that took their place.
+through three smash spectra and through the tensor twist), built from
+package primitives, as references for the constructions that took their
+place.
 """
 
 import itertools
@@ -454,6 +455,25 @@ def latching_by_three_smashes(X):
     )
     unit = sp.smash_unit_iso(SX)[0]
     return XB, unit.compose(sp.smash_comm_iso(XS, SX)).compose(incl)
+
+
+def latching_comparison_by_twist(X):
+    """(X ^ Sbar, the comparison X ^ Sbar -> X) through a second tensor, uncached.
+
+    The left action of Sbar on X after the tensor twist
+    X (x) Sbar -> Sbar (x) X, descended once through each level's quotient.
+    """
+    from symspec import spectra as sp
+    from symspec import sset
+    from symspec import symseq as sq
+
+    bar = sp.bar_sphere(X.bound, X.tower)
+    XB = sp.smash_spectra(X, bar)
+    T_bx = sq.tensor(bar.seq, X.seq)
+    act = sp.left_action_map(X, T_bx).compose(sq.twist_iso(XB.T, T_bx))
+    return XB, sp.SpectrumMap(
+        XB, X, [sset.descend(q.projection, act.level(n)) for n, q in enumerate(XB.quotients)]
+    )
 
 
 def smith_normal_form_full_scan(M):

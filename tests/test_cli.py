@@ -593,6 +593,21 @@ def test_identity_operand_may_name_a_spectrum_file(capsys, tmp_path):
     assert by_name == run(capsys, "pushout-product", ident, ident)
 
 
+def test_sphere_as_a_map_is_the_point_into_the_sphere(capsys):
+    by_name = run(capsys, "cofibration", "sphere", "--bound", "3")
+    assert by_name[0] == 0
+    assert by_name == run(capsys, "cofibration", "free:0:sphere0", "--bound", "3")
+
+
+@pytest.mark.parametrize("argv,kind", [
+    (["stable-map", "sphere", "--k", "0"], "stable_map_report"),
+    (["cylinder", "sphere"], "cylinder_report"),
+])
+def test_sphere_resolves_as_a_map(capsys, argv, kind):
+    code, data = payload(capsys, *argv)
+    assert (code, data["type"]) == (0, kind)
+
+
 @pytest.mark.parametrize("argv", [
     ["homology", "horn:2:3"],
     ["check-lift", "--i", "horn:2:3", "--p", "identity:sphere1"],

@@ -6,10 +6,11 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import symspec.equivariant as eq
 import symspec.homology as hl
+import symspec.jsonio as io
 import symspec.modelcheck as mc
 import symspec.spectra as sp
 import symspec.sset as sset
@@ -139,6 +140,44 @@ def test_latching_matches_the_three_smash_oracle(tower, valid_corpus, case):
             assert nat.level(n).assign == old_nat.level(n).assign, where
 
 
+@pytest.fixture(scope="module")
+def reloaded_spectra(tower):
+    """F_1S^1 and F_0S^1 ^ F_0S^1 at bound 3 after a JSON round trip: their
+    sigma^3 is iterated from loaded structure maps, whose equivariance
+    loading checks only for p <= 2."""
+    F0 = sp.free_F(0, sset.circle(), 3, tower)
+    return [
+        io.load_spectrum(io.dump_spectrum(X), tower)
+        for X in (sp.free_F(1, sset.circle(), 3, tower), sp.smash_spectra(F0, F0))
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just("corpus"), st.integers(min_value=0, max_value=8)),
+        st.tuples(st.just("cofibration"), st.integers(min_value=0, max_value=10 ** 6)),
+        st.tuples(st.just("reloaded"), st.integers(min_value=0, max_value=1)),
+    )
+)
+@example(("reloaded", 0))
+@example(("reloaded", 1))
+def test_latching_matches_the_twist_oracle(tower, valid_corpus, reloaded_spectra, case):
+    kind, k = case
+    if kind == "corpus":
+        spectra = [valid_corpus[k]]
+    elif kind == "reloaded":
+        spectra = [reloaded_spectra[k]]
+    else:
+        f = corpus.random_stable_cofibration(random.Random(k), tower)
+        spectra = [f.source, f.target]
+    for X in spectra:
+        _, nat = mc._latching_data(X)
+        _, old_nat = oracle.latching_comparison_by_twist(X)
+        for n in range(X.bound + 1):
+            assert nat.level(n).assign == old_nat.level(n).assign, (case, X.name, n)
+
+
 @pytest.fixture
 def smashes_built(monkeypatch):
     """The SmashSpectrum instances constructed while the test runs."""
@@ -163,6 +202,38 @@ def test_cofibration_check_builds_one_smash_per_endpoint(tower, smashes_built):
     F = sp.free_F(0, sset.zero_sphere(), 3, tower)
     mc.stable_cofibration_check(point_into(F, tower))
     assert len(smashes_built) == 2
+
+
+@pytest.fixture
+def count_tensors(monkeypatch):
+    """Starts counting TensorSequence constructions; returns the running list."""
+
+    def start():
+        built = []
+        init = sq.TensorSequence.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sq.TensorSequence, "__init__", counting)
+        return built
+
+    return start
+
+
+def test_latching_builds_one_tensor(tower, count_tensors):
+    F = sp.free_F(1, sset.circle(), 3, tower)
+    built = count_tensors()
+    mc.latching(F, 2)
+    assert len(built) == 1
+
+
+def test_cofibration_check_builds_one_tensor_per_endpoint(tower, count_tensors):
+    f = point_into(sp.free_F(0, sset.zero_sphere(), 3, tower), tower)
+    built = count_tensors()
+    mc.stable_cofibration_check(f)
+    assert len(built) == 2
 
 
 def test_latching_out_of_bound(tower):
