@@ -37,6 +37,7 @@ tracer times it.
 
 import functools
 import itertools
+import math
 
 
 # ---------------------------------------------------------------------------
@@ -1042,48 +1043,80 @@ def _search_cells(A):
     ]
 
 
+def _join(tables):
+    """The columns and the product of the rows of disjoint (cols, rows) tables."""
+    cols, rows = [], [[]]
+    for i, (tcols, trows) in enumerate(tables):
+        cols += tcols
+        rows = [r + s for r in rows for s in trows] if i else trows
+    return cols, rows
+
+
 def all_maps(A, X, budget=None):
     """All pointed simplicial maps A -> X, in a fixed deterministic order.
 
-    Backtracking over the non-base cells of A in (dim, id) order.  The
-    images of a k-cell's faces fix the face row of its image, so the
-    candidates are ``X.forms_by_row(k)[row]``, in ``X.forms(k)`` order.
+    The order is that of backtracking over the non-base cells of A in
+    (dim, id) order, where the images of a k-cell's faces fix the face row
+    of its image and the candidates are ``X.forms_by_row(k)[row]``, in
+    ``X.forms(k)`` order: the maps sorted by the ``X.forms(k)`` positions
+    of their images, cell by cell.
 
-    ``budget`` (a ``Budget``, possibly shared) raises ``BudgetExceeded``
-    when it runs out.  Each visit to a non-base k-cell costs
-    len(X.forms(k)) probes, the forms a face-by-face scan would test; the
-    basepoint costs none.  These probes are part of the ``checked`` of
-    ``has_lifting_property``, which the CLI prints.
+    Every prefix of that cell order is face-closed, so the search would
+    visit N(pos) nodes at depth pos, N(pos) being the number of pointed
+    maps from the first pos cells (and the basepoint) to X, and would probe
+    len(X.forms(k)) forms at each, a face-by-face scan's count.  So
+    checked = sum over pos of N(pos) * len(X.forms(k_pos)), and ``budget``
+    (a ``Budget``, possibly shared) is charged exactly that, raising
+    ``BudgetExceeded`` when it runs out.  These probes are part of the
+    ``checked`` of ``has_lifting_property``, which the CLI prints.
+
+    The nodes themselves are not visited.  Each connected component of the
+    prefix (the basepoint belongs to none) keeps the table of its maps, and
+    N(pos) is the product of the table sizes.  Cell c_pos is charged first;
+    then the tables of the components its faces touch are joined, and each
+    joined row is kept once per candidate for its face row.  A join reads
+    at most N(pos) rows, so the budget bounds the work.  The maps are the
+    product of the last tables, sorted into the search order.
     """
     cells = _search_cells(A)
-    index = {k: X.forms_by_row(k) for k in A.cells}
-    charge = {k: len(X.forms(k)) for k in A.cells}
-    assign = {A.basepoint: ((), X.basepoint)}
-    out = []
-
-    def rec(pos):
-        if pos == len(cells):
-            out.append(SimplicialMap(A, X, assign))
-            return
-        c, faces, k = cells[pos]
+    base = ((), X.basepoint)
+    comp_of, tables = {}, {}
+    for c, faces, k in cells:
         if budget is not None:
-            budget.spend(charge[k])
-        row = tuple([word_compose(w, assign[t]) for w, t in faces])
-        for form in index[k].get(row, ()):
-            assign[c] = form
-            rec(pos + 1)
-        assign.pop(c, None)
-
-    rec(0)
-    return out
+            n = math.prod(len(rows) for _, rows in tables.values())
+            budget.spend(len(X.forms(k)) * n)
+        touched = dict.fromkeys(comp_of[t] for _, t in faces if t != A.basepoint)
+        cols, rows = _join([tables.pop(cid) for cid in touched])
+        at = {t: j for j, t in enumerate(cols)}
+        picks = [(w, at.get(t)) for w, t in faces]
+        index = X.forms_by_row(k)
+        out = []
+        for r in rows:
+            row = tuple([word_compose(w, base if j is None else r[j]) for w, j in picks])
+            for form in index.get(row, ()):
+                out.append(r + [form])
+        cols.append(c)
+        for t in cols:
+            comp_of[t] = c
+        tables[c] = (cols, out)
+    cols, rows = _join(tables.values())
+    at = {t: j for j, t in enumerate(cols)}
+    order = [at[c] for c, _, _ in cells]
+    rank = {k: {f: i for i, f in enumerate(X.forms(k))} for k in A.cells}
+    ranks = [rank[k] for _, _, k in cells]
+    images = [[r[j] for j in order] for r in rows]
+    images.sort(key=lambda v: [rk[f] for rk, f in zip(ranks, v)])
+    keys = [A.basepoint] + [c for c, _, _ in cells]
+    return [SimplicialMap(A, X, dict(zip(keys, [base] + v))) for v in images]
 
 
 def find_isomorphism(A, X):
     """An isomorphism A -> X if one exists, else None.
 
     Isomorphisms send nondegenerate simplices to nondegenerate simplices
-    bijectively in each dimension, so this is the search of ``all_maps``
-    restricted to unused nondegenerate candidates, stopped at the first map.
+    bijectively in each dimension, so this backtracks over the cells in the
+    order of ``all_maps``, tries only unused nondegenerate candidates for
+    the face row, and stops at the first map.
     """
     dims = set(A.cells) | set(X.cells)
     if any(A.n_cells(k) != X.n_cells(k) for k in dims):

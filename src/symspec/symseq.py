@@ -310,20 +310,17 @@ def tensor_map(T_src, T_tgt, f, g):
 def twist_iso(T_xy, T_yx):
     """The symmetry X (x) Y -> Y (x) X.
 
-    A (p, q, mu) summand lands in the (q, p) summand named by the normal
-    form of m_mu . rho_{q,p}, swapping the smash factors and letting the
-    block parts act.
+    A (p, q, mu) summand lands in the (q, p) summand of the complement of
+    mu, swapping the smash factors: m_mu . rho_{q,p} is itself the
+    (q, p)-shuffle onto the complement, so no block part acts.
     """
     if not (T_xy.X is T_yx.Y and T_xy.Y is T_yx.X):
         raise sset.PreconditionError(f"{T_yx!r} is not the twist of {T_xy!r}")
-    X, Y = T_xy.X, T_xy.Y
 
     def summand(n, p, q, mu):
-        delta = eq.compose_perm(eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p))
-        mu2, beta, gamma = eq.coset_factor(delta, tuple(range(q)), q, p)
-        sm, ay, ax = T_yx.smashes[(q, p)], Y.level(q).act(beta), X.level(p).act(gamma)
-        into = T_yx.inclusion(n, q, p, mu2)
-        return lambda fa, fb: into.apply(sm.form_of_pair(ay.apply(fb), ax.apply(fa)))
+        sm = T_yx.smashes[(q, p)]
+        into = T_yx.inclusion(n, q, p, tuple(i for i in range(n) if i not in mu))
+        return lambda fa, fb: into.apply(sm.form_of_pair(fb, fa))
 
     return T_xy.map_out(T_yx, summand)
 

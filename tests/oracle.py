@@ -10,8 +10,9 @@ The last section is different: it keeps constructions the package replaced
 (the worklist congruence closure, the smash as a collapsed product, the
 smash of spectra as a triple-tensor coequalizer, the Smith form without its
 unit shortcuts, kernel coordinates through a rational inverse, the map
-enumerator that scans every candidate form, the lifting search that composes
-per square, maps out of quotients, pushouts, smash products and tensors
+enumerator that scans every candidate form, the backtracking enumerator
+indexed by face rows, the lifting search that composes per square, maps
+out of quotients, pushouts, smash products and tensors
 written out cell by cell, the Sigma_n actions and maps on wedges of copies
 read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere concatenation built from flattened
@@ -700,6 +701,43 @@ def all_space_maps_scan(A, X, budget=None):
 
     extend(0, {A.basepoint: ((), X.basepoint)})
     return [sset.SimplicialMap(A, X, a) for a in found]
+
+
+def all_maps_dfs(A, X, budget=None):
+    """Every pointed simplicial map A -> X by the indexed backtracking search.
+
+    Cells of A in (dim, id) order; the images of a k-cell's faces fix its
+    face row, whose forms ``X.forms_by_row(k)`` lists in ``X.forms(k)``
+    order.  Each node visited for a non-base k-cell charges
+    len(X.forms(k)) probes to ``budget`` (an ``sset.Budget``).
+    """
+    from symspec import sset
+
+    cells = [
+        (c, A.faces[c] if A.dim_of[c] else (), A.dim_of[c])
+        for c in A.cell_ids()
+        if c != A.basepoint
+    ]
+    index = {k: X.forms_by_row(k) for k in A.cells}
+    charge = {k: len(X.forms(k)) for k in A.cells}
+    assign = {A.basepoint: ((), X.basepoint)}
+    out = []
+
+    def rec(pos):
+        if pos == len(cells):
+            out.append(sset.SimplicialMap(A, X, assign))
+            return
+        c, faces, k = cells[pos]
+        if budget is not None:
+            budget.spend(charge[k])
+        row = tuple([sset.word_compose(w, assign[t]) for w, t in faces])
+        for form in index[k].get(row, ()):
+            assign[c] = form
+            rec(pos + 1)
+        assign.pop(c, None)
+
+    rec(0)
+    return out
 
 
 def has_lifting_property_scan(i, p, budget):

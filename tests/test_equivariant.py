@@ -241,6 +241,25 @@ def test_coset_factorization_exhaustive_small():
                     assert lhs == rhs
 
 
+def test_the_twist_coset_is_the_complement_shuffle():
+    # m_mu . rho_{q,p} is the (q, p)-shuffle onto the complement of mu, so
+    # symseq.twist_iso moves the (p, q, mu) summand with no block part acting
+    cases = 0
+    for n in range(8):
+        for p in range(n + 1):
+            q = n - p
+            for mu in eq.all_shuffles(p, q):
+                delta = eq.compose_perm(
+                    eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p)
+                )
+                complement = tuple(i for i in range(n) if i not in mu)
+                assert eq.coset_factor(delta, tuple(range(q)), q, p) == (
+                    complement, tuple(range(q)), tuple(range(p))
+                )
+                cases += 1
+    assert cases == 255
+
+
 def trivial_biaction(space, p, q):
     ident = sset.identity_map(space)
     return eq.BiAction(

@@ -506,6 +506,50 @@ def test_every_budget_matches_the_scanning_oracle(verdict):
         assert _report(got) == _report(want), budget
 
 
+@pytest.fixture(scope="module")
+def large_enumeration_pairs():
+    """Sources of the benchmark's lifting searches, too large for the scan."""
+    sources = [sset.horn_plus(4, k) for k in range(5)]
+    sources += [sset.boundary_plus(4), sset.delta_plus(4)]
+    targets = [sset.delta_plus(4), sset.delta_plus(3)]
+    return [(A, X) for A in sources for X in targets]
+
+
+def _metered_run(search, A, X, limit, spent):
+    meter = sset.Budget(limit)
+    meter.used = spent
+    return _enumeration_run(search, A, X, meter, sset.BudgetExceeded)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_component_join_matches_the_backtracking_oracle(large_enumeration_pairs, data):
+    """Same maps, same order, same probes and same overrun as the search
+    that visits every node; shared meters enter part spent."""
+    r = random.Random(data.draw(st.integers(0, 2 ** 16)))
+    kind = data.draw(st.sampled_from(["large", "menu", "wedge"]))
+    if kind == "large":
+        A, X = data.draw(st.sampled_from(large_enumeration_pairs))
+    else:
+        menu = corpus.space_menu()
+        A = r.choice(menu)
+        if kind == "wedge":
+            A = sset.wedge([A, r.choice(menu)]).space
+        A, X = corpus.relabelled(A, r), corpus.relabelled(r.choice(menu), r)
+    meter, ours = sset.Budget(10 ** 9), sset.Budget(10 ** 9)
+    want = oracle.all_maps_dfs(A, X, meter)
+    got = sset.all_maps(A, X, ours)
+    assert [list(m.assign.items()) for m in got] == [
+        list(m.assign.items()) for m in want
+    ]
+    assert ours.used == meter.used
+    limit = data.draw(st.integers(0, meter.used + 1))
+    spent = data.draw(st.integers(0, limit))
+    assert _metered_run(sset.all_maps, A, X, limit, spent) == _metered_run(
+        oracle.all_maps_dfs, A, X, limit, spent
+    )
+
+
 # ---------------------------------------------------------------------------
 # lifting properties
 

@@ -564,6 +564,16 @@ def test_all_maps_budget():
         sset.all_maps(sset.boundary_plus(2), sset.delta_plus(2), sset.Budget(3))
 
 
+def test_the_budget_bounds_the_enumeration_work():
+    # 6**14 maps, found cell by cell: the charge must stop the search before
+    # the work it pays for is done
+    A = sset.wedge([sset.zero_sphere()] * 14).space
+    meter = sset.Budget(10 ** 6)
+    with pytest.raises(sset.BudgetExceeded):
+        sset.all_maps(A, sset.delta_plus(4), meter)
+    assert meter.used == 10 ** 6 + 1
+
+
 def test_monomorphism_detection():
     D1, S1 = sset.delta_plus(1), sset.circle()
     maps = sset.all_maps(D1, S1)
