@@ -238,8 +238,7 @@ class SphereTower:
     S^1 ^ S^(n-1), whose ``split`` peels off the first circle coordinate.
     The Sigma_n action uses that sigma: S^1 ^ S^(n-1) -> S^n is
     Sigma_1 x Sigma_(n-1)-equivariant: t_i for i >= 1 is S^1 ^ t_(i-1) of
-    S^(n-1), and t_0 swaps the two circle coordinates in front.  The
-    concatenation S^p ^ S^q -> S^(p+q) sends (t ^ s) ^ y to t ^ (s ^ y).
+    S^(n-1), and t_0 swaps the two circle coordinates in front.
     """
 
     def __init__(self):
@@ -288,23 +287,6 @@ class SphereTower:
             return pair(f2, inner_pair(f1, f3))
 
         return swap
-
-    def concat_map(self, sm, p, q):
-        """S^p ^ S^q -> S^(p+q) by coordinate concatenation; p, q >= 1.
-
-        By induction on p: s ^ y with s = t ^ s' in S^1 ^ S^(p-1) goes to
-        t ^ (s' ^ y), and for p = 1 the pair is already a form of S^(1+q).
-        """
-        if sm.A is not self.space(p) or sm.B is not self.space(q):
-            raise sset.PreconditionError(f"{sm.space!r} is not the smash of S^{p} and S^{q}")
-
-        def concat(p, fp, fq):
-            if p == 1:
-                return self.smashes[1 + q].form_of_pair(fp, fq)
-            f1, frest = self.smashes[p].split(fp)
-            return self.smashes[p + q].form_of_pair(f1, concat(p - 1, frest, fq))
-
-        return sm.map_out(self.space(p + q), lambda fp, fq: concat(p, fp, fq))
 
 
 def sphere_action(n, tower=None):

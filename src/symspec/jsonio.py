@@ -32,11 +32,20 @@ def _describe(exc):
     return f"{type(exc).__name__}: {text}" if text else type(exc).__name__
 
 
+def _is_int(value):
+    """JSON true and false load as bool, a subclass of int, and are no integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _field(data, key, kinds, where):
     _check(isinstance(data, dict), f"{where}: expected an object")
     _check(key in data, f"{where}: missing field {key!r}")
     value = data[key]
-    _check(isinstance(value, kinds), f"{where}: field {key!r} has the wrong type")
+    # no field is a boolean, and a bool would pass for an int
+    _check(
+        isinstance(value, kinds) and not isinstance(value, bool),
+        f"{where}: field {key!r} has the wrong type",
+    )
     return value
 
 
@@ -61,7 +70,7 @@ def _parse_form(data, where):
     )
     word, cell = data
     _check(
-        isinstance(word, list) and all(isinstance(j, int) for j in word),
+        isinstance(word, list) and all(_is_int(j) for j in word),
         f"{where}: degeneracy word must be a list of integers",
     )
     _check(isinstance(cell, str), f"{where}: cell id must be a string")

@@ -41,16 +41,16 @@ def _check_same_frame(A, X, what):
 
 def _latching_data(X):
     """(X ^ Sbar, the comparison X ^ Sbar -> X), cached on X: L_nX = (X ^ Sbar)_n.
-    The comparison is x ^ s |-> m_mu . rho_{q,p} . sigma^q(s ^ x) on the (p, q, mu)
-    copy of X (x) Sbar, descended once: the left action after the twist into
-    Sbar (x) X, whose block part passes through the equivariant sigma^q."""
+    The comparison is the left action of Sbar on X after the twist, descended
+    once: the (p, q, mu) copy x ^ s of X (x) Sbar goes by the (q, p) summand
+    of ``X.left_action`` onto the complement of mu, since m_mu . rho_{q,p} is
+    the (q, p)-shuffle onto it."""
     if not hasattr(X, "_latching"):
         XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
 
         def summand(n, p, q, mu):  # q >= 1 on every summand with cells: Sbar_0 is a point
-            delta = eq.compose_perm(eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p))
-            act, sig, sm = X.level(n).act(delta), X.sigma_power(q, p), X.power_smash(q, p)
-            return lambda fx, fs: act.apply(sig.apply(sm.form_of_pair(fs, fx)))
+            act = X.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
+            return lambda fx, fs: act(fs, fx)
         comps = zip(XB.quotients, XB.T.map_out(X.seq, summand).components)
         X._latching = XB, sp.SpectrumMap(XB, X, [sset.descend(q.projection, a) for q, a in comps])
     return X._latching
@@ -60,8 +60,8 @@ def latching(X, n):
     """The n-th latching space L_nX with its natural map to X_n.
 
     Returns (EquivariantSpace, SimplicialMap): L_nX = (X ^ Sbar)_n, what lower
-    levels reach through the structure maps, and the twisted left action of Sbar
-    on X, which is m_mu . rho_{q,p} . sigma^q(s ^ x) by equivariance of sigma^q.
+    levels reach through the structure maps, and the left action of Sbar on X
+    after the twist.
     """
     if not 0 <= n <= X.bound:
         raise IndexError(f"latching level {n} outside [0, {X.bound}]")

@@ -10,6 +10,13 @@ sigma of X against the same coordinate pushed through sigma of Y, moved by
 every (1, n-1)-shuffle.  S is generated by S^1 as a commutative monoid, so
 these generate the coequalizer of (X (x) S (x) Y) =| (X (x) Y) without
 building the triple tensor.
+
+A spectrum is a left S-module in symmetric sequences, and
+``SymmetricSpectrum.left_action`` is the one rule of that action: the
+(p, q, mu) summand S^p ^ X_q of S (x) X goes to X_n by
+s ^ x |-> m_mu . sigma^p(s ^ x).  The map lambda: S (x) X -> X, the free
+extensions out of F_r K = S (x) G_r K, the multiplication of S and the
+latching comparison X ^ Sbar -> X are all read off it.
 """
 
 import functools
@@ -95,6 +102,16 @@ class SymmetricSpectrum:
 
             self._sigma_power[key] = source.map_out(self.space(n + p), value)
         return self._sigma_power[key]
+
+    def left_action(self, n, p, q, mu):
+        """The (p, q, mu) summand of the action S (x) X -> X at level n: the
+        pair function (s, x) |-> m_mu . sigma^p(s ^ x) from S^p ^ X_q to
+        X_n, for p = 0 the shuffle m_mu . x alone."""
+        shuffle = self.level(n).act(eq.shuffle_perm(mu, p, q))
+        if not p:
+            return lambda fs, fx: shuffle.apply(fx)
+        sp, ps = self.sigma_power(p, q), self.power_smash(p, q)
+        return lambda fs, fx: shuffle.apply(sp.apply(ps.form_of_pair(fs, fx)))
 
 
 class SpectrumMap:
@@ -376,26 +393,19 @@ def free_F_map(src, tgt, f):
 
 
 def left_action_map(X, T):
-    """lambda: S (x) X -> X collapsing the sphere factor through sigma^p; in
-    the package only ``smash_unit_iso`` uses it (the latching map needs no S (x) X)."""
+    """lambda: S (x) X -> X, ``X.left_action`` on every summand; T is the
+    tensor of the sphere with X.seq."""
     if T.Y is not X.seq:
         raise sset.PreconditionError(f"{T!r} is not a tensor with {X.seq!r}")
-
-    def summand(n, p, q, mu):
-        shuffle = X.level(n).act(eq.shuffle_perm(mu, p, q))
-        if not p:
-            return lambda fs, fx: shuffle.apply(fx)
-        sp, ps = X.sigma_power(p, q), X.power_smash(p, q)
-        return lambda fs, fx: shuffle.apply(sp.apply(ps.form_of_pair(fs, fx)))
-
-    return T.map_out(X.seq, summand)
+    return T.map_out(X.seq, X.left_action)
 
 
 def free_extension(F, Z, phi):
-    """The spectrum map F_r A -> Z extending phi: A -> Z_r.
+    """The spectrum map F_r K -> Z extending phi: K -> Z_r.
 
-    A wedge summand (m_mu; s ^ (rho ^ a)) goes to
-    m_mu . sigma^p(s ^ (rho . phi(a))).
+    F_r K = S (x) G_r K, so this is the left action of S on Z after the
+    adjoint Sigma_r+ ^ K -> Z_r, (rho, a) |-> rho . phi(a): a summand
+    (m_mu; s ^ (rho ^ a)) goes to m_mu . sigma^p(s ^ (rho . phi(a))).
     """
     r = F.free_degree
     if F.tower is not Z.tower or F.bound != Z.bound:
@@ -403,20 +413,11 @@ def free_extension(F, Z, phi):
     if phi.source is not F.K or phi.target is not Z.space(r):
         raise sset.PreconditionError(f"{phi!r} does not run from K to level {r} of {Z!r}")
     orbit, Z_r = F.G.level(r), Z.level(r)
+    adjoint = orbit.wedge.map_out([Z_r.act(rho).compose(phi) for rho in orbit.perms])
 
     def summand(m, p, q, mu):
-        shuffle = Z.level(m).act(eq.shuffle_perm(mu, p, q))
-        sp, ps = (Z.sigma_power(p, r), Z.power_smash(p, r)) if p else (None, None)
-
-        def value(fs, fg):
-            wg, gc = fg
-            rho, a = orbit.cell_coords(gc)
-            val = Z_r.act(rho).apply(phi.apply(sset.word_compose(wg, ((), a))))
-            if p:
-                val = sp.apply(ps.form_of_pair(fs, val))
-            return shuffle.apply(val)
-
-        return value
+        act = Z.left_action(m, p, q, mu)
+        return lambda fs, fg: act(fs, adjoint.apply(fg))
 
     return SpectrumMap(F, Z, F.T.map_out(Z.seq, summand).components)
 
@@ -489,33 +490,19 @@ def lambda_map(n, N, tower=None):
 
 
 class MonoidWitness:
-    """Concatenation pairings S^p ^ S^q -> S^{p+q} and the unit.
+    """The multiplication S (x) S -> S and the unit of the sphere.
 
-    pairings[(p, q)] lives on the smash objects of the stored tensor T of
-    the sphere sequence with itself; pairing_seq is the induced map
-    S (x) S -> S and unit_map sends the unit sequence in at degree 0.
+    The multiplication is the left action of S on itself,
+    ``left_action_map`` on the stored tensor T of the sphere sequence with
+    itself; it concatenates circle coordinates.  unit_map sends the unit
+    sequence in at degree 0.
     """
 
     def __init__(self, sphere):
-        tower = sphere.tower
         N = sphere.bound
         self.sphere = sphere
         self.T = sq.tensor(sphere.seq, sphere.seq)
-        self.pairings = {}
-        for (p, q), sm in self.T.smashes.items():
-            if p == 0:
-                self.pairings[(p, q)] = sset.smash_lunit(sm)[0]
-            elif q == 0:
-                self.pairings[(p, q)] = sset.smash_runit(sm)[0]
-            else:
-                self.pairings[(p, q)] = tower.concat_map(sm, p, q)
-
-        def summand(n, p, q, mu):
-            pairing, sm = self.pairings[(p, q)], self.T.smashes[(p, q)]
-            shuffle = sphere.level(n).act(eq.shuffle_perm(mu, p, q))
-            return lambda fa, fb: shuffle.apply(pairing.apply(sm.form_of_pair(fa, fb)))
-
-        self.pairing_seq = self.T.map_out(sphere.seq, summand)
+        self.pairing_seq = left_action_map(sphere, self.T)
         self.unit_seq = sq.unit_sequence(N)
         unit_comps = []
         for n in range(N + 1):

@@ -103,8 +103,30 @@ def word_extract(j, word):
 
 
 @functools.lru_cache(maxsize=None)
-def _is_decreasing(word):
-    return all(word[a] > word[a + 1] for a in range(len(word) - 1))
+def _is_decreasing(word, m):
+    """True when the nonempty word is strictly decreasing within 0..m-1, as
+    the word of a normal form of dimension m is."""
+    return word[0] < m and word[-1] >= 0 and all(
+        word[a] > word[a + 1] for a in range(len(word) - 1)
+    )
+
+
+def _form_fault(space, form, m):
+    """Why ``form`` is no m-simplex of ``space`` in normal form, as (what,
+    lhs, rhs), or None: its cell must exist, its word be strictly decreasing
+    within 0..m-1 and the two dimensions add up to m."""
+    word, cell = form
+    d = space.dim_of.get(cell)
+    if d is None:
+        return "names a cell", form, None
+    if len(word) + d == m and (not word or _is_decreasing(word, m)):
+        return None
+    normal = (_word_merge(word, ()), cell)
+    if normal != form:
+        return "in normal form", form, normal
+    if len(word) + d != m:
+        return f"has dimension {m}", len(word) + d, m
+    return f"has its degeneracies within 0..{m - 1}", form, None
 
 
 def base_form(basepoint, dim):
@@ -242,16 +264,11 @@ class PointedSimplicialSet:
                 if len(fs) != k + 1:
                     where = f"a {k}-cell has {k + 1} faces"
                     raise IdentityError(c, where, len(fs), k + 1)
-                for i, (w, t) in enumerate(fs):
-                    if t not in dim_of:
-                        raise IdentityError(c, f"d_{i} names a cell", (w, t), None)
-                    if not _is_decreasing(w):
-                        normal = (_word_merge(w, ()), t)
-                        raise IdentityError(c, f"d_{i} in normal form", (w, t), normal)
-                    if len(w) + dim_of[t] != k - 1:
-                        raise IdentityError(
-                            c, f"d_{i} has dimension {k - 1}", len(w) + dim_of[t], k - 1
-                        )
+                for i, f in enumerate(fs):
+                    fault = _form_fault(self, f, k - 1)
+                    if fault:
+                        what, lhs, rhs = fault
+                        raise IdentityError(c, f"d_{i} {what}", lhs, rhs)
                 if k < 2:
                     continue
                 rows = [row(f, k - 1) if f[0] else faces[f[1]] for f in fs]
@@ -325,8 +342,10 @@ class SimplicialMap:
         for c in self.source.cell_ids():
             k = self.source.dim_of[c]
             f = self.assign[c]
-            if self.target.form_dim(f) != k:
-                return IdentityError(c, f"{where}dim f(c) = {k}", self.target.form_dim(f), k)
+            fault = _form_fault(self.target, f, k)
+            if fault:
+                what, lhs, rhs = fault
+                return IdentityError(c, f"{where}f(c) {what}", lhs, rhs)
             for i in range(k + 1 if k else 0):
                 lhs, rhs = self.apply(self.source.face(i, ((), c))), self.target.face(i, f)
                 if lhs != rhs:

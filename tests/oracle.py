@@ -15,8 +15,9 @@ indexed by face rows, the lifting search that composes per square, maps
 out of quotients, pushouts, smash products and tensors
 written out cell by cell, the Sigma_n actions and maps on wedges of copies
 read off each wedge cell's part, the sphere actions, the iterated
-structure maps sigma^p and the sphere concatenation built from flattened
-circle coordinates, the smash's quotient map from the product, the
+structure maps sigma^p and the sphere's multiplication built from flattened
+circle coordinates, the free extension read off the orbit wedge cell by
+cell, the smash's quotient map from the product, the
 homology reports with a push loop each, and the latching comparison
 through three smash spectra and through the tensor twist), built from
 package primitives, as references for the constructions that took their
@@ -1042,6 +1043,59 @@ def concat_map_flat(tower, sm, p, q):
         tower.space(p + q),
         lambda fp, fq: unflatten(tower, p + q, flatten(tower, p, fp) + flatten(tower, q, fq)),
     )
+
+
+def sphere_pairing_by_concat(sphere, T):
+    """The multiplication S (x) S -> S on the tensor T of the sphere
+    sequence with itself: the unit isomorphisms where a factor is S^0 and
+    ``concat_map_flat`` elsewhere, then the shuffle of each summand."""
+    from symspec import equivariant as eq
+    from symspec import sset
+
+    tower = sphere.tower
+    pairings = {}
+    for (p, q), sm in T.smashes.items():
+        if p == 0:
+            pairings[(p, q)] = sset.smash_lunit(sm)[0]
+        elif q == 0:
+            pairings[(p, q)] = sset.smash_runit(sm)[0]
+        else:
+            pairings[(p, q)] = concat_map_flat(tower, sm, p, q)
+
+    def summand(n, p, q, mu):
+        pairing, sm = pairings[(p, q)], T.smashes[(p, q)]
+        shuffle = sphere.level(n).act(eq.shuffle_perm(mu, p, q))
+        return lambda fa, fb: shuffle.apply(pairing.apply(sm.form_of_pair(fa, fb)))
+
+    return T.map_out(sphere.seq, summand)
+
+
+def free_extension_summandwise(F, Z, phi):
+    """The spectrum map F_r K -> Z extending phi: K -> Z_r, each summand
+    (m_mu; s ^ (rho ^ a)) sent to m_mu . sigma^p(s ^ (rho . phi(a))) with
+    rho and a read off the orbit wedge cell by cell."""
+    from symspec import equivariant as eq
+    from symspec import spectra as sp
+    from symspec import sset
+
+    r = F.free_degree
+    orbit, Z_r = F.G.level(r), Z.level(r)
+
+    def summand(m, p, q, mu):
+        shuffle = Z.level(m).act(eq.shuffle_perm(mu, p, q))
+        sig, ps = (Z.sigma_power(p, r), Z.power_smash(p, r)) if p else (None, None)
+
+        def value(fs, fg):
+            wg, gc = fg
+            rho, a = orbit.cell_coords(gc)
+            val = Z_r.act(rho).apply(phi.apply(sset.word_compose(wg, ((), a))))
+            if p:
+                val = sig.apply(ps.form_of_pair(fs, val))
+            return shuffle.apply(val)
+
+        return value
+
+    return sp.SpectrumMap(F, Z, F.T.map_out(Z.seq, summand).components)
 
 
 def sigma_power_flat(X, p, n):

@@ -206,6 +206,78 @@ def test_rejected_map_names_the_failing_cell_in_optimized_mode(tmp_path):
         }
 
 
+def pinched_sphere(word):
+    """S^2 as one 2-cell on a vertex v, with d_2 = s_word v."""
+    return {
+        "type": "space",
+        "name": "S2",
+        "basepoint": "*",
+        "cells": {"0": ["*", "v"], "2": ["t"]},
+        "faces": {"t": [[[0], "v"], [[0], "v"], [word, "v"]]},
+    }
+
+
+def validate_file(capsys, tmp_path, data):
+    f = tmp_path / "input.json"
+    f.write_text(io.canonical(data))
+    code, report = payload(capsys, "validate", str(f))
+    return f, code, report
+
+
+def test_validate_takes_the_pinched_sphere(capsys, tmp_path):
+    _, code, report = validate_file(capsys, tmp_path, pinched_sphere([0]))
+    assert (code, report["ok"]) == (0, True)
+
+
+@pytest.mark.parametrize("word", [[1], [5], [-1]])
+def test_validate_names_a_face_word_out_of_range(capsys, tmp_path, word):
+    # s_1, s_5 and s_-1 are no degeneracies of a vertex; the face table of
+    # the vertex used to be read for them, raising a bare KeyError
+    f, code, report = validate_file(capsys, tmp_path, pinched_sphere(word))
+    assert code == 1
+    assert report["reason"] == (
+        f"{f}: not a simplicial set (IdentityError: cell 't': d_2 has its "
+        f"degeneracies within 0..0 fails, (({word[0]},), 'v') != None)"
+    )
+
+
+@pytest.mark.parametrize(
+    "image, what",
+    [
+        ([[], "zz"], "names a cell fails, ((), 'zz') != None"),
+        ([[1], "0"], "has its degeneracies within 0..0 fails, ((1,), '0') != None"),
+        ([[], "0"], "has dimension 1 fails, 0 != 1"),
+    ],
+)
+def test_validate_names_a_map_image_that_is_no_simplex(capsys, tmp_path, image, what):
+    data = io.dump(sset.identity_map(sset.circle()))
+    data["assign"]["1"] = image
+    f, code, report = validate_file(capsys, tmp_path, data)
+    assert code == 1
+    assert report["reason"] == (
+        f"{f}: not a simplicial map (IdentityError: cell '1': f(c) {what})"
+    )
+
+
+def test_validate_rejects_json_booleans_as_integers(capsys, tmp_path):
+    # bool is a subclass of int: a face word [false] used to pass for [0]
+    # and come back out as [false] in a check-lift witness
+    S = sp.sphere_spectrum(1, eq.SphereTower())
+    spectrum = io.dump(S)
+    cases = [
+        (pinched_sphere([False]), "faces[t][2]: degeneracy word must be a list of integers"),
+        ({**io.dump(eq.trivial_action(sset.circle(), 1)), "n": True},
+         "field 'n' has the wrong type"),
+        ({**spectrum, "bound": True}, "field 'bound' has the wrong type"),
+    ]
+    for data, reason in cases:
+        f, code, report = validate_file(capsys, tmp_path, data)
+        assert code == 1
+        assert report == {
+            "type": "validation_report", "ok": False, "reason": f"{f}: {reason}"
+        }
+
+
 def test_malformed_json_reports_position(capsys, tmp_path):
     f = tmp_path / "broken.json"
     f.write_text('{"type": "space", "cells": }')

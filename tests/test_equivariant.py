@@ -193,26 +193,6 @@ def test_split_inverts_form_of_pair(data):
     assert sm.form_of_pair(fa, fb) == form
 
 
-def test_concat_map_matches_the_flattened_oracle():
-    tower = eq.SphereTower()
-    for p in range(1, 4):
-        for q in range(1, 4):
-            sm = sset.smash(tower.space(p), tower.space(q))
-            ref = oracle.concat_map_flat(tower, sm, p, q)
-            assert tower.concat_map(sm, p, q).assign == ref.assign, (p, q)
-
-
-def test_concat_map_is_simplicial():
-    tower = eq.SphereTower()
-    sm = sset.smash(tower.space(1), tower.space(2))
-    m = tower.concat_map(sm, 1, 2)
-    assert m.is_valid()
-    # concatenation hits every nondegenerate simplex of S^3
-    assert {m.assign[c] for c in sm.space.cell_ids() if not m.assign[c][0]} >= {
-        ((), c) for c in tower.space(3).cell_ids()
-    }
-
-
 def test_sphere_action_orbit_sizes():
     # Sigma_3 on the six top cells of S^3 is simply transitive
     tower = eq.SphereTower()

@@ -564,6 +564,53 @@ def test_lambda_out_of_bound_errors(tower):
 
 
 # ---------------------------------------------------------------------------
+# free extensions
+
+
+def adjoint_case(kind, tower):
+    """(F, Z, phi, the package's extension of phi) for a lambda map or a
+    smash_free_iso input of criterion 01 at bound 3; phi is read back
+    through the unit, so the case also checks the adjunction."""
+    if kind[0] == "lambda":
+        ext = sp.lambda_map(kind[1], kind[2], tower)
+    else:
+        _, m, n, kmake, lmake = kind
+        K, L = kmake(), lmake()
+        SXY = sp.smash_spectra(sp.free_F(m, K, 3, tower), sp.free_F(n, L, 3, tower))
+        sm = sset.smash(K, L)
+        ext = sp.smash_free_iso(SXY, sp.free_F(m + n, sm.space, 3, tower), sm)
+    F = ext.source
+    phi = ext.level(F.free_degree).compose(sp.free_unit_inclusion(F))
+    return F, ext.target, phi, ext
+
+
+ADJOINT_CASES = [("lambda", n, N) for N in range(1, 5) for n in range(N)] + [
+    ("smash", m, n, kmake, lmake)
+    for m in range(3)
+    for n in range(3)
+    if m + n <= 3
+    for kmake in (sset.zero_sphere, sset.circle)
+    for lmake in (sset.zero_sphere, sset.circle)
+]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(ADJOINT_CASES))
+def test_free_extension_matches_its_summandwise_oracle(kind):
+    F, Z, phi, ext = adjoint_case(kind, eq.SphereTower())
+    assert sp.free_extension(F, Z, phi) == ext
+    assert oracle.free_extension_summandwise(F, Z, phi) == ext
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, len(corpus.space_menu()) - 1), st.integers(0, 3), st.data())
+def test_free_extension_of_the_unit_is_the_identity(index, N, data):
+    r = data.draw(st.integers(0, N))
+    F = sp.free_F(r, corpus.space_menu()[index], N, eq.SphereTower())
+    assert sp.free_extension(F, F, sp.free_unit_inclusion(F)) == sp.identity_spectrum_map(F)
+
+
+# ---------------------------------------------------------------------------
 # mapping cylinder
 
 
@@ -727,6 +774,13 @@ def witness(tower):
 def test_pairing_is_a_sequence_map(witness):
     assert witness.pairing_seq.validate()
     assert witness.unit_map.validate()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_pairing_matches_the_flattened_concatenation(N):
+    witness = sp.monoid_witness(sp.sphere_spectrum(N, eq.SphereTower()))
+    concat = oracle.sphere_pairing_by_concat(witness.sphere, witness.T)
+    assert witness.pairing_seq == concat
 
 
 def test_pairing_is_commutative_through_level_four(witness):
