@@ -367,7 +367,7 @@ def cmd_pushout_product(ws, args):
     corner = sp.pushout_product(f, g)
     if not args.check:
         return io.dump(corner), 0
-    report = mc.pushout_product_theorem_check(f, g)
+    report = mc.pushout_product_theorem_check(f, g, corner)
     return (
         {
             "type": "pushout_product_report",
@@ -476,80 +476,89 @@ def build_parser():
         prog="symspec",
         description="Symmetric spectra over finite pointed simplicial sets.",
     )
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("-o", "--out", help="write the JSON result to a file")
+    shared.add_argument(
+        "--human", action="store_true", help="pretty-print instead of compact JSON"
+    )
+    shared.add_argument(
+        "--bound", type=int, help="level bound for builtin spectra (env SYMSPEC_BOUND)"
+    )
+    shared.add_argument(
+        "--budget", type=int, help="search budget for lifting (env SYMSPEC_BUDGET)"
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("-o", "--out", help="write the JSON result to a file")
-        p.add_argument(
-            "--human", action="store_true", help="pretty-print instead of compact JSON"
-        )
-        p.add_argument(
-            "--bound", type=int, help="level bound for builtin spectra (env SYMSPEC_BOUND)"
-        )
-        p.add_argument(
-            "--budget", type=int, help="search budget for lifting (env SYMSPEC_BUDGET)"
-        )
-        return p
-
-    p = common(sub.add_parser("validate", help="check an object against its axioms"))
+    p = sub.add_parser(
+        "validate", help="check an object against its axioms", parents=[shared]
+    )
     p.add_argument("object")
     p.add_argument("--quick", action="store_true", help="stop spectrum checks at sigma^2")
 
-    p = common(sub.add_parser("stable-colimit", help="stabilization report of H_{k+n}(X_n)"))
+    p = sub.add_parser(
+        "stable-colimit", help="stabilization report of H_{k+n}(X_n)", parents=[shared]
+    )
     p.add_argument("--spectrum", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--require-homotopy", action="store_true")
 
-    p = common(sub.add_parser("check-lift", help="decide a lifting property within a budget"))
+    p = sub.add_parser(
+        "check-lift", help="decide a lifting property within a budget", parents=[shared]
+    )
     p.add_argument("--i", required=True, help="the left map")
     p.add_argument("--p", required=True, help="the right map")
 
-    p = common(sub.add_parser("smash", help="smash product of spaces or spectra"))
+    p = sub.add_parser("smash", help="smash product of spaces or spectra", parents=[shared])
     p.add_argument("a")
     p.add_argument("b")
 
-    p = common(sub.add_parser("tensor", help="tensor of symmetric sequences"))
+    p = sub.add_parser("tensor", help="tensor of symmetric sequences", parents=[shared])
     p.add_argument("a")
     p.add_argument("b")
 
-    p = common(sub.add_parser("free", help="free spectrum on a space"))
+    p = sub.add_parser("free", help="free spectrum on a space", parents=[shared])
     p.add_argument("--f", type=int, required=True, help="free degree")
     p.add_argument("--space", required=True)
 
-    p = common(sub.add_parser("latching", help="latching level with its comparison map"))
+    p = sub.add_parser(
+        "latching", help="latching level with its comparison map", parents=[shared]
+    )
     p.add_argument("spectrum")
     p.add_argument("--n", type=int, required=True)
 
-    p = common(sub.add_parser("cofibration", help="stable cofibration check"))
+    p = sub.add_parser("cofibration", help="stable cofibration check", parents=[shared])
     p.add_argument("map")
 
-    p = common(sub.add_parser("pushout-product", help="the corner map of two maps"))
+    p = sub.add_parser(
+        "pushout-product", help="the corner map of two maps", parents=[shared]
+    )
     p.add_argument("f")
     p.add_argument("g")
     p.add_argument("--check", action="store_true", help="add the closure-property report")
 
-    p = common(sub.add_parser("homology", help="integral homology of a space"))
+    p = sub.add_parser("homology", help="integral homology of a space", parents=[shared])
     p.add_argument("space")
     p.add_argument("--max-dim", type=int)
 
-    p = common(sub.add_parser("stable-map", help="per-level homology matrices of a spectrum map"))
+    p = sub.add_parser(
+        "stable-map", help="per-level homology matrices of a spectrum map", parents=[shared]
+    )
     p.add_argument("map")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--require-homotopy", action="store_true")
 
-    p = common(
-        sub.add_parser(
-            "gen-sets",
-            help="generating families of maps",
-            description="Generating families of maps.  Their spectra are built at "
-            "bound levels + 1, so --bound does not apply.",
-        )
+    p = sub.add_parser(
+        "gen-sets",
+        help="generating families of maps",
+        description="Generating families of maps.  Their spectra are built at "
+        "bound levels + 1, so --bound does not apply.",
+        parents=[shared],
     )
     p.add_argument("--kind", choices=sorted(_GEN_KINDS), required=True)
     p.add_argument("--levels", type=int, required=True, help="largest free degree")
     p.add_argument("--dims", type=int, required=True, help="largest simplex dimension")
 
-    p = common(sub.add_parser("cylinder", help="mapping cylinder factorization"))
+    p = sub.add_parser("cylinder", help="mapping cylinder factorization", parents=[shared])
     p.add_argument("map")
 
     return parser

@@ -5,7 +5,8 @@ X_n (+)_{L_nX} L_nY -> Y_n over the latching spaces and ask for a
 monomorphism whose complement carries a free symmetric-group action.
 Lifting properties are decided by exhaustive search over commuting
 squares, metered by a budget so the answer is always yes, no with a
-witness, or an explicit refusal.
+witness, or an explicit refusal.  The pushout-product check reads the
+clauses of the corner map f [] g off a corner its caller has built.
 """
 
 from . import equivariant as eq
@@ -294,15 +295,16 @@ def _ingredient_flags(h):
     }
 
 
-def pushout_product_theorem_check(f, g):
-    """Builds f [] g and reports which corner-map clauses hold here.
+def pushout_product_theorem_check(f, g, corner):
+    """Reports which corner-map clauses hold on the corner it is given.
 
-    Clauses: two cofibrations corner to a monomorphism; two stable
-    cofibrations corner to a stable cofibration; and with one input a
-    homology level equivalence the corner is one too.  A clause whose
-    hypotheses fail on this instance is inapplicable, not refuted.
+    ``corner`` must be ``sp.pushout_product(f, g)``, the corner map f [] g
+    the caller has already built; it is read, not rebuilt or checked
+    against f and g.  Clauses: two cofibrations corner to a monomorphism;
+    two stable cofibrations corner to a stable cofibration; and with one
+    input a homology level equivalence the corner is one too.  A clause
+    whose hypotheses fail on this instance is inapplicable, not refuted.
     """
-    corner = sp.pushout_product(f, g)
     flags_f = _ingredient_flags(f)
     flags_g = _ingredient_flags(g)
     both_cof = flags_f["cofibration"] and flags_g["cofibration"]

@@ -558,6 +558,45 @@ def test_pushout_product_check_report(capsys):
     assert data["check"]["clauses"]["monomorphism"]["confirmed"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["boundary:1", "boundary:1"],
+    ["free:0:sphere1", "boundary:1", "--bound", "2"],
+])
+def test_pushout_product_check_builds_the_corner_once(capsys, monkeypatch, argv):
+    built = []
+    pushout_product = sp.pushout_product
+
+    def counted(f, g):
+        built.append((f, g))
+        return pushout_product(f, g)
+
+    monkeypatch.setattr(sp, "pushout_product", counted)
+    assert run(capsys, "pushout-product", *argv, "--check")[0] == 0
+    assert len(built) == 1
+
+
+_SPACE_CHECK_KEYS = ["clauses", "corner_kind", "corner_monomorphism", "f", "g"]
+_SPECTRUM_CHECK_KEYS = sorted(_SPACE_CHECK_KEYS + ["corner_stable_cofibration"])
+_SPECTRUM_CLAUSES = ["level_equivalence", "monomorphism", "stable_cofibration"]
+
+
+@pytest.mark.parametrize("argv,keys,clauses", [
+    (["boundary:1", "boundary:1"], _SPACE_CHECK_KEYS, ["monomorphism"]),
+    (["free:1:sphere0", "free:1:sphere0", "--bound", "2"],
+     _SPECTRUM_CHECK_KEYS, _SPECTRUM_CLAUSES),
+    (["free:0:sphere1", "boundary:1", "--bound", "2"],
+     _SPECTRUM_CHECK_KEYS, _SPECTRUM_CLAUSES),
+])
+def test_pushout_product_check_reports_the_printed_corner(capsys, argv, keys, clauses):
+    code, plain, _ = run(capsys, "pushout-product", *argv)
+    assert code == 0
+    code, checked = payload(capsys, "pushout-product", *argv, "--check")
+    assert code == 0
+    assert io.canonical(checked["corner"]) == plain
+    assert sorted(checked["check"]) == keys
+    assert sorted(checked["check"]["clauses"]) == clauses
+
+
 # ---------------------------------------------------------------------------
 # the rest of the surface
 
@@ -706,6 +745,31 @@ def test_gen_sets_help_names_its_bound(capsys):
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
     assert "built at bound levels + 1, so --bound does not apply" in text
+
+
+_REQUIRED_ARGS = {
+    "validate": ["x"],
+    "stable-colimit": ["--spectrum", "x", "--k", "0"],
+    "check-lift": ["--i", "x", "--p", "y"],
+    "smash": ["x", "y"],
+    "tensor": ["x", "y"],
+    "free": ["--f", "0", "--space", "x"],
+    "latching": ["x", "--n", "0"],
+    "cofibration": ["x"],
+    "pushout-product": ["x", "y"],
+    "homology": ["x"],
+    "stable-map": ["x", "--k", "0"],
+    "gen-sets": ["--kind", "boundary", "--levels", "0", "--dims", "0"],
+    "cylinder": ["x"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(cli.HANDLERS))
+def test_every_subcommand_parses_the_shared_options(command):
+    shared = ["-o", "out.json", "--human", "--bound", "2", "--budget", "7"]
+    args = cli.build_parser().parse_args([command, *_REQUIRED_ARGS[command], *shared])
+    assert args.command == command
+    assert (args.out, args.human, args.bound, args.budget) == ("out.json", True, 2, 7)
 
 
 def test_module_entry_point():

@@ -656,7 +656,7 @@ def _hom_corner_surjective(f, h):
 def test_theorem_check_on_two_free_unit_inclusions(tower):
     F = sp.free_F(1, sset.zero_sphere(), 3, tower)
     f = point_into(F, tower)
-    rep = mc.pushout_product_theorem_check(f, f)
+    rep = mc.pushout_product_theorem_check(f, f, sp.pushout_product(f, f))
     assert rep["corner_kind"] == "spectrum"
     assert rep["clauses"]["monomorphism"] == {
         "applicable": True,
@@ -672,9 +672,8 @@ def test_theorem_check_on_two_free_unit_inclusions(tower):
 def test_theorem_check_with_identity_confirms_everything(tower):
     F = sp.free_F(1, sset.zero_sphere(), 2, tower)
     f = point_into(F, tower)
-    rep = mc.pushout_product_theorem_check(
-        f, sp.identity_spectrum_map(sp.sphere_spectrum(2, tower))
-    )
+    g = sp.identity_spectrum_map(sp.sphere_spectrum(2, tower))
+    rep = mc.pushout_product_theorem_check(f, g, sp.pushout_product(f, g))
     for clause in rep["clauses"].values():
         assert clause["applicable"] is True
         assert clause["confirmed"] is True
@@ -684,7 +683,7 @@ def test_theorem_check_mixed_spectrum_space(tower):
     F = sp.free_F(1, sset.circle(), 3, tower)
     f = point_into(F, tower)
     g = sset.subset_inclusion(sset.boundary_plus(1), sset.delta_plus(1))
-    rep = mc.pushout_product_theorem_check(f, g)
+    rep = mc.pushout_product_theorem_check(f, g, sp.pushout_product(f, g))
     assert rep["corner_kind"] == "spectrum"
     assert rep["corner_monomorphism"] is True
     assert rep["clauses"]["monomorphism"]["confirmed"] is True
@@ -692,7 +691,7 @@ def test_theorem_check_mixed_spectrum_space(tower):
 
 def test_theorem_check_space_arm():
     f = sset.subset_inclusion(sset.boundary_plus(1), sset.delta_plus(1))
-    rep = mc.pushout_product_theorem_check(f, f)
+    rep = mc.pushout_product_theorem_check(f, f, sp.pushout_product(f, f))
     assert rep["corner_kind"] == "space"
     assert rep["clauses"]["monomorphism"]["confirmed"] is True
     assert "stable_cofibration" not in rep["clauses"]
