@@ -359,7 +359,7 @@ def cmd_cofibration(ws, args):
 
 def cmd_pushout_product(ws, args):
     f = resolve_map(ws, args.f)
-    g = resolve_map(ws, args.g)
+    g = f if args.g == args.f else resolve_map(ws, args.g)
     if isinstance(f, sset.SimplicialMap) and isinstance(g, sp.SpectrumMap):
         raise InputError("spectrum operand must come first in pushout-product")
     if isinstance(g, sp.SpectrumMap):

@@ -6,9 +6,12 @@ An action is stored on the Coxeter generators (i, i+1) only; the map for an
 arbitrary permutation is assembled along a bubble-sort reduced word, so
 storing and validating the generators pins the whole action.
 
-The free orbit Sigma_n+ ^ K and the balanced smash are wedges of copies.
-Their generators and copywise maps are ``WedgeResult.map_out`` of one map
-per copy; only ``FreeOrbitSpace.cell_coords`` reads which copy a cell is in.
+The free orbit Sigma_n+ ^ K and the balanced smash are wedges of copies,
+and their generators are ``WedgeResult.map_out`` of one map per copy.
+``balanced_smash`` is the one builder of Sigma_n+ ^_{Sigma_p x Sigma_q} A
+and the one place a generator factors a coset: a degree of the tensor of
+symmetric sequences is one balanced smash over its blocks X_p ^ Y_q.  Only
+``FreeOrbitSpace.cell_coords`` reads which copy a cell is in.
 """
 
 import functools
@@ -81,11 +84,6 @@ def block_sum(a, b):
     """a acting on the first block, b on the second."""
     p = len(a)
     return tuple(a) + tuple(p + v for v in b)
-
-
-def shuffle_rho(q, p):
-    """The block rotation in Sigma_{q+p} moving the first q letters past p."""
-    return tuple(i + p for i in range(q)) + tuple(range(p))
 
 
 def all_shuffles(p, q):
@@ -294,55 +292,37 @@ def sphere_action(n, tower=None):
     return (tower or SphereTower()).action(n)
 
 
-class BiAction:
-    """A pointed simplicial set with commuting Sigma_p and Sigma_q actions."""
+def balanced_smash(n, blocks, name=None):
+    """The sum over blocks of (Sigma_n)+ ^_{Sigma_p x Sigma_q} A, one flat wedge.
 
-    def __init__(self, space, p, q, left_gens, right_gens):
-        self.space = space
-        self.p = p
-        self.q = q
-        self.left = EquivariantSpace(space, p, left_gens)
-        self.right = EquivariantSpace(space, q, right_gens)
-
-    def act(self, beta, gamma):
-        return self.left.act(beta).compose(self.right.act(gamma))
-
-
-def balanced_smash(n, p, q, A):
-    """(Sigma_n)+ ^_{Sigma_p x Sigma_q} A, a wedge over the (p, q)-shuffles.
-
-    A generator t sends the mu-copy of z to the mu'-copy of (beta x gamma)z,
-    where t . m_mu = m_mu' . (beta (+) gamma).
+    ``blocks`` lists (p, q, A, act) with p + q = n, where ``act(beta, gamma)``
+    is the map of beta x gamma on A.  The wedge holds one copy of A per
+    (p, q, mu), in block order and then in ``all_shuffles`` order; ``parts``
+    lists them.  A generator t sends the mu-copy to the mu2-copy by
+    act(beta, gamma), where t . m_mu = m_mu2 . (beta (+) gamma).
     """
-    if p + q != n:
-        raise ValueError(f"balanced smash needs p+q=n, got {p}+{q} != {n}")
-    if A.p != p or A.q != q:
-        raise sset.PreconditionError(
-            f"balanced smash over Sigma_{p} x Sigma_{q} of a Sigma_{A.p} x Sigma_{A.q} space"
-        )
-    shuffles = all_shuffles(p, q)
-    w = sset.wedge([A.space] * len(shuffles), name=f"bal({A.space.name})")
-    into = dict(zip(shuffles, w.inclusions))
+    parts, spaces, copy_of = [], [], []
+    for p, q, A, act in blocks:
+        if p + q != n:
+            raise ValueError(f"balanced smash needs p+q=n, got {p}+{q} != {n}")
+        shuffles = all_shuffles(p, q)
+        copy_of.append({mu: len(parts) + k for k, mu in enumerate(shuffles)})
+        parts += [(p, q, mu) for mu in shuffles]
+        spaces += [A] * len(shuffles)
+    w = sset.wedge(spaces, name=name)
     gens = []
     for i in range(n - 1):
         t = transposition(n, i)
         legs = []
-        for mu in shuffles:
-            mu2, beta, gamma = coset_factor(t, mu, p, q)
-            legs.append(into[mu2].compose(A.act(beta, gamma)))
+        for (p, q, _, act), index in zip(blocks, copy_of):
+            for mu in index:
+                mu2, beta, gamma = coset_factor(t, mu, p, q)
+                legs.append(w.inclusions[index[mu2]].compose(act(beta, gamma)))
         gens.append(w.map_out(legs))
     out = EquivariantSpace(w.space, n, gens)
     out.wedge = w
-    out.shuffles = shuffles
+    out.parts = parts
     return out
-
-
-def balanced_smash_map(bs_src, bs_tgt, f):
-    """The copywise map of balanced smashes induced by a map of the cores."""
-    w_s, w_t = bs_src.wedge, bs_tgt.wedge
-    if bs_src.shuffles != bs_tgt.shuffles:
-        raise sset.PreconditionError("balanced smashes over different shuffles")
-    return w_s.map_out([into.compose(f) for into in w_t.inclusions])
 
 
 def is_equivariant(src, tgt, f):

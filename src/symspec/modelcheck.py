@@ -304,9 +304,10 @@ def pushout_product_theorem_check(f, g, corner):
     two stable cofibrations corner to a stable cofibration; and with one
     input a homology level equivalence the corner is one too.  A clause
     whose hypotheses fail on this instance is inapplicable, not refuted.
+    When ``g is f`` the operand's flags are computed once.
     """
     flags_f = _ingredient_flags(f)
-    flags_g = _ingredient_flags(g)
+    flags_g = flags_f if g is f else _ingredient_flags(g)
     both_cof = flags_f["cofibration"] and flags_g["cofibration"]
     corner_mono = corner.is_monomorphism()
     report = {

@@ -1,24 +1,25 @@
 """Truncated symmetric sequences and their tensor product.
 
 A sequence holds one EquivariantSpace per degree 0..bound.  The tensor
-product at degree n is the wedge, over p+q = n and over (p, q)-shuffles mu,
-of copies of X_p ^ Y_q; a permutation moves a (p, q, mu) summand to the
-(p, q, mu') summand found by factoring alpha . m_mu = m_mu' . (beta (+) gamma)
-and letting beta, gamma act inside the smash factors.  Degree n of a tensor
-depends only on degrees <= n of the inputs, so truncation is exact.
+product at degree n is one balanced smash, ``equivariant.balanced_smash``,
+over its blocks X_p ^ Y_q with p+q = n: the wedge, over p and over
+(p, q)-shuffles mu, of copies of X_p ^ Y_q, where a permutation moves a
+(p, q, mu) summand to the (p, q, mu') summand found by factoring
+alpha . m_mu = m_mu' . (beta (+) gamma) and letting beta, gamma act inside
+the smash factors.  Degree n of a tensor depends only on degrees <= n of
+the inputs, so truncation is exact.
 
 A map out of X (x) Y is a bimorphism, one map out of each summand
 X_p ^ Y_q; ``TensorSequence.map_out`` takes it summand by summand, so the
-maps out of a tensor read no wedge or smash bookkeeping themselves.  Each
-degree is a wedge of copies, and its generators and the levels of
-``map_out`` are ``WedgeResult.map_out`` of one map per copy.  Only
+maps out of a tensor read no wedge or smash bookkeeping themselves.  The
+levels of ``map_out`` are ``WedgeResult.map_out`` of one map per copy.  Only
 ``TensorSequence`` reads its wedge bookkeeping (``wedges``, ``parts``,
 ``part_index``); other modules reach a summand through ``inclusion`` and
 ``summand_of``.  Checks raise ``sset.PreconditionError`` for arguments a
 construction does not take and ``sset.IdentityError`` for a failed square.
 """
 
-import itertools
+import functools
 
 from . import equivariant as eq
 from . import sset
@@ -202,24 +203,20 @@ class TensorSequence(SymmetricSequence):
         self.parts = {}
         self.part_index = {}
         self.wedges = {}
-        blocks = {}  # block actions, shared by the generators of all levels
+        cache = {}  # block actions, shared by the generators of all levels
         levels = []
         for n in range(N + 1):
-            parts = []
-            spaces = []
+            blocks = []
             for p in range(n + 1):
                 q = n - p
-                if (p, q) not in self.smashes:
-                    self.smashes[(p, q)] = sset.smash(X.space(p), Y.space(q))
-                for mu in eq.all_shuffles(p, q):
-                    parts.append((p, q, mu))
-                    spaces.append(self.smashes[(p, q)].space)
-            w = sset.wedge(spaces, name=f"({X.name}(x){Y.name})_{n}")
-            self.parts[n] = parts
-            self.part_index[n] = {t: i for i, t in enumerate(parts)}
-            self.wedges[n] = w
-            gens = [self._generator(n, i, blocks) for i in range(n - 1)]
-            levels.append(eq.EquivariantSpace(w.space, n, gens))
+                sm = self.smashes[(p, q)] = sset.smash(X.space(p), Y.space(q))
+                act = functools.partial(self._block_action, p, q, cache=cache)
+                blocks.append((p, q, sm.space, act))
+            level = eq.balanced_smash(n, blocks, name=f"({X.name}(x){Y.name})_{n}")
+            self.parts[n] = level.parts
+            self.part_index[n] = {t: i for i, t in enumerate(level.parts)}
+            self.wedges[n] = level.wedge
+            levels.append(level)
         super().__init__(levels, name=name or f"({X.name}(x){Y.name})")
 
     def inclusion(self, n, p, q, mu):
@@ -266,26 +263,15 @@ class TensorSequence(SymmetricSequence):
         fa, fb = self.smashes[(p, q)].split(((), orig))
         return (p, q, mu), fa, fb
 
-    def _block_action(self, p, q, beta, gamma, blocks):
+    def _block_action(self, p, q, beta, gamma, cache):
         """beta ^ gamma on the smash X_p ^ Y_q, cached per (p, q, beta, gamma)."""
         key = (p, q, beta, gamma)
-        block = blocks.get(key)
+        block = cache.get(key)
         if block is None:
             sm = self.smashes[(p, q)]
             ax, ay = self.X.level(p).act(beta), self.Y.level(q).act(gamma)
-            block = blocks[key] = sset.smash_map(sm, sm, ax, ay)
+            block = cache[key] = sset.smash_map(sm, sm, ax, ay)
         return block
-
-    def _generator(self, n, i, blocks):
-        """t_i on degree n: the (p, q, mu) copy goes by beta ^ gamma onto the
-        (p, q, mu2) copy, where t_i . m_mu = m_mu2 . (beta (+) gamma)."""
-        t = eq.transposition(n, i)
-        legs = []
-        for p, q, mu in self.parts[n]:
-            mu2, beta, gamma = eq.coset_factor(t, mu, p, q)
-            block = self._block_action(p, q, beta, gamma, blocks)
-            legs.append(self.inclusion(n, p, q, mu2).compose(block))
-        return self.wedges[n].map_out(legs)
 
 
 def tensor(X, Y, name=None):

@@ -889,6 +889,11 @@ def tensor_map_cellwise(T_src, T_tgt, f, g):
     return sq.SequenceMap(T_src, T_tgt, components)
 
 
+def shuffle_rho(q, p):
+    """The block rotation in Sigma_{q+p} moving the first q letters past p."""
+    return tuple(i + p for i in range(q)) + tuple(range(p))
+
+
 def twist_iso_cellwise(T_xy, T_yx):
     """The symmetry X (x) Y -> Y (x) X."""
     from symspec import equivariant as eq
@@ -905,7 +910,7 @@ def twist_iso_cellwise(T_xy, T_yx):
                 continue
             (p, q, mu), fa, fb = T_xy.coordinates(n, c)
             delta = eq.compose_perm(
-                eq.shuffle_perm(mu, p, q), eq.shuffle_rho(q, p)
+                eq.shuffle_perm(mu, p, q), shuffle_rho(q, p)
             )
             mu2, beta, gamma = eq.coset_factor(
                 delta, tuple(range(q)), q, p
@@ -1115,8 +1120,8 @@ def sigma_power_flat(X, p, n):
 
 # Maps out of wedges of copies written out cell by cell, each reading the
 # (part, original cell) of every wedge cell: the Sigma_n actions on free
-# orbits, balanced smashes and tensors, the copywise map of balanced smashes,
-# maps out of a tensor and the module sigma.
+# orbits, balanced smashes and tensors, maps out of a tensor and the module
+# sigma.
 
 
 def free_orbit_generators_cellwise(fo):
@@ -1141,14 +1146,16 @@ def free_orbit_generators_cellwise(fo):
     return gens
 
 
-def balanced_smash_generators_cellwise(bs, p, q, A):
-    """The generators of (Sigma_n)+ ^_{Sigma_p x Sigma_q} A, each cell of the
-    mu-copy moved by beta x gamma into the mu2-copy."""
+def balanced_smash_generators_cellwise(bs, blocks):
+    """The generators of the sum over blocks (p, q, A, act) of
+    (Sigma_n)+ ^_{Sigma_p x Sigma_q} A, each cell of the (p, q, mu) copy
+    moved by act(beta, gamma) into the (p, q, mu2) copy."""
     from symspec import equivariant as eq
     from symspec import sset
 
-    w, shuffles = bs.wedge, bs.shuffles
-    index = {mu: i for i, mu in enumerate(shuffles)}
+    w, parts = bs.wedge, bs.parts
+    index = {part: i for i, part in enumerate(parts)}
+    acts = {(p, q): act for p, q, _, act in blocks}
     gens = []
     for i in range(bs.n - 1):
         t = eq.transposition(bs.n, i)
@@ -1157,25 +1164,12 @@ def balanced_smash_generators_cellwise(bs, p, q, A):
             if c == w.space.basepoint:
                 continue
             idx, orig = w.part_of[c]
-            mu2, beta, gamma = eq.coset_factor(t, shuffles[idx], p, q)
-            moved = A.act(beta, gamma).apply(((), orig))
-            assign[c] = w.inclusions[index[mu2]].apply(moved)
+            p, q, mu = parts[idx]
+            mu2, beta, gamma = eq.coset_factor(t, mu, p, q)
+            moved = acts[(p, q)](beta, gamma).apply(((), orig))
+            assign[c] = w.inclusions[index[(p, q, mu2)]].apply(moved)
         gens.append(sset.SimplicialMap(w.space, w.space, assign))
     return gens
-
-
-def balanced_smash_map_cellwise(bs_src, bs_tgt, f):
-    """The copywise map of balanced smashes, f applied cell by cell."""
-    from symspec import sset
-
-    w_s, w_t = bs_src.wedge, bs_tgt.wedge
-    assign = {w_s.space.basepoint: ((), w_t.space.basepoint)}
-    for c in w_s.space.cell_ids():
-        if c == w_s.space.basepoint:
-            continue
-        idx, orig = w_s.part_of[c]
-        assign[c] = w_t.inclusions[idx].apply(f.apply(((), orig)))
-    return sset.SimplicialMap(w_s.space, w_t.space, assign)
 
 
 def tensor_generators_cellwise(T, n):

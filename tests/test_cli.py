@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from symspec import cli, equivariant as eq, jsonio as io, spectra as sp, sset
+from symspec import cli, equivariant as eq, jsonio as io, modelcheck as mc, spectra as sp, sset
 
 
 def run(capsys, *argv):
@@ -573,6 +573,23 @@ def test_pushout_product_check_builds_the_corner_once(capsys, monkeypatch, argv)
     monkeypatch.setattr(sp, "pushout_product", counted)
     assert run(capsys, "pushout-product", *argv, "--check")[0] == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["free:1:sphere1", "free:1:sphere1"], 2),
+    (["free:1:sphere1", "free:0:sphere1"], 3),
+])
+def test_pushout_product_check_flags_a_repeated_operand_once(capsys, monkeypatch, argv, calls):
+    checked = []
+    stable_cofibration_check = mc.stable_cofibration_check
+
+    def counted(f):
+        checked.append(f)
+        return stable_cofibration_check(f)
+
+    monkeypatch.setattr(mc, "stable_cofibration_check", counted)
+    assert run(capsys, "pushout-product", *argv, "--bound", "2", "--check")[0] == 0
+    assert len(checked) == calls
 
 
 _SPACE_CHECK_KEYS = ["clauses", "corner_kind", "corner_monomorphism", "f", "g"]
