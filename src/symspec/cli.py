@@ -12,6 +12,7 @@ error, 3 search budget exceeded.  Output is deterministic canonical JSON;
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -282,14 +283,14 @@ def cmd_check_lift(ws, args):
 def cmd_smash(ws, args):
     a = resolve_any(ws, args.a)
     if isinstance(a, sp.SymmetricSpectrum):
-        b = resolve_any(ws, args.b)
+        b = a if args.b == args.a else resolve_any(ws, args.b)
         if isinstance(b, sp.SymmetricSpectrum):
             _same_bound("smash", a, b)
             return io.dump_spectrum(sp.smash_spectra(a, b)), 0
         b = _want(b, (sset.PointedSimplicialSet,), args.b)
         return io.dump_spectrum(sp.prolong_smash(a, b)), 0
     a = _want(a, (sset.PointedSimplicialSet,), args.a)
-    b = resolve_any(ws, args.b)
+    b = a if args.b == args.a else resolve_any(ws, args.b)
     if isinstance(b, sp.SymmetricSpectrum):
         raise InputError("spectrum operand must come first in smash")
     b = _want(b, (sset.PointedSimplicialSet,), args.b)
@@ -471,6 +472,9 @@ HANDLERS = {
 # parser
 
 
+# Built on the first main() call and kept: parse_args leaves the parser as
+# it was, so every later call in the process reuses it.
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="symspec",

@@ -12,6 +12,11 @@ and their generators are ``WedgeResult.map_out`` of one map per copy.
 and the one place a generator factors a coset: a degree of the tensor of
 symmetric sequences is one balanced smash over its blocks X_p ^ Y_q.  Only
 ``FreeOrbitSpace.cell_coords`` reads which copy a cell is in.
+
+A sphere's generators are built when first read: ``SphereTower.action(n)``
+holds S^n at once, but its Sigma_n maps wait for a reader of
+``.generators`` or ``.act``, so a caller of the spaces alone (the stable
+colimit of S) builds no action.
 """
 
 import functools
@@ -131,13 +136,9 @@ class EquivariantSpace:
     """
 
     def __init__(self, space, n, generators):
-        if len(generators) != max(n - 1, 0):
-            raise sset.PreconditionError(
-                f"Sigma_{n} needs {max(n - 1, 0)} generators, got {len(generators)}"
-            )
         self.space = space
         self.n = n
-        self.generators = list(generators)
+        self.generators = _checked_generators(n, generators)
         self._acts = {identity_perm(n): sset.identity_map(space)}
 
     def __repr__(self):
@@ -184,6 +185,14 @@ class EquivariantSpace:
 
     def orbit(self, form):
         return {self.act(p).apply(form) for p in itertools.permutations(range(self.n))}
+
+
+def _checked_generators(n, generators):
+    if len(generators) != max(n - 1, 0):
+        raise sset.PreconditionError(
+            f"Sigma_{n} needs {max(n - 1, 0)} generators, got {len(generators)}"
+        )
+    return list(generators)
 
 
 def trivial_action(space, n):
@@ -236,7 +245,9 @@ class SphereTower:
     S^1 ^ S^(n-1), whose ``split`` peels off the first circle coordinate.
     The Sigma_n action uses that sigma: S^1 ^ S^(n-1) -> S^n is
     Sigma_1 x Sigma_(n-1)-equivariant: t_i for i >= 1 is S^1 ^ t_(i-1) of
-    S^(n-1), and t_0 swaps the two circle coordinates in front.
+    S^(n-1), and t_0 swaps the two circle coordinates in front.  Each
+    level's generators are built on their first read and kept, the first
+    read of level n reading those of level n-1.
     """
 
     def __init__(self):
@@ -254,24 +265,29 @@ class SphereTower:
         return self.spaces[n]
 
     def action(self, n):
-        """Sigma_n permuting the smash coordinates of S^n = S^1 ^ S^(n-1).
+        """S^n with Sigma_n permuting the smash coordinates of S^1 ^ S^(n-1).
 
-        t_i for i >= 1 is S^1 ^ t_(i-1) of S^(n-1); t_0 swaps the first two
+        The generators are built when first read (``_generators``), so a
+        caller that only reads the space pays nothing for the action.
+        """
+        if n not in self._actions:
+            self._actions[n] = _SphereLevel(self, n)
+        return self._actions[n]
+
+    def _generators(self, n):
+        """t_i for i >= 1 is S^1 ^ t_(i-1) of S^(n-1); t_0 swaps the first two
         circle coordinates.  Forms are in normal form, so this is the same
         map as permuting all n circle coordinates at once.
         """
-        if n not in self._actions:
-            space = self.space(n)
-            gens = []
-            if n >= 2:
-                sm = self.smashes[n]
-                gens.append(sm.map_out(space, self._first_swap(n)))
-                for g in self.action(n - 1).generators:
-                    gens.append(sm.map_out(
-                        space, lambda f1, frest, g=g: sm.form_of_pair(f1, g.apply(frest))
-                    ))
-            self._actions[n] = EquivariantSpace(space, n, gens)
-        return self._actions[n]
+        gens = []
+        if n >= 2:
+            space, sm = self.space(n), self.smashes[n]
+            gens.append(sm.map_out(space, self._first_swap(n)))
+            for g in self.action(n - 1).generators:
+                gens.append(sm.map_out(
+                    space, lambda f1, frest, g=g: sm.form_of_pair(f1, g.apply(frest))
+                ))
+        return gens
 
     def _first_swap(self, n):
         """The pair function of t_0 on S^1 ^ S^(n-1), for n >= 2."""
@@ -285,6 +301,20 @@ class SphereTower:
             return pair(f2, inner_pair(f1, f3))
 
         return swap
+
+
+class _SphereLevel(EquivariantSpace):
+    """S^n of a tower, its generators built by the tower on first read."""
+
+    def __init__(self, tower, n):
+        self.tower = tower
+        self.space = tower.space(n)
+        self.n = n
+        self._acts = {identity_perm(n): sset.identity_map(self.space)}
+
+    @functools.cached_property
+    def generators(self):
+        return _checked_generators(self.n, self.tower._generators(self.n))
 
 
 def sphere_action(n, tower=None):

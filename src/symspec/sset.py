@@ -242,19 +242,12 @@ class PointedSimplicialSet:
         bp = self.basepoint
         if dim_of.get(bp) != 0:
             raise IdentityError(bp, "the basepoint is a vertex", dim_of.get(bp), 0)
-        degenerate_rows = {}
-
-        def row(form, k):
-            # all faces d_0 .. d_k of a degenerate k-dimensional form
-            out = degenerate_rows.get(form)
-            if out is None:
-                out = tuple([self.face(i, form) for i in range(k + 1)])
-                degenerate_rows[form] = out
-            return out
-
         # dimensions ascend, so every cell a face table refers to has had
         # its own table checked before the identities read it
         for k, ids in self.cells.items():
+            # a (k-1)-form's verdict depends on the form and k alone, so each
+            # distinct face of a k-cell is checked once, keeping its face row
+            rows_of = {}
             for c in ids:
                 if k == 0:
                     if faces.get(c):
@@ -264,14 +257,24 @@ class PointedSimplicialSet:
                 if len(fs) != k + 1:
                     where = f"a {k}-cell has {k + 1} faces"
                     raise IdentityError(c, where, len(fs), k + 1)
+                rows = []
                 for i, f in enumerate(fs):
-                    fault = _form_fault(self, f, k - 1)
-                    if fault:
-                        what, lhs, rhs = fault
-                        raise IdentityError(c, f"d_{i} {what}", lhs, rhs)
+                    r = rows_of.get(f)
+                    if r is None:
+                        fault = _form_fault(self, f, k - 1)
+                        if fault:
+                            what, lhs, rhs = fault
+                            raise IdentityError(c, f"d_{i} {what}", lhs, rhs)
+                        if k < 2:
+                            r = ()
+                        elif f[0]:
+                            r = tuple([self.face(j, f) for j in range(k)])
+                        else:
+                            r = faces[f[1]]
+                        rows_of[f] = r
+                    rows.append(r)
                 if k < 2:
                     continue
-                rows = [row(f, k - 1) if f[0] else faces[f[1]] for f in fs]
                 cols = list(zip(*rows))
                 # d_i d_j == d_{j-1} d_i for i < j, i.e. rows[j][i] ==
                 # rows[i][j - 1]: a row tail against a column tail

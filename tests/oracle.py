@@ -7,7 +7,8 @@ with the package: this is the reference the package's combinatorics is tested
 against.
 
 The last section is different: it keeps constructions the package replaced
-(the worklist congruence closure, the smash as a collapsed product, the
+(the simplicial identity check that reads every face of every cell, the
+worklist congruence closure, the smash as a collapsed product, the
 smash of spectra as a triple-tensor coequalizer, the Smith form without its
 unit shortcuts, kernel coordinates through a rational inverse, the map
 enumerator that scans every candidate form, the backtracking enumerator
@@ -275,6 +276,57 @@ def snf_divisors(rows):
 # Former package constructions, kept as references for the direct ones.
 # Unlike the dense model above these are built from package primitives;
 # they pin the new constructions to the old ones cell id for cell id.
+
+
+def validate_per_cell(space):
+    """``PointedSimplicialSet.validate`` checking every face of every cell,
+    a repeated face as often as it occurs.  True, or the first
+    ``IdentityError``."""
+    from symspec import sset
+
+    faces, dim_of = space.faces, space.dim_of
+    bp = space.basepoint
+    if dim_of.get(bp) != 0:
+        raise sset.IdentityError(bp, "the basepoint is a vertex", dim_of.get(bp), 0)
+    degenerate_rows = {}
+
+    def row(form, k):
+        # all faces d_0 .. d_k of a degenerate k-dimensional form
+        out = degenerate_rows.get(form)
+        if out is None:
+            out = tuple([space.face(i, form) for i in range(k + 1)])
+            degenerate_rows[form] = out
+        return out
+
+    for k, ids in space.cells.items():
+        for c in ids:
+            if k == 0:
+                if faces.get(c):
+                    raise sset.IdentityError(c, "a vertex has no faces", faces[c], ())
+                continue
+            fs = faces.get(c, ())
+            if len(fs) != k + 1:
+                where = f"a {k}-cell has {k + 1} faces"
+                raise sset.IdentityError(c, where, len(fs), k + 1)
+            for i, f in enumerate(fs):
+                fault = sset._form_fault(space, f, k - 1)
+                if fault:
+                    what, lhs, rhs = fault
+                    raise sset.IdentityError(c, f"d_{i} {what}", lhs, rhs)
+            if k < 2:
+                continue
+            rows = [row(f, k - 1) if f[0] else faces[f[1]] for f in fs]
+            cols = list(zip(*rows))
+            if all(rows[i][i:] == cols[i][i + 1 :] for i in range(k)):
+                continue
+            for j in range(1, k + 1):
+                for i in range(j):
+                    left, right = rows[j][i], rows[i][j - 1]
+                    if left != right:
+                        raise sset.IdentityError(
+                            c, f"d_{i} d_{j} = d_{j - 1} d_{i}", left, right
+                        )
+    return True
 
 
 def smash_by_quotient(A, B):

@@ -333,6 +333,26 @@ def test_smash_spectrum_with_space(capsys):
     io.load(data)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_smash_resolves_a_repeated_operand_once(capsys, monkeypatch, n):
+    free_F = sp.free_F
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return free_F(*args)
+
+    monkeypatch.setattr(sp, "free_F", counted)
+    token = f"free:{n}:sphere1"
+    code, out, _ = run(capsys, "smash", token, token, "--bound", "3")
+    assert code == 0
+    assert len(built) == 1
+    # the bytes of the smash of two separately built copies of the operand
+    tower = eq.SphereTower()
+    copies = [free_F(n, sset.sphere(1), 3, tower) for _ in range(2)]
+    assert out == io.canonical(io.dump_spectrum(sp.smash_spectra(*copies)))
+
+
 def test_tensor_output_loads(capsys):
     code, data = payload(
         capsys, "tensor", "free:0:sphere0", "free:0:sphere0", "--bound", "2"
@@ -401,6 +421,22 @@ def test_stable_colimit_free_spectrum(capsys):
     assert code == 0
     assert [lv["rank"] for lv in data["levels"]] == [0, 1, 2, 3]
     assert data["stabilized"] is False
+
+
+def test_stable_colimit_of_the_sphere_builds_no_sphere_generators(capsys, monkeypatch):
+    generators = eq.SphereTower._generators
+    built = []
+
+    def counted(tower, n):
+        built.append(n)
+        return generators(tower, n)
+
+    monkeypatch.setattr(eq.SphereTower, "_generators", counted)
+    code, data = payload(
+        capsys, "stable-colimit", "--spectrum", "sphere", "--k", "0", "--bound", "4"
+    )
+    assert code == 0 and data["stabilized"] is True
+    assert built == []
 
 
 def test_stable_colimit_sphere_stabilizes(capsys):
@@ -787,6 +823,28 @@ def test_every_subcommand_parses_the_shared_options(command):
     args = cli.build_parser().parse_args([command, *_REQUIRED_ARGS[command], *shared])
     assert args.command == command
     assert (args.out, args.human, args.bound, args.budget) == ("out.json", True, 2, 7)
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_called_twice_prints_what_two_processes_print(capsys):
+    calls = [
+        ["stable-colimit", "--spectrum", "sphere", "--k", "0", "--bound", "3", "--human"],
+        ["stable-colimit", "--spectrum", "sphere", "--k", "0", "--bound", "2"],
+    ]
+    in_process = [run(capsys, *argv)[1] for argv in calls]
+    src = os.path.dirname(os.path.dirname(sset.__file__))
+    separate = [
+        subprocess.run(
+            [sys.executable, "-m", "symspec", *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        ).stdout
+        for argv in calls
+    ]
+    assert in_process == separate
+    assert in_process[0] != in_process[1]
 
 
 def test_module_entry_point():

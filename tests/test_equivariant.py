@@ -147,6 +147,32 @@ def test_sphere_action_validates_through_level_six():
         assert tower.action(n).validate(), n
 
 
+def test_sphere_generators_are_built_once_on_first_read(monkeypatch):
+    generators = eq.SphereTower._generators
+    built = []
+
+    def counted(tower, n):
+        built.append(n)
+        return generators(tower, n)
+
+    monkeypatch.setattr(eq.SphereTower, "_generators", counted)
+    tower = eq.SphereTower()
+    act = tower.action(5)
+    assert act.space is tower.space(5) and built == []
+    assert len(act.generators) == 4
+    assert built == [5, 4, 3, 2, 1]
+    assert tower.action(3).generators and act.act((4, 3, 2, 1, 0))
+    assert act.generators is tower.action(5).generators
+    assert built == [5, 4, 3, 2, 1]
+
+
+def test_a_sphere_level_still_needs_n_minus_one_generators(monkeypatch):
+    monkeypatch.setattr(eq.SphereTower, "_generators", lambda tower, n: [])
+    act = eq.SphereTower().action(3)
+    with pytest.raises(sset.PreconditionError, match="Sigma_3 needs 2 generators"):
+        act.generators
+
+
 def test_bad_arguments_raise_precondition_errors():
     X = sset.circle()
     calls = [

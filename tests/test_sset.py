@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 import oracle
+from symspec import equivariant as eq
 from symspec import sset
 
 
@@ -160,6 +161,53 @@ def test_validate_names_a_face_on_a_missing_cell():
     X = sset.PointedSimplicialSet(D1.cells, {}, D1.basepoint)
     with pytest.raises(sset.IdentityError, match="a 1-cell has 2 faces"):
         X.validate()
+
+
+def _validation_spaces():
+    tower = eq.SphereTower()
+    return corpus.space_menu() + [
+        sset.delta_plus(3),
+        sset.boundary_plus(3),
+        sset.horn_plus(3, 1),
+        tower.space(3),
+        sset.smash(sset.circle(), sset.delta_plus(2)).space,
+        sset.product(sset.delta_plus(1), sset.delta_plus(1)).space,
+    ]
+
+
+def _verdict(check, X):
+    try:
+        return check(X)
+    except sset.IdentityError as err:
+        return err.cell, err.identity, err.lhs, err.rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_agrees_with_the_per_cell_check(data):
+    X = data.draw(st.sampled_from(_validation_spaces()))
+    assert X.validate() is oracle.validate_per_cell(X) is True
+    # mostly a face of a positive-dimensional cell, sometimes the basepoint's
+    c = data.draw(st.sampled_from([c for c in X.cell_ids() if X.dim_of[c]] + [X.basepoint]))
+    k = X.dim_of[c]
+    fs = list(X.faces.get(c, ()))
+    faces = list(X.forms(k - 1)) if k else []
+    others = [f for m in range(max(k - 2, 0), k + 1) for f in X.forms(m)]
+    others += [((), -1), ((0,) * k, X.basepoint), (tuple(range(k)), X.basepoint)]
+    kind = data.draw(st.sampled_from(["face", "face", "face", "other", "drop", "add"]))
+    if fs and kind in ("face", "other"):
+        # a face replaced by another (k-1)-form, or by a form of the wrong
+        # dimension, on a missing cell or out of normal form
+        pool = faces if kind == "face" else others
+        fs[data.draw(st.integers(0, len(fs) - 1))] = data.draw(st.sampled_from(pool))
+    elif fs and kind == "drop":
+        del fs[data.draw(st.integers(0, len(fs) - 1))]
+    else:
+        fs.append(data.draw(st.sampled_from(others)))
+    Y = sset.PointedSimplicialSet(X.cells, {**X.faces, c: tuple(fs)}, X.basepoint)
+    assert _verdict(sset.PointedSimplicialSet.validate, Y) == _verdict(
+        oracle.validate_per_cell, Y
+    )
 
 
 def test_standard_space_counts():
