@@ -52,8 +52,7 @@ def _latching_data(X):
         def summand(n, p, q, mu):  # q >= 1 on every summand with cells: Sbar_0 is a point
             act = X.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
             return lambda fx, fs: act(fs, fx)
-        comps = zip(XB.quotients, XB.T.map_out(X.seq, summand).components)
-        X._latching = XB, sp.SpectrumMap(XB, X, [sset.descend(q.projection, a) for q, a in comps])
+        X._latching = XB, XB.descend(XB.T.map_out(X.seq, summand), X)
     return X._latching
 
 
@@ -147,16 +146,6 @@ def stable_cofibration_check(f):
 # exhaustive map enumeration
 
 
-def _sigma_square_ok(A, X, h_n, h_n1, n):
-    lifted = sset.smash_map(
-        A.structure_smash(n),
-        X.structure_smash(n),
-        sset.identity_map(A.tower.s1),
-        h_n,
-    )
-    return h_n1.compose(A.sigma(n)) == X.sigma(n).compose(lifted)
-
-
 def _all_spectrum_maps(A, X, budget=None):
     """Every spectrum map A -> X: equivariant levels glued along sigma."""
     _check_same_frame(A, X, "map enumeration")
@@ -180,7 +169,8 @@ def _all_spectrum_maps(A, X, budget=None):
             if n > 0:
                 if budget is not None:
                     budget.spend()
-                if not _sigma_square_ok(A, X, comps[-1], h, n - 1):
+                lhs, rhs = sp.sigma_square(A, X, comps[-1], h, n - 1)
+                if lhs != rhs:
                     continue
             extend(comps + [h])
 
@@ -266,24 +256,21 @@ def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
 # instance checks of the corner-map theorems
 
 
-def _space_homology_flag(h, top):
-    failures = [
-        k
-        for k in range(top + 1)
-        if not hl.induced_map(h, k).is_isomorphism()
-    ]
-    return not failures, failures
+def _homology_failures(h, top):
+    """The degrees k <= top in which h is not an isomorphism on H_k."""
+    return [k for k in range(top + 1) if not hl.induced_map(h, k).is_isomorphism()]
 
 
 def _ingredient_flags(h):
     if isinstance(h, sset.SimplicialMap):
         mono = h.is_monomorphism()
-        ok, _ = _space_homology_flag(h, max(h.source.dim, h.target.dim))
         return {
             "kind": "space",
             "monomorphism": mono,
             "cofibration": mono,
-            "homology_level_equivalence": ok,
+            "homology_level_equivalence": not _homology_failures(
+                h, max(h.source.dim, h.target.dim)
+            ),
         }
     return {
         "kind": "spectrum",
@@ -370,11 +357,11 @@ def level_classify(f, max_degree=None):
         top = max(top, X.space(n).dim, Y.space(n).dim)
     if max_degree is not None:
         top = max_degree
-    hom_failures = []
-    for n in range(X.bound + 1):
-        for k in range(top + 1):
-            if not hl.induced_map(f.level(n), k).is_isomorphism():
-                hom_failures.append({"level": n, "degree": k})
+    hom_failures = [
+        {"level": n, "degree": k}
+        for n in range(X.bound + 1)
+        for k in _homology_failures(f.level(n), top)
+    ]
     return {
         "monomorphism": not mono_failures,
         "monomorphism_failures": mono_failures,

@@ -17,6 +17,14 @@ A spectrum is a left S-module in symmetric sequences, and
 s ^ x |-> m_mu . sigma^p(s ^ x).  The map lambda: S (x) X -> X, the free
 extensions out of F_r K = S (x) G_r K, the multiplication of S and the
 latching comparison X ^ Sbar -> X are all read off it.
+
+A map of spectra is a map of the underlying sequences that commutes with
+the structure maps: ``SpectrumMap`` is a ``symseq.SequenceMap`` whose
+``validate`` adds the squares of ``sigma_square``, the one statement of
+h_{n+1} . sigma = sigma . (S^1 ^ h_n), which the map enumerator of
+``modelcheck`` reads too.  X ^_S Y is a coequalizer of X (x) Y, so a map
+out of it is a map out of X (x) Y that respects the relations, and
+``SmashSpectrum.descend`` is the one way through its quotients.
 """
 
 import functools
@@ -114,63 +122,41 @@ class SymmetricSpectrum:
         return lambda fs, fx: shuffle.apply(sp.apply(ps.form_of_pair(fs, fx)))
 
 
-class SpectrumMap:
+class SpectrumMap(sq.SequenceMap):
+    """A map of the underlying sequences between two spectra on one circle;
+    ``validate`` adds the structure squares to the levelwise checks."""
+
     def __init__(self, source, target, components):
         if source.tower is not target.tower:
             raise sset.PreconditionError(f"{source!r} and {target!r} need a shared circle")
-        self.source = source
-        self.target = target
-        self.components = list(components)
-        self.seq_map = sq.SequenceMap(source.seq, target.seq, components)
+        super().__init__(source, target, components)
 
-    def level(self, n):
-        return self.components[n]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpectrumMap)
-            and self.source is other.source
-            and self.target is other.target
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash(tuple(map(hash, self.components)))
-
-    def compose(self, other):
-        if other.target is not self.source:
-            raise sset.PreconditionError(
-                f"{self.source!r} is not the target of {other.target!r}"
-            )
-        return SpectrumMap(
-            other.source,
-            self.target,
-            [f.compose(g) for f, g in zip(self.components, other.components)],
-        )
+    @property
+    def seq_map(self):
+        """The same components as a map of the underlying sequences, for
+        constructions such as ``symseq.tensor_map`` that take one."""
+        return sq.SequenceMap(self.source.seq, self.target.seq, self.components)
 
     def validate(self):
         """The levelwise checks of ``SequenceMap.validate``, then every
         structure square; a failed square raises ``sset.IdentityError``
         naming the level and the first cell of S^1 ^ X_n where it fails."""
-        self.seq_map.validate()
-        s1 = self.source.tower.s1
+        super().validate()
         for n in range(self.source.bound):
-            lift = sset.smash_map(
-                self.source.structure_smash(n),
-                self.target.structure_smash(n),
-                sset.identity_map(s1),
-                self.components[n],
+            lhs, rhs = sigma_square(
+                self.source, self.target, self.components[n], self.components[n + 1], n
             )
-            lhs = self.components[n + 1].compose(self.source.sigma(n))
-            rhs = self.target.sigma(n).compose(lift)
             sset.require_equal(lhs, rhs, f"level {n}: f sigma = sigma (1 ^ f)")
         return True
 
-    def is_isomorphism(self):
-        return self.seq_map.is_isomorphism()
 
-    def is_monomorphism(self):
-        return self.seq_map.is_monomorphism()
+def sigma_square(A, X, h_n, h_n1, n):
+    """The two sides h_{n+1} . sigma and sigma . (S^1 ^ h_n) of the structure
+    square of level n, for h_n: A_n -> X_n and h_n1: A_{n+1} -> X_{n+1}."""
+    lifted = sset.smash_map(
+        A.structure_smash(n), X.structure_smash(n), sset.identity_map(A.tower.s1), h_n
+    )
+    return h_n1.compose(A.sigma(n)), X.sigma(n).compose(lifted)
 
 
 def identity_spectrum_map(X):
@@ -212,18 +198,14 @@ def validate_spectrum(X, quick=False):
             ident_level = sset.identity_map(X.space(n))
             for i, g in enumerate(X.tower.action(p).generators):
                 lhs = sp.compose(sset.smash_map(ps, ps, g, ident_level))
-                rhs = X.level(n + p).act(
-                    eq.block_embed(eq.transposition(p, i), n + p)
-                ).compose(sp)
+                rhs = X.level(n + p).generators[i].compose(sp)
                 if lhs != rhs:
                     failures.append(
                         {"p": p, "n": n, "reason": f"sphere letter {i} not equivariant"}
                     )
             for j, g in enumerate(X.level(n).generators):
                 lhs = sp.compose(sset.smash_map(ps, ps, ident_sphere, g))
-                rhs = X.level(n + p).act(
-                    eq.block_sum(eq.identity_perm(p), eq.transposition(n, j))
-                ).compose(sp)
+                rhs = X.level(n + p).generators[p + j].compose(sp)
                 if lhs != rhs:
                     failures.append(
                         {"p": p, "n": n, "reason": f"level letter {j} not equivariant"}
@@ -276,7 +258,8 @@ def point_spectrum(N, tower=None):
 
 
 def bar_sphere(N, tower=None):
-    """The sphere with level 0 replaced by a point.
+    """The sphere with level 0 replaced by a point: levels 1..N and their
+    structure maps are the sphere's own.
 
     Cached per (tower, bound) for the same reason sphere_spectrum is.
     """
@@ -285,16 +268,16 @@ def bar_sphere(N, tower=None):
         tower._bar_spectra = {}
     if N in tower._bar_spectra:
         return tower._bar_spectra[N]
+    S = sphere_spectrum(N, tower)
     levels = [eq.trivial_action(sset.point(), 0)]
-    levels += [tower.action(n) for n in range(1, N + 1)]
+    levels += [S.level(n) for n in range(1, N + 1)]
     seq = sq.SymmetricSequence(levels, name="Sbar")
 
     def build(n):
         if n == 0:
             sm = sset.smash(tower.s1, seq.space(0))
             return sm, sset.constant_map(sm.space, seq.space(1))
-        tower.space(n + 1)
-        return tower.smashes[n + 1], sset.identity_map(tower.space(n + 1))
+        return S.structure_smash(n), S.sigma(n)
 
     spec = SymmetricSpectrum(tower, seq, build, name="Sbar")
     tower._bar_spectra[N] = spec
@@ -665,6 +648,15 @@ class SmashSpectrum(SymmetricSpectrum):
                     raise sset.IdentityError(a, where, va, vb)
         return sm, sig
 
+    def descend(self, g, target, then=None):
+        """The spectrum map X ^_S Y -> target through which g: X (x) Y ->
+        target (with ``then``, then . g) factors, ``sset.descend`` through
+        each level's quotient; g must respect the relations."""
+        return SpectrumMap(self, target, [
+            sset.descend(q.projection, g.level(n), then and then.level(n))
+            for n, q in enumerate(self.quotients)
+        ])
+
 
 def smash_spectra(X, Y, name=None):
     return SmashSpectrum(X, Y, name=name)
@@ -676,15 +668,7 @@ def smash_unit_iso(SX):
     N = SX.bound
     if any(SX.X.space(n) is not SX.tower.space(n) for n in range(N + 1)):
         raise sset.PreconditionError(f"the left factor of {SX!r} must be the sphere")
-    lam = left_action_map(X, SX.T)
-    fwd = SpectrumMap(
-        SX,
-        X,
-        [
-            sset.descend(SX.quotients[n].projection, lam.level(n))
-            for n in range(N + 1)
-        ],
-    )
+    fwd = SX.descend(left_action_map(X, SX.T), X)
     pt = sset._sole_point(SX.X.space(0))
     inv_comps = [
         SX.quotients[n].projection.compose(
@@ -699,14 +683,7 @@ def smash_comm_iso(XY, YX):
     """The symmetry X ^_S Y -> Y ^_S X, descended from the tensor twist."""
     if XY.X is not YX.Y or XY.Y is not YX.X:
         raise sset.PreconditionError(f"{YX!r} is not the twist of {XY!r}")
-    tw = sq.twist_iso(XY.T, YX.T)
-    comps = [
-        sset.descend(
-            XY.quotients[n].projection, tw.level(n), YX.quotients[n].projection
-        )
-        for n in range(XY.bound + 1)
-    ]
-    return SpectrumMap(XY, YX, comps)
+    return XY.descend(sq.twist_iso(XY.T, YX.T), YX, then=YX.proj_seq)
 
 
 def smash_assoc_iso(XY_Z, X_YZ):
@@ -745,15 +722,7 @@ def smash_map_spectra(S_src, S_tgt, f, g):
     if not (S_src.Y is g.source and S_tgt.Y is g.target):
         raise sset.PreconditionError(f"{g!r} does not run between the right factors")
     tm = sq.tensor_map(S_src.T, S_tgt.T, f.seq_map, g.seq_map)
-    comps = [
-        sset.descend(
-            S_src.quotients[n].projection,
-            tm.level(n),
-            S_tgt.quotients[n].projection,
-        )
-        for n in range(S_src.bound + 1)
-    ]
-    return SpectrumMap(S_src, S_tgt, comps)
+    return S_src.descend(tm, S_tgt, then=S_tgt.proj_seq)
 
 
 # ---------------------------------------------------------------------------
@@ -854,13 +823,10 @@ def shift(X, k):
         raise IndexError(f"shift by {k} exceeds bound {X.bound}")
     if k == 0:
         return X
-    levels = []
-    for n in range(X.bound - k + 1):
-        gens = [
-            X.level(n + k).act(eq.block_embed(eq.transposition(n, i), n + k))
-            for i in range(n - 1)
-        ]
-        levels.append(eq.EquivariantSpace(X.space(n + k), n, gens))
+    levels = [
+        eq.EquivariantSpace(X.space(n + k), n, X.level(n + k).generators[:max(n - 1, 0)])
+        for n in range(X.bound - k + 1)
+    ]
     seq = sq.SymmetricSequence(levels, name=f"sh{k}({X.name})")
     return SymmetricSpectrum(
         X.tower, seq, lambda n: X._pair(n + k), name=seq.name

@@ -85,7 +85,7 @@ class SequenceMap:
             raise sset.PreconditionError(
                 f"{self.source!r} is not the target of {other.target!r}"
             )
-        return SequenceMap(
+        return type(self)(
             other.source,
             self.target,
             [f.compose(g) for f, g in zip(self.components, other.components)],

@@ -21,19 +21,30 @@ def parse(module):
         return ast.parse(fh.read(), filename=module)
 
 
-def uses(tree, name):
+def uses(tree, name, owner=None):
     """Sorted (line, scope) of every node naming ``name``; the scope is ""
-    at module level."""
+    at module level.  With ``owner``, only the attribute ``owner.name``
+    counts, such as ``sset.descend`` for owner "sset"."""
     found = []
+
+    def names(node):
+        if owner is not None:
+            return (
+                isinstance(node, ast.Attribute)
+                and node.attr == name
+                and isinstance(node.value, ast.Name)
+                and node.value.id == owner
+            )
+        return (
+            (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Constant) and node.value == name)
+        )
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if (
-            (isinstance(node, ast.Attribute) and node.attr == name)
-            or (isinstance(node, ast.Name) and node.id == name)
-            or (isinstance(node, ast.Constant) and node.value == name)
-        ):
+        if names(node):
             found.append((node.lineno, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)

@@ -19,8 +19,10 @@ read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere's multiplication built from flattened
 circle coordinates, the free extension read off the orbit wedge cell by
 cell, the smash's quotient map from the product, the
-homology reports with a push loop each, and the latching comparison
-through three smash spectra and through the tensor twist), built from
+homology reports with a push loop each, the latching comparison
+through three smash spectra and through the tensor twist, and the maps
+out of a smash of spectra descended through its quotients level by
+level), built from
 package primitives, as references for the constructions that took their
 place.
 """
@@ -1494,3 +1496,77 @@ def stable_map_report_ladder(f, k, require_homotopy=False):
     return hl.StableMapReport(
         k, levels, matrices, verdict, interpretation, ladder,
     )
+
+
+# Maps out of a smash of spectra, each descending through the quotients
+# of X (x) Y itself, level by level, as written before
+# ``SmashSpectrum.descend``.
+
+
+def smash_map_spectra_per_level(S_src, S_tgt, f, g):
+    """The map X ^_S Y -> X' ^_S Y' induced by f: X -> X', g: Y -> Y'."""
+    from symspec import spectra as sp
+    from symspec import sset
+    from symspec import symseq as sq
+
+    tm = sq.tensor_map(S_src.T, S_tgt.T, f.seq_map, g.seq_map)
+    comps = [
+        sset.descend(
+            S_src.quotients[n].projection,
+            tm.level(n),
+            S_tgt.quotients[n].projection,
+        )
+        for n in range(S_src.bound + 1)
+    ]
+    return sp.SpectrumMap(S_src, S_tgt, comps)
+
+
+def smash_comm_iso_per_level(XY, YX):
+    """The symmetry X ^_S Y -> Y ^_S X, descended from the tensor twist."""
+    from symspec import spectra as sp
+    from symspec import sset
+    from symspec import symseq as sq
+
+    tw = sq.twist_iso(XY.T, YX.T)
+    comps = [
+        sset.descend(
+            XY.quotients[n].projection, tw.level(n), YX.quotients[n].projection
+        )
+        for n in range(XY.bound + 1)
+    ]
+    return sp.SpectrumMap(XY, YX, comps)
+
+
+def smash_unit_forward_per_level(SX):
+    """S ^_S X -> X, the left action of S descended through each quotient."""
+    from symspec import spectra as sp
+    from symspec import sset
+
+    X = SX.Y
+    lam = sp.left_action_map(X, SX.T)
+    return sp.SpectrumMap(
+        SX,
+        X,
+        [
+            sset.descend(SX.quotients[n].projection, lam.level(n))
+            for n in range(SX.bound + 1)
+        ],
+    )
+
+
+def latching_comparison_per_level(X):
+    """(X ^ Sbar, the comparison X ^ Sbar -> X), uncached: the left action
+    of Sbar on X after the twist, summand by summand out of X (x) Sbar,
+    descended through each quotient."""
+    from symspec import equivariant as eq
+    from symspec import spectra as sp
+    from symspec import sset
+
+    XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
+
+    def summand(n, p, q, mu):
+        act = X.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
+        return lambda fx, fs: act(fs, fx)
+
+    comps = zip(XB.quotients, XB.T.map_out(X.seq, summand).components)
+    return XB, sp.SpectrumMap(XB, X, [sset.descend(q.projection, a) for q, a in comps])
