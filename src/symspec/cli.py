@@ -13,6 +13,7 @@ error, 3 search budget exceeded.  Output is deterministic canonical JSON;
 
 import argparse
 import functools
+import gc
 import json
 import os
 import re
@@ -569,8 +570,28 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code.
+
+    The handler and the output run with the cyclic garbage collector paused,
+    and the caller's collector state is restored on the way out.  A command
+    builds hundreds of thousands of tuples, and each collector pass would
+    walk them all again while the command runs.  Pausing is safe because
+    nothing a command builds is held in a reference cycle: what holds what
+    runs one way (see ``equivariant``), so reference counting frees each
+    object once its last reader drops it, and nothing is left for the
+    collector to find.
+    """
+    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(args):
     try:
         bound = _int_setting(args.bound, "SYMSPEC_BOUND", 3)
         budget = _int_setting(args.budget, "SYMSPEC_BUDGET", mc.DEFAULT_LIFT_BUDGET)

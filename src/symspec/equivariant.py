@@ -17,10 +17,17 @@ A sphere's generators are built when first read: ``SphereTower.action(n)``
 holds S^n at once, but its Sigma_n maps wait for a reader of
 ``.generators`` or ``.act``, so a caller of the spaces alone (the stable
 colimit of S) builds no action.
+
+What holds what runs one way, so reference counting frees a construction
+as soon as its last reader drops it.  A tower holds its circle, spaces and
+smashes strongly, and its levels (and the sphere spectra that ``spectra``
+keeps on it) only weakly; a level holds its tower and level n-1, whose
+generators its own are built from.
 """
 
 import functools
 import itertools
+import weakref
 
 from . import sset
 
@@ -248,13 +255,21 @@ class SphereTower:
     S^(n-1), and t_0 swaps the two circle coordinates in front.  Each
     level's generators are built on their first read and kept, the first
     read of level n reading those of level n-1.
+
+    The spaces and smashes are kept for the tower's lifetime.  The levels,
+    and the sphere and bar spectra of ``spectra``, are kept in weak
+    dictionaries: each of them holds the tower, so a strong copy here would
+    be a reference cycle.  They are shared while anything holds them, and a
+    level holds level n-1.
     """
 
     def __init__(self):
         self.s1 = sset.circle()
         self.spaces = {0: sset.zero_sphere(), 1: self.s1}
         self.smashes = {}
-        self._actions = {}
+        self._actions = weakref.WeakValueDictionary()
+        self._sphere_spectra = weakref.WeakValueDictionary()
+        self._bar_spectra = weakref.WeakValueDictionary()
 
     def space(self, n):
         while n not in self.spaces:
@@ -268,11 +283,13 @@ class SphereTower:
         """S^n with Sigma_n permuting the smash coordinates of S^1 ^ S^(n-1).
 
         The generators are built when first read (``_generators``), so a
-        caller that only reads the space pays nothing for the action.
+        caller that only reads the space pays nothing for the action.  One
+        level per n while anything holds it.
         """
-        if n not in self._actions:
-            self._actions[n] = _SphereLevel(self, n)
-        return self._actions[n]
+        level = self._actions.get(n)
+        if level is None:
+            level = self._actions[n] = _SphereLevel(self, n)
+        return level
 
     def _generators(self, n):
         """t_i for i >= 1 is S^1 ^ t_(i-1) of S^(n-1); t_0 swaps the first two
@@ -304,10 +321,15 @@ class SphereTower:
 
 
 class _SphereLevel(EquivariantSpace):
-    """S^n of a tower, its generators built by the tower on first read."""
+    """S^n of a tower, its generators built by the tower on first read.
+
+    It holds the tower and level n-1 (``below``), so the tower's weak copy of
+    level n-1 lives as long as level n and its generators are built once.
+    """
 
     def __init__(self, tower, n):
         self.tower = tower
+        self.below = tower.action(n - 1) if n else None
         self.space = tower.space(n)
         self.n = n
         self._acts = {identity_perm(n): sset.identity_map(self.space)}

@@ -563,7 +563,6 @@ def normalized_chains(X):
             cols.append({i: v for i, v in col.items() if v})
         columns[k] = cols
     C = ChainComplex(ranks, columns, basis=basis, name=X.name)
-    C.space = X
     C.index = index
     X._normalized_chains = C
     return C

@@ -41,19 +41,19 @@ def _check_same_frame(A, X, what):
 
 
 def _latching_data(X):
-    """(X ^ Sbar, the comparison X ^ Sbar -> X), cached on X: L_nX = (X ^ Sbar)_n.
-    The comparison is the left action of Sbar on X after the twist, descended
-    once: the (p, q, mu) copy x ^ s of X (x) Sbar goes by the (q, p) summand
-    of ``X.left_action`` onto the complement of mu, since m_mu . rho_{q,p} is
-    the (q, p)-shuffle onto it."""
-    if not hasattr(X, "_latching"):
-        XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
+    """(X ^ Sbar, the comparison X ^ Sbar -> X), built afresh on each call:
+    L_nX = (X ^ Sbar)_n.  Nothing keeps it on X, since X ^ Sbar holds X and
+    a copy on X would be a reference cycle.  The comparison is the left
+    action of Sbar on X after the twist, descended once: the (p, q, mu) copy
+    x ^ s of X (x) Sbar goes by the (q, p) summand of ``X.left_action`` onto
+    the complement of mu, since m_mu . rho_{q,p} is the (q, p)-shuffle onto
+    it."""
+    XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
 
-        def summand(n, p, q, mu):  # q >= 1 on every summand with cells: Sbar_0 is a point
-            act = X.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
-            return lambda fx, fs: act(fs, fx)
-        X._latching = XB, XB.descend(XB.T.map_out(X.seq, summand), X)
-    return X._latching
+    def summand(n, p, q, mu):  # q >= 1 on every summand with cells: Sbar_0 is a point
+        act = X.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
+        return lambda fx, fs: act(fs, fx)
+    return XB, XB.descend(XB.T.map_out(X.seq, summand), X)
 
 
 def latching(X, n):
@@ -158,24 +158,20 @@ def _all_spectrum_maps(A, X, budget=None):
                 if eq.is_equivariant(A.level(n), X.level(n), h)
             ]
         )
-    found = []
-
-    def extend(comps):
-        n = len(comps)
-        if n == A.bound + 1:
-            found.append(sp.SpectrumMap(A, X, list(comps)))
-            return
-        for h in per_level[n]:
-            if n > 0:
+    # glued level by level: the same squares, charged the same number of
+    # times, and the maps come out in the same order as a depth-first search
+    found = [[h] for h in per_level[0]]
+    for n in range(1, A.bound + 1):
+        glued = []
+        for comps in found:
+            for h in per_level[n]:
                 if budget is not None:
                     budget.spend()
                 lhs, rhs = sp.sigma_square(A, X, comps[-1], h, n - 1)
-                if lhs != rhs:
-                    continue
-            extend(comps + [h])
-
-    extend([])
-    return found
+                if lhs == rhs:
+                    glued.append(comps + [h])
+        found = glued
+    return [sp.SpectrumMap(A, X, comps) for comps in found]
 
 
 def all_maps(A, X, budget=None):

@@ -39,7 +39,9 @@ class SymmetricSpectrum:
     """Sequence plus structure maps, built lazily per level.
 
     sigma_builder(n) must return (SmashResult of S^1 ^ X_n, the structure
-    map out of it into X_{n+1}).
+    map out of it into X_{n+1}).  A subclass overrides ``_build_sigma`` in
+    its place and passes None: a bound method kept on the instance would tie
+    it into a reference cycle.
     """
 
     def __init__(self, tower, seq, sigma_builder, name=None):
@@ -68,8 +70,11 @@ class SymmetricSpectrum:
         if n not in self._structure:
             if not 0 <= n < self.bound:
                 raise sset.PreconditionError(f"{self!r} has no structure map at level {n}")
-            self._structure[n] = self._builder(n)
+            self._structure[n] = self._build_sigma(n)
         return self._structure[n]
+
+    def _build_sigma(self, n):
+        return self._builder(n)
 
     def structure_smash(self, n):
         """The smash object S^1 ^ X_n the structure map is defined on."""
@@ -222,14 +227,14 @@ def validate_spectrum(X, quick=False):
 def sphere_spectrum(N, tower=None):
     """Spheres with coordinate permutation; sigma inserts the new factor.
 
-    One instance per (tower, bound), so sequence-identity assertions hold
-    across everything built from the same tower.
+    One instance per (tower, bound) while anything holds it, so
+    sequence-identity assertions hold across everything built from the same
+    tower.
     """
     tower = tower or eq.SphereTower()
-    if not hasattr(tower, "_sphere_spectra"):
-        tower._sphere_spectra = {}
-    if N in tower._sphere_spectra:
-        return tower._sphere_spectra[N]
+    spec = tower._sphere_spectra.get(N)
+    if spec is not None:
+        return spec
     seq = sq.SymmetricSequence(
         [tower.action(n) for n in range(N + 1)], name="S"
     )
@@ -261,13 +266,13 @@ def bar_sphere(N, tower=None):
     """The sphere with level 0 replaced by a point: levels 1..N and their
     structure maps are the sphere's own.
 
-    Cached per (tower, bound) for the same reason sphere_spectrum is.
+    One instance per (tower, bound) while anything holds it, for the same
+    reason as sphere_spectrum.
     """
     tower = tower or eq.SphereTower()
-    if not hasattr(tower, "_bar_spectra"):
-        tower._bar_spectra = {}
-    if N in tower._bar_spectra:
-        return tower._bar_spectra[N]
+    spec = tower._bar_spectra.get(N)
+    if spec is not None:
+        return spec
     S = sphere_spectrum(N, tower)
     levels = [eq.trivial_action(sset.point(), 0)]
     levels += [S.level(n) for n in range(1, N + 1)]
@@ -580,7 +585,7 @@ class SmashSpectrum(SymmetricSpectrum):
         self.proj_seq = sq.SequenceMap(
             T_xy, seq, [q.projection for q in self.quotients]
         )
-        super().__init__(tower, seq, self._build_sigma, name=seq.name)
+        super().__init__(tower, seq, None, name=seq.name)
 
     def _relations(self, n):
         """The generating pairs of level n, as forms of (X (x) Y)_n."""
@@ -736,9 +741,7 @@ class ProlongSpectrum(SymmetricSpectrum):
         self.base_spectrum = X
         self.K = K
         seq = sq.smash_space(X.seq, K)
-        super().__init__(
-            X.tower, seq, self._build_sigma, name=name or seq.name
-        )
+        super().__init__(X.tower, seq, None, name=name or seq.name)
 
     def _build_sigma(self, n):
         X, seq = self.base_spectrum, self.seq

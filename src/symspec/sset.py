@@ -701,18 +701,20 @@ def quotient_by_pairs(X, pairs, name=None):
     # rep holds the redirected cells only; a cell absent from it is live
     rep = {}
 
-    def resolve_cell(c):
-        w, t = rep[c]
-        if t in rep:
-            out = word_compose(w, resolve_cell(t))
-            rep[c] = out
-            return out
-        return w, t
-
     def resolve(form):
-        if form[1] not in rep:
+        # walk the redirects to a live cell, then point each cell passed on
+        # the way straight at its form over that cell
+        path, t = [], form[1]
+        while t in rep:
+            path.append(t)
+            t = rep[t][1]
+        if not path:
             return form
-        return word_compose(form[0], resolve_cell(form[1]))
+        out = rep[path.pop()]
+        while path:
+            c = path.pop()
+            out = rep[c] = word_compose(rep[c][0], out)
+        return word_compose(form[0], out)
 
     dim_of, faces = X.dim_of, X.faces
 

@@ -748,6 +748,20 @@ def test_closure_matches_the_worklist_oracle_in_any_order(case, data):
         assert got.class_of == want.class_of
 
 
+def test_a_long_redirect_chain_resolves_without_recursion():
+    # 3000 vertices and one edge from 2999 to 1; each vertex i + 1 is merged
+    # onto i, from the top down, so vertex 2999 sits at the end of a chain of
+    # 2998 redirects, longer than the recursion limit allows
+    n = 3000
+    X = sset.PointedSimplicialSet({0: range(n), 1: [n]}, {n: (((), n - 1), ((), 1))}, 0)
+    pairs = [(((), i + 1), ((), i)) for i in range(n - 2, 0, -1)]
+    q = sset.quotient_by_pairs(X, pairs)
+    assert q.space.cells == {0: (0, 1), 1: (2,)}
+    assert q.space.faces == {2: (((), 1), ((), 1))}
+    assert q.class_of == {0: ((), 0), n: ((), 2), **{i: ((), 1) for i in range(1, n)}}
+    assert q.projection.is_valid()
+
+
 def test_sphere_cell_counts():
     s0 = sset.sphere(0)
     assert s0.n_cells(0) == 2
