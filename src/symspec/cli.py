@@ -300,8 +300,6 @@ def cmd_smash(ws, args):
 
 def _as_sequence(ws, token):
     obj = resolve_any(ws, token)
-    if isinstance(obj, sp.SymmetricSpectrum):
-        return obj.seq
     if isinstance(obj, sq.SymmetricSequence):
         return obj
     if isinstance(obj, eq.EquivariantSpace):

@@ -403,8 +403,8 @@ DUMPERS = {
     sset.PointedSimplicialSet: dump_space,
     sset.SimplicialMap: dump_map,
     eq.EquivariantSpace: dump_equivariant,
-    sq.SymmetricSequence: dump_sequence,
     sp.SymmetricSpectrum: dump_spectrum,
+    sq.SymmetricSequence: dump_sequence,
     sp.SpectrumMap: dump_spectrum_map,
 }
 

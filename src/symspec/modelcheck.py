@@ -53,7 +53,7 @@ def _latching_data(X):
     def summand(n, p, q, mu):  # q >= 1 on every summand with cells: Sbar_0 is a point
         act = X.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
         return lambda fx, fs: act(fs, fx)
-    return XB, XB.descend(XB.T.map_out(X.seq, summand), X)
+    return XB, XB.descend(XB.T.map_out(X, summand), X)
 
 
 def latching(X, n):

@@ -18,8 +18,11 @@ s ^ x |-> m_mu . sigma^p(s ^ x).  The map lambda: S (x) X -> X, the free
 extensions out of F_r K = S (x) G_r K, the multiplication of S and the
 latching comparison X ^ Sbar -> X are all read off it.
 
-A map of spectra is a map of the underlying sequences that commutes with
-the structure maps: ``SpectrumMap`` is a ``symseq.SequenceMap`` whose
+A spectrum is its sequence: ``SymmetricSpectrum`` is a
+``symseq.SymmetricSequence`` that also holds sigma, so it goes as it is
+wherever a sequence is taken, into a tensor or as the source of a sequence
+map.  A map of spectra is a map of sequences that commutes with the
+structure maps: ``SpectrumMap`` is a ``symseq.SequenceMap`` whose
 ``validate`` adds the squares of ``sigma_square``, the one statement of
 h_{n+1} . sigma = sigma . (S^1 ^ h_n), which the map enumerator of
 ``modelcheck`` reads too.  X ^_S Y is a coequalizer of X (x) Y, so a map
@@ -35,19 +38,19 @@ from . import sset
 from . import symseq as sq
 
 
-class SymmetricSpectrum:
-    """Sequence plus structure maps, built lazily per level.
+class SymmetricSpectrum(sq.SymmetricSequence):
+    """A symmetric sequence with structure maps, built lazily per level.
 
-    sigma_builder(n) must return (SmashResult of S^1 ^ X_n, the structure
-    map out of it into X_{n+1}).  A subclass overrides ``_build_sigma`` in
-    its place and passes None: a bound method kept on the instance would tie
-    it into a reference cycle.
+    The levels of the sequence ``seq`` it is built from become its own, so
+    the spectrum is that sequence.  sigma_builder(n) must return (SmashResult of S^1 ^ X_n, the
+    structure map out of it into X_{n+1}).  A subclass overrides
+    ``_build_sigma`` in its place and passes None: a bound method kept on
+    the instance would tie it into a reference cycle.
     """
 
     def __init__(self, tower, seq, sigma_builder, name=None):
+        super().__init__([seq.level(n) for n in range(seq.bound + 1)], name=name or seq.name)
         self.tower = tower
-        self.seq = seq
-        self.name = name or seq.name
         self._builder = sigma_builder
         self._structure = {}
         self._power = {}
@@ -57,14 +60,10 @@ class SymmetricSpectrum:
         return f"<spectrum {self.name} bound={self.bound}>"
 
     @property
-    def bound(self):
-        return self.seq.bound
-
-    def level(self, n):
-        return self.seq.level(n)
-
-    def space(self, n):
-        return self.seq.space(n)
+    def seq(self):
+        """The spectrum itself, kept only for ``bench/tracer.py``, which
+        counts the cells of a smash of spectra through ``out.seq``."""
+        return self
 
     def _pair(self, n):
         if n not in self._structure:
@@ -135,12 +134,6 @@ class SpectrumMap(sq.SequenceMap):
         if source.tower is not target.tower:
             raise sset.PreconditionError(f"{source!r} and {target!r} need a shared circle")
         super().__init__(source, target, components)
-
-    @property
-    def seq_map(self):
-        """The same components as a map of the underlying sequences, for
-        constructions such as ``symseq.tensor_map`` that take one."""
-        return sq.SequenceMap(self.source.seq, self.target.seq, self.components)
 
     def validate(self):
         """The levelwise checks of ``SequenceMap.validate``, then every
@@ -303,7 +296,7 @@ def bar_inclusion(bar, sphere):
 
 
 def _module_sigma(X, T, n):
-    """sigma of the module T = X.seq (x) W on level n, as (ft, fx) -> form.
+    """sigma of the module T = X (x) W on level n, as (ft, fx) -> form.
 
     ft is a circle form and fx a form of T_n of the same dimension; the
     value is a form of T_{n+1}.  The circle suspends the X factor and the
@@ -339,7 +332,7 @@ def _module_sigma(X, T, n):
 
 def module_spectrum(X, W, name=None):
     """The free right extension X (x) W with sigma acting through X."""
-    T = sq.tensor(X.seq, W, name=name)
+    T = sq.tensor(X, W, name=name)
 
     def build(n):
         sm = sset.smash(X.tower.s1, T.space(n))
@@ -370,22 +363,19 @@ def free_F(n, K, N, tower=None):
 
 
 def free_F_map(src, tgt, f):
-    """F_n(f) for f: K -> L, the identity on the sphere coordinates."""
-    if src.sphere is not tgt.sphere:
-        raise sset.PreconditionError("free spectra over different spheres")
-    gmap = sq.free_G_map(src.G, tgt.G, f)
-    seq_map = sq.tensor_map(
-        src.T, tgt.T, sq.identity_seq_map(src.sphere.seq), gmap
-    )
-    return SpectrumMap(src, tgt, seq_map.components)
+    """F_n(f) for f: K -> L, the free extension of K -> L -> (F_n L)_n: the
+    identity on the sphere coordinates.  The composite and
+    ``free_extension`` check that f runs from K to L and that both spectra
+    are free in degree n on one circle."""
+    return free_extension(src, tgt, free_unit_inclusion(tgt).compose(f))
 
 
 def left_action_map(X, T):
     """lambda: S (x) X -> X, ``X.left_action`` on every summand; T is the
-    tensor of the sphere with X.seq."""
-    if T.Y is not X.seq:
-        raise sset.PreconditionError(f"{T!r} is not a tensor with {X.seq!r}")
-    return T.map_out(X.seq, X.left_action)
+    tensor of the sphere with X."""
+    if T.Y is not X:
+        raise sset.PreconditionError(f"{T!r} is not a tensor with {X!r}")
+    return T.map_out(X, X.left_action)
 
 
 def free_extension(F, Z, phi):
@@ -407,7 +397,7 @@ def free_extension(F, Z, phi):
         act = Z.left_action(m, p, q, mu)
         return lambda fs, fg: act(fs, adjoint.apply(fg))
 
-    return SpectrumMap(F, Z, F.T.map_out(Z.seq, summand).components)
+    return SpectrumMap(F, Z, F.T.map_out(Z, summand).components)
 
 
 def free_unit_inclusion(F):
@@ -481,15 +471,15 @@ class MonoidWitness:
     """The multiplication S (x) S -> S and the unit of the sphere.
 
     The multiplication is the left action of S on itself,
-    ``left_action_map`` on the stored tensor T of the sphere sequence with
-    itself; it concatenates circle coordinates.  unit_map sends the unit
-    sequence in at degree 0.
+    ``left_action_map`` on the stored tensor T of the sphere with itself;
+    it concatenates circle coordinates.  unit_map sends the unit sequence
+    in at degree 0.
     """
 
     def __init__(self, sphere):
         N = sphere.bound
         self.sphere = sphere
-        self.T = sq.tensor(sphere.seq, sphere.seq)
+        self.T = sq.tensor(sphere, sphere)
         self.pairing_seq = left_action_map(sphere, self.T)
         self.unit_seq = sq.unit_sequence(N)
         unit_comps = []
@@ -511,7 +501,7 @@ class MonoidWitness:
                 unit_comps.append(
                     sset.constant_map(space, sphere.space(n))
                 )
-        self.unit_map = sq.SequenceMap(self.unit_seq, sphere.seq, unit_comps)
+        self.unit_map = sq.SequenceMap(self.unit_seq, sphere, unit_comps)
 
 
 def monoid_witness(sphere):
@@ -550,8 +540,8 @@ class SmashSpectrum(SymmetricSpectrum):
     pairs[n] relates sigma(t ^ x) ^ y in the (p+1, q, (0,)+(mu+1)) summand
     to x ^ sigma(t ^ y) in the (p, q+1, mu+1) summand, both moved by each
     (1, n-1)-shuffle; the set is Sigma_n-stable, so the actions descend.
-    quotients[n] is the quotient of (X (x) Y)_n by pairs[n] and proj_seq
-    the levelwise projection from the tensor.
+    quotients[n] is the quotient of (X (x) Y)_n by pairs[n], and the
+    levels of the quotients are the spectrum's own levels.
     """
 
     def __init__(self, X, Y, name=None):
@@ -562,7 +552,7 @@ class SmashSpectrum(SymmetricSpectrum):
             raise sset.PreconditionError(f"smash needs equal bounds: {N}, {Y.bound}")
         self.X = X
         self.Y = Y
-        T_xy = sq.tensor(X.seq, Y.seq)
+        T_xy = sq.tensor(X, Y)
         self.T = T_xy
         self.pairs = []
         self.quotients = []
@@ -579,13 +569,14 @@ class SmashSpectrum(SymmetricSpectrum):
                 for g in T_xy.level(n).generators
             ]
             levels.append(eq.EquivariantSpace(quot.space, n, gens))
-        seq = sq.SymmetricSequence(
-            levels, name=name or f"({X.name}^S{Y.name})"
-        )
-        self.proj_seq = sq.SequenceMap(
-            T_xy, seq, [q.projection for q in self.quotients]
-        )
-        super().__init__(tower, seq, None, name=seq.name)
+        name = name or f"({X.name}^S{Y.name})"
+        super().__init__(tower, sq.SymmetricSequence(levels), None, name=name)
+
+    @property
+    def proj_seq(self):
+        """The levelwise projection X (x) Y -> X ^_S Y, built on each read:
+        kept on the spectrum, its target would tie it into a cycle."""
+        return sq.SequenceMap(self.T, self, [q.projection for q in self.quotients])
 
     def _relations(self, n):
         """The generating pairs of level n, as forms of (X (x) Y)_n."""
@@ -704,14 +695,14 @@ def smash_assoc_iso(XY_Z, X_YZ):
     if not (XY.X is X and XY.Y is YZ.X and YZ.Y is Z):
         raise sset.PreconditionError("both sides need the same three factors")
     Y = XY.Y
-    C3 = sq.tensor(XY.T, Z.seq)
-    C3r = sq.tensor(X.seq, YZ.T)
+    C3 = sq.tensor(XY.T, Z)
+    C3r = sq.tensor(X, YZ.T)
     al = sq.assoc_iso(XY.T, C3, YZ.T, C3r)
     p_left = XY_Z.proj_seq.compose(
-        sq.tensor_map(C3, XY_Z.T, XY.proj_seq, sq.identity_seq_map(Z.seq))
+        sq.tensor_map(C3, XY_Z.T, XY.proj_seq, sq.identity_seq_map(Z))
     )
     p_right = X_YZ.proj_seq.compose(
-        sq.tensor_map(C3r, X_YZ.T, sq.identity_seq_map(X.seq), YZ.proj_seq)
+        sq.tensor_map(C3r, X_YZ.T, sq.identity_seq_map(X), YZ.proj_seq)
     )
     f = p_right.compose(al)
     comps = [
@@ -721,12 +712,9 @@ def smash_assoc_iso(XY_Z, X_YZ):
 
 
 def smash_map_spectra(S_src, S_tgt, f, g):
-    """The map X ^_S Y -> X' ^_S Y' induced by f: X -> X', g: Y -> Y'."""
-    if not (S_src.X is f.source and S_tgt.X is f.target):
-        raise sset.PreconditionError(f"{f!r} does not run between the left factors")
-    if not (S_src.Y is g.source and S_tgt.Y is g.target):
-        raise sset.PreconditionError(f"{g!r} does not run between the right factors")
-    tm = sq.tensor_map(S_src.T, S_tgt.T, f.seq_map, g.seq_map)
+    """The map X ^_S Y -> X' ^_S Y' induced by f: X -> X', g: Y -> Y';
+    ``symseq.tensor_map`` checks that they run between the factors."""
+    tm = sq.tensor_map(S_src.T, S_tgt.T, f, g)
     return S_src.descend(tm, S_tgt, then=S_tgt.proj_seq)
 
 
@@ -735,25 +723,25 @@ def smash_map_spectra(S_src, S_tgt, f, g):
 
 
 class ProlongSpectrum(SymmetricSpectrum):
-    """X ^ K levelwise; the structure map ignores the K coordinate."""
+    """X ^ K levelwise: the spectrum is the sequence ``symseq.smash_space``
+    builds and keeps its ``base_seq`` X, ``K`` and level ``smashes``; the
+    structure map ignores the K coordinate."""
 
     def __init__(self, X, K, name=None):
-        self.base_spectrum = X
-        self.K = K
-        seq = sq.smash_space(X.seq, K)
-        super().__init__(X.tower, seq, None, name=name or seq.name)
+        seq = sq.smash_space(X, K)
+        self.base_seq, self.K, self.smashes = X, K, seq.smashes
+        super().__init__(X.tower, seq, None, name=name)
 
     def _build_sigma(self, n):
-        X, seq = self.base_spectrum, self.seq
-        sm = sset.smash(self.tower.s1, seq.space(n))
-        tgt_sm = seq.smashes[n + 1]
+        X, src_sm, tgt_sm = self.base_seq, self.smashes[n], self.smashes[n + 1]
+        sm = sset.smash(self.tower.s1, self.space(n))
 
         def value(ft, fz):
-            fx, fk = seq.smashes[n].split(fz)
+            fx, fk = src_sm.split(fz)
             val = X.sigma(n).apply(X.structure_smash(n).form_of_pair(ft, fx))
             return tgt_sm.form_of_pair(val, fk)
 
-        return sm, sm.map_out(seq.space(n + 1), value)
+        return sm, sm.map_out(self.space(n + 1), value)
 
 
 def prolong_smash(X, K, name=None):
@@ -766,15 +754,13 @@ def prolong_map(P_src, P_tgt, f=None, g=None):
         f.components
         if f is not None
         else [
-            sset.identity_map(P_src.base_spectrum.space(n))
+            sset.identity_map(P_src.base_seq.space(n))
             for n in range(P_src.bound + 1)
         ]
     )
     g = g if g is not None else sset.identity_map(P_src.K)
     comps = [
-        sset.smash_map(
-            P_src.seq.smashes[n], P_tgt.seq.smashes[n], f_comps[n], g
-        )
+        sset.smash_map(P_src.smashes[n], P_tgt.smashes[n], f_comps[n], g)
         for n in range(P_src.bound + 1)
     ]
     return SpectrumMap(P_src, P_tgt, comps)
@@ -782,11 +768,11 @@ def prolong_map(P_src, P_tgt, f=None, g=None):
 
 def prolong_unit_iso(P):
     """For a two-point K: the comparison X ^ K -> X and its inverse."""
-    X = P.base_spectrum
+    X = P.base_seq
     fwd_comps = []
     inv_comps = []
     for n in range(P.bound + 1):
-        to_X, back = sset.smash_runit(P.seq.smashes[n])
+        to_X, back = sset.smash_runit(P.smashes[n])
         fwd_comps.append(to_X)
         inv_comps.append(back)
     return SpectrumMap(P, X, fwd_comps), SpectrumMap(X, P, inv_comps)
@@ -796,13 +782,13 @@ def suspension_free_iso(P, F):
     """For P = sphere ^ K: the comparison with the degree-0 free spectrum."""
     if F.free_degree != 0 or F.K is not P.K:
         raise sset.PreconditionError(f"{F!r} is not free on {P.K!r} in degree 0")
-    iso = sq.smash_space_iso(P.seq, F.T)
+    iso = sq.smash_space_iso(P, F.T)
     return SpectrumMap(P, F, iso.components)
 
 
 def prolong_free_iso(P, SXF):
     """X ^ K -> X ^_S F_0 K, sending the K factor into the degree-0 summand."""
-    X = P.base_spectrum
+    X = P.base_seq
     F = SXF.Y
     if SXF.X is not X or F.free_degree != 0 or F.K is not P.K:
         raise sset.PreconditionError(f"{SXF!r} is not X ^_S F_0 K for {P!r}")
@@ -812,7 +798,7 @@ def prolong_free_iso(P, SXF):
         sm_t, into = SXF.T.smashes[(n, 0)], SXF.T.inclusion(n, n, 0, tuple(range(n)))
         proj = SXF.quotients[n].projection
         comps.append(
-            P.seq.smashes[n].map_out(
+            P.smashes[n].map_out(
                 SXF.space(n),
                 lambda fx, fk: proj.apply(into.apply(sm_t.form_of_pair(fx, unit.apply(fk)))),
             )
@@ -906,7 +892,7 @@ def map_out_of_pushout(P, to1, to2):
 def _vertex_map(X, K, vertex_cell, P):
     """X -> X ^ K at a chosen vertex of K; P = prolong_smash(X, K)."""
     return SpectrumMap(
-        X, P, [P.seq.smashes[n].right_slice(vertex_cell) for n in range(X.bound + 1)]
+        X, P, [P.smashes[n].right_slice(vertex_cell) for n in range(X.bound + 1)]
     )
 
 
@@ -928,7 +914,7 @@ def mapping_cylinder(f):
     # r: collapse the interval, then f, and the identity on the Y part
     collapse = [
         sm.map_out(Y.space(n), lambda fx, fi: f.level(n).apply(fx))
-        for n, sm in enumerate(cyl.seq.smashes)
+        for n, sm in enumerate(cyl.smashes)
     ]
     r = map_out_of_pushout(Mf, SpectrumMap(cyl, Y, collapse), identity_spectrum_map(Y))
     return Mf, i, r, s
@@ -999,47 +985,28 @@ def pushout_product(f, g):
 def generating_sets(kind, N, R, bound=None, tower=None):
     """A finite slice (free degree <= N, simplex dimension <= R) of the
     named generating family; spectra are built with the given level bound
-    (default N+1, enough for the cylinder legs of J_cylinder)."""
+    (default N+1, enough for the cylinder legs of J_cylinder).  FI_boundary
+    is F_n of the boundary inclusions, FI_horn F_n of the horn inclusions,
+    and J_cylinder the horns followed by the corners of each lambda's
+    mapping cylinder with the boundary inclusions."""
     tower = tower or eq.SphereTower()
     bound = bound if bound is not None else N + 1
     if kind == "FI_boundary":
-        incl = [
-            (r, sset.subset_inclusion(sset.boundary_plus(r), sset.delta_plus(r)))
-            for r in range(R + 1)
-        ]
-        return [
-            free_F_map(
-                free_F(n, f.source, bound, tower),
-                free_F(n, f.target, bound, tower),
-                f,
-            )
-            for n in range(N + 1)
-            for _, f in incl
-        ]
-    if kind == "FI_horn":
-        out = []
-        for n in range(N + 1):
-            for r in range(1, R + 1):
-                for i in range(r + 1):
-                    f = sset.subset_inclusion(
-                        sset.horn_plus(r, i), sset.delta_plus(r)
-                    )
-                    out.append(
-                        free_F_map(
-                            free_F(n, f.source, bound, tower),
-                            free_F(n, f.target, bound, tower),
-                            f,
-                        )
-                    )
-        return out
+        subs = [(r, sset.boundary_plus(r)) for r in range(R + 1)]
+    elif kind in ("FI_horn", "J_cylinder"):
+        subs = [(r, sset.horn_plus(r, i)) for r in range(1, R + 1) for i in range(r + 1)]
+    else:
+        raise ValueError(f"unknown generating set kind {kind!r}")
+    incl = [sset.subset_inclusion(A, sset.delta_plus(r)) for r, A in subs]
+    out = [
+        free_F_map(free_F(n, f.source, bound, tower), free_F(n, f.target, bound, tower), f)
+        for n in range(N + 1)
+        for f in incl
+    ]
     if kind == "J_cylinder":
-        out = generating_sets("FI_horn", N, R, bound=bound, tower=tower)
         for n in range(N + 1):
             _, c_n, _, _ = mapping_cylinder(lambda_map(n, bound, tower))
             for r in range(R + 1):
-                f = sset.subset_inclusion(
-                    sset.boundary_plus(r), sset.delta_plus(r)
-                )
+                f = sset.subset_inclusion(sset.boundary_plus(r), sset.delta_plus(r))
                 out.append(pushout_product(c_n, f))
-        return out
-    raise ValueError(f"unknown generating set kind {kind!r}")
+    return out

@@ -20,9 +20,10 @@ structure maps sigma^p and the sphere's multiplication built from flattened
 circle coordinates, the free extension read off the orbit wedge cell by
 cell, the smash's quotient map from the product, the
 homology reports with a push loop each, the latching comparison
-through three smash spectra and through the tensor twist, and the maps
+through three smash spectra and through the tensor twist, the maps
 out of a smash of spectra descended through its quotients level by
-level), built from
+level, F_n(f) through G_n(f) and the generating sets kind by kind),
+built from
 package primitives, as references for the constructions that took their
 place.
 """
@@ -1509,7 +1510,7 @@ def smash_map_spectra_per_level(S_src, S_tgt, f, g):
     from symspec import sset
     from symspec import symseq as sq
 
-    tm = sq.tensor_map(S_src.T, S_tgt.T, f.seq_map, g.seq_map)
+    tm = sq.tensor_map(S_src.T, S_tgt.T, f, g)
     comps = [
         sset.descend(
             S_src.quotients[n].projection,
@@ -1570,3 +1571,57 @@ def latching_comparison_per_level(X):
 
     comps = zip(XB.quotients, XB.T.map_out(X.seq, summand).components)
     return XB, sp.SpectrumMap(XB, X, [sset.descend(q.projection, a) for q, a in comps])
+
+
+# ---------------------------------------------------------------------------
+# F_n(f) as the tensor of the sphere's identity with G_n(f), which reads the
+# cell ids of f without checking where f runs, and the generating sets built
+# one kind at a time, with J_cylinder recursing into FI_horn.
+
+
+def free_F_map_via_G(src, tgt, f):
+    """F_n(f) for f: K -> L, the identity on the sphere coordinates."""
+    from symspec import spectra as sp
+    from symspec import symseq as sq
+
+    gmap = sq.free_G_map(src.G, tgt.G, f)
+    seq_map = sq.tensor_map(src.T, tgt.T, sq.identity_seq_map(src.sphere), gmap)
+    return sp.SpectrumMap(src, tgt, seq_map.components)
+
+
+def generating_sets_by_kind(kind, N, R, bound=None, tower=None):
+    """The generating families of ``spectra.generating_sets``, kind by kind."""
+    from symspec import equivariant as eq
+    from symspec import spectra as sp
+    from symspec import sset
+
+    tower = tower or eq.SphereTower()
+    bound = bound if bound is not None else N + 1
+
+    def free(f, n):
+        return free_F_map_via_G(
+            sp.free_F(n, f.source, bound, tower), sp.free_F(n, f.target, bound, tower), f
+        )
+
+    if kind == "FI_boundary":
+        incl = [
+            sset.subset_inclusion(sset.boundary_plus(r), sset.delta_plus(r))
+            for r in range(R + 1)
+        ]
+        return [free(f, n) for n in range(N + 1) for f in incl]
+    if kind == "FI_horn":
+        return [
+            free(sset.subset_inclusion(sset.horn_plus(r, i), sset.delta_plus(r)), n)
+            for n in range(N + 1)
+            for r in range(1, R + 1)
+            for i in range(r + 1)
+        ]
+    if kind == "J_cylinder":
+        out = generating_sets_by_kind("FI_horn", N, R, bound=bound, tower=tower)
+        for n in range(N + 1):
+            _, c_n, _, _ = sp.mapping_cylinder(sp.lambda_map(n, bound, tower))
+            for r in range(R + 1):
+                f = sset.subset_inclusion(sset.boundary_plus(r), sset.delta_plus(r))
+                out.append(sp.pushout_product(c_n, f))
+        return out
+    raise ValueError(f"unknown generating set kind {kind!r}")

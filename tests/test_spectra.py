@@ -165,7 +165,7 @@ def test_spectrum_map_validate_catches_broken_square(tower):
         twist,
     ]
     f = sp.SpectrumMap(S, S, comps)
-    f.seq_map.validate()  # levelwise equivariant all the same
+    sq.SequenceMap(S, S, comps).validate()  # levelwise equivariant all the same
     with pytest.raises(AssertionError):
         f.validate()
 

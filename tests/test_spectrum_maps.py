@@ -1,10 +1,9 @@
 """A spectrum map is a sequence map, and maps leave X ^_S Y one way.
 
 ``SpectrumMap`` subclasses ``symseq.SequenceMap`` and defines only its
-constructor (the shared-circle check), ``validate`` (the structure squares
-of ``spectra.sigma_square`` after the levelwise checks) and the read-only
-``seq_map``; it inherits the rest, so a composite of spectrum maps is again
-one.  X ^_S Y is a coequalizer of X (x) Y, and ``SmashSpectrum.descend``
+constructor (the shared-circle check) and ``validate`` (the structure
+squares of ``spectra.sigma_square`` after the levelwise checks); it
+inherits the rest, so a composite of spectrum maps is again one.  X ^_S Y is a coequalizer of X (x) Y, and ``SmashSpectrum.descend``
 is the one way a map out of X (x) Y goes through its quotients: outside
 ``sset.py`` only ``SmashSpectrum``, ``smash_assoc_iso`` (which descends a
 composite out of the triple tensor) and ``pushout_spectrum`` (whose sigma
@@ -31,7 +30,7 @@ from encoding_scan import MODULES, parse, uses
 
 DESCENT_SCOPES = ("SmashSpectrum", "smash_assoc_iso", "pushout_spectrum")
 
-MEMBERS = {"__init__", "seq_map", "validate"}
+MEMBERS = {"__init__", "validate"}
 
 
 def stray_descents(tree, module):
@@ -70,7 +69,7 @@ def test_modelcheck_never_reads_a_smash_quotient():
     assert uses(parse("modelcheck.py"), "quotients") == []
 
 
-def test_spectrum_map_defines_only_its_constructor_check_and_seq_map():
+def test_spectrum_map_defines_only_its_constructor_check_and_validate():
     assert members(sp.SpectrumMap) == MEMBERS
     assert sp.SpectrumMap.__mro__[1] is sq.SequenceMap
 
@@ -105,10 +104,6 @@ def test_the_scan_sees_a_stray_use():
         def __init__(self, source, target, components):
             super().__init__(source, target, components)
 
-        @property
-        def seq_map(self):
-            return self
-
         def validate(self):
             return True
 
@@ -129,9 +124,6 @@ def test_a_composite_of_spectrum_maps_is_a_spectrum_map_that_validates(tower):
     assert type(ri) is sp.SpectrumMap
     assert ri == f
     assert ri.validate()
-    assert ri.seq_map.source is f.source.seq and ri.seq_map.target is f.target.seq
-    with pytest.raises(AttributeError):
-        ri.seq_map = None
 
 
 def test_a_composite_of_sequence_maps_is_a_sequence_map():
