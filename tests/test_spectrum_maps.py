@@ -3,8 +3,9 @@
 ``SpectrumMap`` subclasses ``symseq.SequenceMap`` and defines only its
 constructor (the shared-circle check) and ``validate`` (the structure
 squares of ``spectra.sigma_square`` after the levelwise checks); it
-inherits the rest, so a composite of spectrum maps is again one.  X ^_S Y is a coequalizer of X (x) Y, and ``SmashSpectrum.descend``
-is the one way a map out of X (x) Y goes through its quotients: outside
+inherits the rest, so a composite of spectrum maps is again one.
+X ^_S Y is a coequalizer of X (x) Y, and ``SmashSpectrum.descend`` is the
+one way a map out of X (x) Y goes through its quotients: outside
 ``sset.py`` only ``SmashSpectrum``, ``smash_assoc_iso`` (which descends a
 composite out of the triple tensor) and ``pushout_spectrum`` (whose sigma
 leaves a wedge) call ``sset.descend``, and ``modelcheck`` never reads a
