@@ -179,7 +179,10 @@ def _point_into(ws, X):
 
 
 def resolve_map(ws, token):
-    """A simplicial or spectrum map; builtins name their canonical arrow."""
+    """A simplicial or spectrum map; builtins name their canonical arrow.
+
+    A spectrum, builtin or read from a file, names the map pt -> X.
+    """
     m = _BOUNDARY.match(token) or _HORN.match(token)
     if m:
         r = int(m.group(1))
@@ -194,9 +197,14 @@ def resolve_map(ws, token):
         except InputError:
             return sp.identity_spectrum_map(resolve_spectrum(ws, inner))
     if _looks_like_file(token):
-        return _want(
-            _load_file(ws, token), (sset.SimplicialMap, sp.SpectrumMap), token
+        obj = _want(
+            _load_file(ws, token),
+            (sset.SimplicialMap, sp.SpectrumMap, sp.SymmetricSpectrum),
+            token,
         )
+        if isinstance(obj, sp.SymmetricSpectrum):
+            return _point_into(ws, obj)
+        return obj
     raise InputError(f"{token}: not a file and not a builtin map")
 
 

@@ -5,7 +5,12 @@ rational.  Boundary matrices are kept column-sparse (dict row -> coefficient
 per generator); kernels come from an integer column reduction, torsion from
 Smith normal form of the boundary written in kernel coordinates.  Those
 coordinates come from back-substitution against the kernel columns brought
-to echelon form by the same column reduction.
+to echelon form by the same column reduction, as sparse dicts.
+
+The Smith form runs on sparse rows with a column index and only records
+its row and column operations; U, U_inv, V and V_inv are replayed from
+those records, and the dense D written out, on first read.  A homology
+group reads only the diagonal, so it builds none of them.
 
 Every degree has degree data, the empty degrees included: no cells gives an
 empty kernel and the zero group, so no caller branches on the rank.  A
@@ -14,9 +19,9 @@ the stable reports push along one suspension-then-structure-map chain map
 per level, ``_suspension_push``, over the levels and Hurewicz gate of
 ``_stable_levels``.
 
-``mat_mul`` and ``mat_eq`` have no caller in the package.  They stay public
-because the tests check Smith forms with them and the benchmark tracer
-times ``mat_mul``.
+``identity_matrix``, ``mat_mul`` and ``mat_eq`` have no caller in the
+package.  They stay public because the tests check Smith forms with them
+and the benchmark tracer times ``mat_mul``.
 """
 
 from . import sset
@@ -58,118 +63,211 @@ def mat_eq(A, B):
     return A == B
 
 
+def _transpose(M):
+    return [list(col) for col in zip(*M)]
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form on sparse rows
+
+
+def _replay(size, ops, inverse):
+    """The size x size identity, as sparse rows, with logged operations
+    replayed on its rows.
+
+    An operation is ``(a, b)``, swap a and b; ``(a, b, q)``, add q times b
+    to a; or ``(a,)``, negate a.  With ``inverse`` each is replaced by its
+    inverse acting on columns, written on the rows of the transpose: the
+    same swap and negation, and row b -= q times row a.  The row operations
+    of a reduction give the rows of U, and the columns of U_inv; its column
+    operations give the columns of V, and the rows of V_inv.
+    """
+    M = [{i: 1} for i in range(size)]
+    for op in ops:
+        if len(op) == 3:
+            a, b, q = op
+            if inverse:
+                _axpy(M[b], M[a], -q)
+            else:
+                _axpy(M[a], M[b], q)
+        elif len(op) == 2:
+            a, b = op
+            M[a], M[b] = M[b], M[a]
+        else:
+            (a,) = op
+            M[a] = {j: -v for j, v in M[a].items()}
+    return M
+
+
+def _dense(rows, n):
+    return [[row.get(j, 0) for j in range(n)] for row in rows]
+
+
 class SNFResult:
     """D = U . M . V with U, V unimodular, D diagonal, d_i >= 0, d_i | d_{i+1}.
 
-    ``smith_normal_form`` passes V = V_inv = None and the column operations
-    it ran, ``(c1, c2)`` for a swap and ``(c1, c2, q)`` for col c1 += q col c2;
-    V and V_inv are built from them on the first read of either.
+    ``smith_normal_form`` passes the reduced m x n matrix as sparse rows
+    (row i a dict column -> nonzero) and the row and column operations it
+    ran, in order, in the format of ``_replay``.  ``diagonal`` and ``rank``
+    read the rows.  Everything else is built on its first read: the sparse
+    rows of U and columns of U_inv replayed from the row operations, and
+    the dense D, U, U_inv, V and V_inv.
     """
 
-    def __init__(self, D, U, V, U_inv, V_inv, col_ops=()):
-        self.D = D
-        self.U = U
-        self._V = V
-        self.U_inv = U_inv
-        self._V_inv = V_inv
+    def __init__(self, rows, m, n, row_ops, col_ops):
+        self.rows = rows
+        self.m = m
+        self.n = n
+        self._row_ops = row_ops
         self._col_ops = col_ops
+        self._U_rows = self._U_inv_cols = None
+        self._D = self._U = self._U_inv = self._V = self._V_inv = None
+
+    @property
+    def U_rows(self):
+        if self._U_rows is None:
+            self._U_rows = _replay(self.m, self._row_ops, False)
+        return self._U_rows
+
+    @property
+    def U_inv_cols(self):
+        if self._U_inv_cols is None:
+            self._U_inv_cols = _replay(self.m, self._row_ops, True)
+        return self._U_inv_cols
+
+    @property
+    def D(self):
+        if self._D is None:
+            self._D = _dense(self.rows, self.n)
+        return self._D
+
+    @property
+    def U(self):
+        if self._U is None:
+            self._U = _dense(self.U_rows, self.m)
+        return self._U
+
+    @property
+    def U_inv(self):
+        if self._U_inv is None:
+            self._U_inv = _transpose(_dense(self.U_inv_cols, self.m))
+        return self._U_inv
 
     @property
     def V(self):
         if self._V is None:
-            self._replay()
+            self._V = _transpose(_dense(_replay(self.n, self._col_ops, False), self.n))
         return self._V
 
     @property
     def V_inv(self):
         if self._V_inv is None:
-            self._replay()
+            self._V_inv = _dense(_replay(self.n, self._col_ops, True), self.n)
         return self._V_inv
-
-    def _replay(self):
-        # the column operations act on the rows of V's transpose and, inverted
-        # and in the same order, on the rows of V_inv
-        n = len(self.D[0]) if self.D else 0
-        Vt, V_inv = identity_matrix(n), identity_matrix(n)
-        for c1, c2, *q in self._col_ops:
-            if q:
-                Vt[c1] = [a + q[0] * b for a, b in zip(Vt[c1], Vt[c2])]
-                V_inv[c2] = [a - q[0] * b for a, b in zip(V_inv[c2], V_inv[c1])]
-            else:
-                Vt[c1], Vt[c2] = Vt[c2], Vt[c1]
-                V_inv[c1], V_inv[c2] = V_inv[c2], V_inv[c1]
-        self._V, self._V_inv = [list(col) for col in zip(*Vt)], V_inv
 
     @property
     def diagonal(self):
-        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
+        return [self.rows[i].get(i, 0) for i in range(min(self.m, self.n))]
 
     @property
     def rank(self):
         return sum(1 for d in self.diagonal if d)
 
 
-def smith_normal_form(M):
-    """Smith normal form over the integers.
+def smith_normal_form(M, n=None):
+    """Smith normal form over the integers, reduced on sparse rows.
+
+    M is a list of rows, each a dense list or a dict column -> entry; n is
+    the number of columns, required when the rows are dicts.  The matrix is
+    held as row dicts of nonzeros plus a column index (column -> set of
+    rows), so a column swap or add touches only the rows holding those
+    columns.
 
     Pivot rule: smallest nonzero absolute value, earliest (row, column)
     position on ties, which makes the reduction deterministic.  The scan
-    stops at the first unit, which that rule already picks, and a unit
-    pivot skips the divisibility sweep, which it always passes.  U and
-    U_inv are kept as the reduction runs; the column operations are only
-    recorded, and the result builds V and V_inv from them when first read.
+    stops at the end of the first row holding a unit, whose earliest unit
+    that rule picks, and a unit pivot skips the divisibility sweep, which it
+    always passes.  The rows under a pivot are cleared in ascending order,
+    then the columns right of it, and the sweep adds the first offending
+    row.  The row and column operations are only recorded; the result
+    builds U, U_inv, V and V_inv from them when first read.
     """
-    A = [[int(v) for v in row] for row in M]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    U = identity_matrix(m)
-    U_inv = identity_matrix(m)
-    col_ops = []
+    if n is None:
+        if any(isinstance(row, dict) for row in M):
+            raise HomologyInputError("dict rows need the column count n")
+        n = len(M[0]) if M else 0
+    rows = []
+    for row in M:
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        rows.append({j: int(v) for j, v in items if v})
+    m = len(rows)
+    cols = [set() for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j in row:
+            if not 0 <= j < n:
+                raise HomologyInputError(f"row {i} has an entry in column {j} of {n}")
+            cols[j].add(i)
+    row_ops, col_ops = [], []
 
-    def row_swap(r1, r2):
-        A[r1], A[r2] = A[r2], A[r1]
-        U[r1], U[r2] = U[r2], U[r1]
-        for row in U_inv:
-            row[r1], row[r2] = row[r2], row[r1]
+    def row_swap(a, b):
+        ra, rb = rows[a], rows[b]
+        for j in ra.keys() ^ rb.keys():
+            cols[j] ^= {a, b}
+        rows[a], rows[b] = rb, ra
+        row_ops.append((a, b))
 
-    def row_add(r1, r2, q):
-        # row r1 += q * row r2
-        a1, a2 = A[r1], A[r2]
-        for j in range(n):
-            a1[j] += q * a2[j]
-        u1, u2 = U[r1], U[r2]
-        for j in range(m):
-            u1[j] += q * u2[j]
-        for row in U_inv:
-            row[r2] -= q * row[r1]
+    def row_add(a, b, q):
+        # row a += q * row b
+        ra = rows[a]
+        for j, v in rows[b].items():
+            nv = ra.get(j, 0) + q * v
+            if nv:
+                ra[j] = nv
+                cols[j].add(a)
+            else:
+                del ra[j]
+                cols[j].discard(a)
+        row_ops.append((a, b, q))
 
-    def row_negate(r):
-        A[r] = [-v for v in A[r]]
-        U[r] = [-v for v in U[r]]
-        for row in U_inv:
-            row[r] = -row[r]
+    def row_negate(a):
+        rows[a] = {j: -v for j, v in rows[a].items()}
+        row_ops.append((a,))
 
-    def col_swap(c1, c2):
-        for row in A:
-            row[c1], row[c2] = row[c2], row[c1]
-        col_ops.append((c1, c2))
+    def col_swap(a, b):
+        for i in cols[a] | cols[b]:
+            row = rows[i]
+            va, vb = row.pop(a, 0), row.pop(b, 0)
+            if vb:
+                row[a] = vb
+            if va:
+                row[b] = va
+        cols[a], cols[b] = cols[b], cols[a]
+        col_ops.append((a, b))
 
-    def col_add(c1, c2, q):
-        # col c1 += q * col c2
-        for row in A:
-            row[c1] += q * row[c2]
-        col_ops.append((c1, c2, q))
+    def col_add(a, b, q):
+        # col a += q * col b
+        ca = cols[a]
+        for i in cols[b]:
+            row = rows[i]
+            nv = row.get(a, 0) + q * row[b]
+            if nv:
+                row[a] = nv
+                ca.add(i)
+            else:
+                del row[a]
+                ca.discard(i)
+        col_ops.append((a, b, q))
 
     def find_pivot(t):
+        # rows t.. hold no column < t: finished pivots are alone in theirs
         best = None
         for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or (abs(v), i, j) < best):
-                    best = (abs(v), i, j)
-                    if best[0] == 1:
-                        return best
+            if rows[i]:
+                v, j = min([(abs(w), j) for j, w in rows[i].items()])
+                if best is None or v < best[0]:
+                    best = (v, i, j)
+                    if v == 1:
+                        break
         return best
 
     t = 0
@@ -183,39 +281,34 @@ def smith_normal_form(M):
             row_swap(t, bi)
         if bj != t:
             col_swap(t, bj)
-        if A[t][t] < 0:
+        if rows[t][t] < 0:
             row_negate(t)
-        piv = A[t][t]
+        piv = rows[t][t]
         dirty = False
-        for i in range(t + 1, m):
-            if A[i][t]:
-                row_add(i, t, -(A[i][t] // piv))
-                if A[i][t]:
+        for i in sorted(cols[t]):
+            if i != t:
+                row_add(i, t, -(rows[i][t] // piv))
+                if t in rows[i]:
                     dirty = True
-        for j in range(t + 1, n):
-            if A[t][j]:
-                col_add(j, t, -(A[t][j] // piv))
-                if A[t][j]:
+        for j in sorted(rows[t]):
+            if j != t:
+                col_add(j, t, -(rows[t][j] // piv))
+                if j in rows[t]:
                     dirty = True
         if dirty:
             continue
         if piv == 1:
             t += 1
             continue
-        bad = None
-        for i in range(t + 1, m):
-            row = A[i]
-            for j in range(t + 1, n):
-                if row[j] % piv:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+        bad = next(
+            (i for i in range(t + 1, m) if any(v % piv for v in rows[i].values())),
+            None,
+        )
         if bad is not None:
             row_add(t, bad, 1)
             continue
         t += 1
-    return SNFResult(A, U, None, U_inv, None, col_ops)
+    return SNFResult(rows, m, n, row_ops, col_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +415,9 @@ class _KernelSolver:
     K (the kernel columns) has full column rank, so c is unique.  The
     columns are brought to echelon form E = K . W by the column reduction
     of `kernel_of_columns`; x is peeled from its lowest row by exact
-    division against E's pivots, and c = W . c'.  Integer arithmetic only.
+    division against E's pivots, and c = W . c'.  Integer arithmetic only,
+    and sparse throughout: ``coords`` gives c as a dict of its nonzeros,
+    ``solve`` the same c as a dense list.
     """
 
     def __init__(self, kernel):
@@ -332,11 +427,11 @@ class _KernelSolver:
         if len(self.pivot_at) != self.z:
             raise HomologyInputError("kernel columns are dependent")
 
-    def solve(self, x):
-        """Coordinates of the sparse vector x in the kernel basis."""
+    def coords(self, x):
+        """Nonzero coordinates of the sparse vector x in the kernel basis."""
         target = {i: v for i, v in x.items() if v}
         rest = dict(target)
-        c = [0] * self.z
+        c = {}
         while rest:
             low = max(rest)
             p = self.pivot_at.get(low)
@@ -347,13 +442,23 @@ class _KernelSolver:
                 raise ValueError("chain is not a cycle")
             _axpy(rest, self.echelon[p], -q)
             for i, v in self.transform[p].items():
-                c[i] += q * v
+                nv = c.get(i, 0) + q * v
+                if nv:
+                    c[i] = nv
+                else:
+                    del c[i]
         check = {}
-        for j, cj in enumerate(c):
-            if cj:
-                _axpy(check, self.kernel[j], cj)
+        for j, cj in c.items():
+            _axpy(check, self.kernel[j], cj)
         if check != target:
             raise ValueError("chain is not a cycle")
+        return c
+
+    def solve(self, x):
+        """Coordinates of the sparse vector x in the kernel basis, as a list."""
+        c = [0] * self.z
+        for j, v in self.coords(x).items():
+            c[j] = v
         return c
 
 
@@ -399,7 +504,13 @@ class HomologyGroup:
 
 
 class _DegreeData:
-    """Cycle/boundary bookkeeping of one degree of a complex."""
+    """Cycle/boundary bookkeeping of one degree of a complex.
+
+    The boundary from degree k + 1 is written in kernel coordinates as the
+    sparse rows of Y, and ``snf`` is its Smith form D = U' Y V.  Classes are
+    read through the sparse rows of U' and the sparse columns of its
+    inverse, which ``snf`` builds on the first such read.
+    """
 
     def __init__(self, C, k):
         self.k = k
@@ -413,31 +524,26 @@ class _DegreeData:
         self.solver = _KernelSolver(kernel)
         z = len(kernel)
         bcols = C.boundary_columns(k + 1)
-        Y = [[0] * len(bcols) for _ in range(z)]
+        Y = [{} for _ in range(z)]
         for j, col in enumerate(bcols):
-            for i, v in enumerate(self.solver.solve(col)):
+            for i, v in self.solver.coords(col).items():
                 Y[i][j] = v
-        snf = smith_normal_form(Y)
-        diag = snf.diagonal
-        self.ediag = [d for d in diag if d]
+        self.snf = smith_normal_form(Y, len(bcols))
+        self.ediag = [d for d in self.snf.diagonal if d]
         self.t = len(self.ediag)
-        self.Uprime = snf.U
-        self.Uprime_inv = snf.U_inv
         self.group = HomologyGroup(
             z - self.t, [d for d in self.ediag if d > 1]
         )
 
     def _kernel_chain(self, coords):
         out = {}
-        for j, v in enumerate(coords):
-            if v:
-                _axpy(out, self.kernel[j], v)
+        for j, v in coords.items():
+            _axpy(out, self.kernel[j], v)
         return out
 
     def _gen_chains(self, js):
-        # column j of Uprime_inv, written out over the kernel basis
-        return [self._kernel_chain([row[j] for row in self.Uprime_inv])
-                for j in js]
+        # column j of U'^-1, written out over the kernel basis
+        return [self._kernel_chain(self.snf.U_inv_cols[j]) for j in js]
 
     @property
     def free_gen_chains(self):
@@ -451,11 +557,15 @@ class _DegreeData:
 
     def class_of(self, x):
         """Coordinates of a cycle's homology class: (free tuple, torsion tuple)."""
-        c = self.solver.solve(x)
-        w = [sum(u * cj for u, cj in zip(row, c)) for row in self.Uprime]
-        free = tuple(w[self.t:])
+        c = self.solver.coords(x)
+
+        def w(i):
+            row = self.snf.U_rows[i]
+            return sum(row.get(j, 0) * cj for j, cj in c.items())
+
+        free = tuple(w(i) for i in range(self.t, len(self.kernel)))
         torsion = tuple(
-            w[i] % self.ediag[i]
+            w(i) % self.ediag[i]
             for i in range(self.t)
             if self.ediag[i] > 1
         )

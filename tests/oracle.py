@@ -9,11 +9,11 @@ against.
 The last section is different: it keeps constructions the package replaced
 (the simplicial identity check that reads every face of every cell, the
 worklist congruence closure, the smash as a collapsed product, the
-smash of spectra as a triple-tensor coequalizer, the Smith form without its
-unit shortcuts, kernel coordinates through a rational inverse, the map
-enumerator that scans every candidate form, the backtracking enumerator
-indexed by face rows, the lifting search that composes per square, maps
-out of quotients, pushouts, smash products and tensors
+smash of spectra as a triple-tensor coequalizer, the Smith form on dense
+lists and without its unit shortcuts, kernel coordinates through a rational
+inverse, the map enumerator that scans every candidate form, the
+backtracking enumerator indexed by face rows, the lifting search that
+composes per square, maps out of quotients, pushouts, smash products and tensors
 written out cell by cell, the Sigma_n actions and maps on wedges of copies
 read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere's multiplication built from flattened
@@ -533,10 +533,179 @@ def latching_comparison_by_twist(X):
     )
 
 
-def smith_normal_form_full_scan(M):
-    """The Smith normal form before the unit shortcuts, as an SNFResult.
+class DenseSNFResult:
+    """The dense reductions' result: D = U . M . V, as plain lists.
 
-    Same pivot rule as ``homology.smith_normal_form`` (smallest nonzero
+    ``smith_normal_form_dense`` passes V = V_inv = None and the column
+    operations it ran, ``(c1, c2)`` for a swap and ``(c1, c2, q)`` for
+    col c1 += q col c2; V and V_inv are built from them on the first read
+    of either.  ``smith_normal_form_full_scan`` passes V and V_inv.
+    """
+
+    def __init__(self, D, U, V, U_inv, V_inv, col_ops=()):
+        self.D = D
+        self.U = U
+        self._V = V
+        self.U_inv = U_inv
+        self._V_inv = V_inv
+        self._col_ops = col_ops
+
+    @property
+    def V(self):
+        if self._V is None:
+            self._replay()
+        return self._V
+
+    @property
+    def V_inv(self):
+        if self._V_inv is None:
+            self._replay()
+        return self._V_inv
+
+    def _replay(self):
+        # the column operations act on the rows of V's transpose and, inverted
+        # and in the same order, on the rows of V_inv
+        from symspec import homology as hl
+
+        n = len(self.D[0]) if self.D else 0
+        Vt, V_inv = hl.identity_matrix(n), hl.identity_matrix(n)
+        for c1, c2, *q in self._col_ops:
+            if q:
+                Vt[c1] = [a + q[0] * b for a, b in zip(Vt[c1], Vt[c2])]
+                V_inv[c2] = [a - q[0] * b for a, b in zip(V_inv[c2], V_inv[c1])]
+            else:
+                Vt[c1], Vt[c2] = Vt[c2], Vt[c1]
+                V_inv[c1], V_inv[c2] = V_inv[c2], V_inv[c1]
+        self._V, self._V_inv = [list(col) for col in zip(*Vt)], V_inv
+
+    @property
+    def diagonal(self):
+        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
+
+    @property
+    def rank(self):
+        return sum(1 for d in self.diagonal if d)
+
+
+def smith_normal_form_dense(M):
+    """Smith normal form over the integers, on dense lists.
+
+    The reduction ``homology.smith_normal_form`` ran before it moved to
+    sparse rows; the sparse one must run the same operations in the same
+    order, so every matrix of the two results agrees entry for entry.
+
+    Pivot rule: smallest nonzero absolute value, earliest (row, column)
+    position on ties, which makes the reduction deterministic.  The scan
+    stops at the first unit, which that rule already picks, and a unit
+    pivot skips the divisibility sweep, which it always passes.  U and
+    U_inv are kept as the reduction runs; the column operations are only
+    recorded, and the result builds V and V_inv from them when first read.
+    """
+    from symspec import homology as hl
+
+    A = [[int(v) for v in row] for row in M]
+    m = len(A)
+    n = len(A[0]) if A else 0
+    U = hl.identity_matrix(m)
+    U_inv = hl.identity_matrix(m)
+    col_ops = []
+
+    def row_swap(r1, r2):
+        A[r1], A[r2] = A[r2], A[r1]
+        U[r1], U[r2] = U[r2], U[r1]
+        for row in U_inv:
+            row[r1], row[r2] = row[r2], row[r1]
+
+    def row_add(r1, r2, q):
+        # row r1 += q * row r2
+        a1, a2 = A[r1], A[r2]
+        for j in range(n):
+            a1[j] += q * a2[j]
+        u1, u2 = U[r1], U[r2]
+        for j in range(m):
+            u1[j] += q * u2[j]
+        for row in U_inv:
+            row[r2] -= q * row[r1]
+
+    def row_negate(r):
+        A[r] = [-v for v in A[r]]
+        U[r] = [-v for v in U[r]]
+        for row in U_inv:
+            row[r] = -row[r]
+
+    def col_swap(c1, c2):
+        for row in A:
+            row[c1], row[c2] = row[c2], row[c1]
+        col_ops.append((c1, c2))
+
+    def col_add(c1, c2, q):
+        # col c1 += q * col c2
+        for row in A:
+            row[c1] += q * row[c2]
+        col_ops.append((c1, c2, q))
+
+    def find_pivot(t):
+        best = None
+        for i in range(t, m):
+            row = A[i]
+            for j in range(t, n):
+                v = row[j]
+                if v and (best is None or (abs(v), i, j) < best):
+                    best = (abs(v), i, j)
+                    if best[0] == 1:
+                        return best
+        return best
+
+    t = 0
+    limit = min(m, n)
+    while t < limit:
+        best = find_pivot(t)
+        if best is None:
+            break
+        _, bi, bj = best
+        if bi != t:
+            row_swap(t, bi)
+        if bj != t:
+            col_swap(t, bj)
+        if A[t][t] < 0:
+            row_negate(t)
+        piv = A[t][t]
+        dirty = False
+        for i in range(t + 1, m):
+            if A[i][t]:
+                row_add(i, t, -(A[i][t] // piv))
+                if A[i][t]:
+                    dirty = True
+        for j in range(t + 1, n):
+            if A[t][j]:
+                col_add(j, t, -(A[t][j] // piv))
+                if A[t][j]:
+                    dirty = True
+        if dirty:
+            continue
+        if piv == 1:
+            t += 1
+            continue
+        bad = None
+        for i in range(t + 1, m):
+            row = A[i]
+            for j in range(t + 1, n):
+                if row[j] % piv:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_add(t, bad, 1)
+            continue
+        t += 1
+    return DenseSNFResult(A, U, None, U_inv, None, col_ops)
+
+
+def smith_normal_form_full_scan(M):
+    """The Smith normal form before the unit shortcuts.
+
+    Same pivot rule as ``smith_normal_form_dense`` (smallest nonzero
     absolute value, earliest (row, column) on ties), but every pivot scan
     reads the whole remaining block and every pivot runs the divisibility
     sweep.
@@ -627,7 +796,7 @@ def smith_normal_form_full_scan(M):
             row_add(t, bad, 1)
             continue
         t += 1
-    return hl.SNFResult(A, U, V, U_inv, V_inv)
+    return DenseSNFResult(A, U, V, U_inv, V_inv)
 
 
 class RationalKernelSolver:

@@ -757,6 +757,21 @@ def test_identity_operand_may_name_a_spectrum_file(capsys, tmp_path):
     assert by_name == run(capsys, "pushout-product", ident, ident)
 
 
+@pytest.mark.parametrize("argv", [
+    ["cofibration", "{}", "--bound", "2"],
+    ["pushout-product", "{}", "{}", "--bound", "2", "--check"],
+])
+def test_map_operand_may_name_a_spectrum_file(capsys, tmp_path, argv):
+    # a spectrum file names the map pt -> X, as the builtin token does
+    code, out, _ = run(capsys, "free", "--f", "1", "--space", "sphere1", "--bound", "2")
+    assert code == 0
+    spec = tmp_path / "spec.json"
+    spec.write_text(out)
+    from_file = run(capsys, *[a.format(spec) for a in argv])
+    assert from_file[0] == 0
+    assert from_file == run(capsys, *[a.format("free:1:sphere1") for a in argv])
+
+
 def test_sphere_as_a_map_is_the_point_into_the_sphere(capsys):
     by_name = run(capsys, "cofibration", "sphere", "--bound", "3")
     assert by_name[0] == 0

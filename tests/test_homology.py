@@ -1,6 +1,7 @@
 """Integer homology engine: normal forms, kernels, groups, induced maps."""
 
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import symspec.equivariant as eq
 import symspec.homology as hl
@@ -676,6 +677,92 @@ def test_snf_matches_full_scan_oracle(M):
     )
 
 
+sparse_matrices = st.integers(0, 8).flatmap(
+    lambda r: st.integers(0, 8).flatmap(
+        lambda c: st.lists(
+            st.lists(st.sampled_from([0] * 12 + [1, -1, 1, -1, 2, -2, 3, -3, 6]),
+                     min_size=c, max_size=c),
+            min_size=r,
+            max_size=r,
+        )
+    )
+)
+
+
+def snf_fields(res):
+    return res.D, res.U, res.U_inv, res.V, res.V_inv, res.diagonal, res.rank
+
+
+@settings(deadline=None, max_examples=150)
+@given(sparse_matrices)
+@example([])
+@example([[]])
+@example([[0, 0, 0], [0, 0, 0]])
+def test_sparse_snf_matches_the_dense_oracle(M):
+    old = snf_fields(oracle.smith_normal_form_dense(M))
+    rows = [{j: v for j, v in enumerate(row) if v} for row in M]
+    assert snf_fields(hl.smith_normal_form(M)) == old
+    assert snf_fields(hl.smith_normal_form(rows, len(M[0]) if M else 0)) == old
+
+
+def test_snf_dict_rows_need_their_width():
+    with pytest.raises(hl.HomologyInputError, match="dict rows need the column count n"):
+        hl.smith_normal_form([{0: 1}])
+    with pytest.raises(hl.HomologyInputError, match="row 0 has an entry in column 2 of 2"):
+        hl.smith_normal_form([{2: 1}], 2)
+
+
+def _coords_or_reason(solver, x):
+    try:
+        return solver.coords(x)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices, st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+       st.integers(2, 5))
+def test_kernel_coords_are_the_nonzero_rational_coordinates(M, coeffs, d):
+    for K in (_independent_columns(M), hl.kernel_of_columns(_columns(M))[0]):
+        x = _combination(K, coeffs[:len(K)])
+        bases = [K]
+        if K:
+            bases.append([{i: d * v for i, v in K[0].items()}] + K[1:])
+        for basis in bases:
+            for y in (x, {**x, 0: x.get(0, 0) + 1}, {**x, len(M): 1}):
+                expect = _solve_or_reason(oracle.RationalKernelSolver(basis), y)
+                if isinstance(expect, list):
+                    expect = {j: v for j, v in enumerate(expect) if v}
+                assert _coords_or_reason(hl._KernelSolver(basis), y) == expect
+
+
+def test_homology_reports_build_no_transform():
+    C = hl.hz_level_complex(5)
+    for k in range(7):
+        hl.homology(C, k)
+    for k in range(7):
+        snf = C.degree_data(k).snf
+        built = (snf._U_rows, snf._U_inv_cols, snf._U, snf._U_inv, snf._D)
+        assert built == (None,) * 5, k
+
+
+def test_degree_data_runs_one_smith_form_per_degree(monkeypatch):
+    # the tracer times the reduction by swapping this module attribute
+    calls = []
+    inner = hl.smith_normal_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(hl, "smith_normal_form", counting)
+    C = hl.hz_level_complex(4)
+    for k in range(6):
+        C.degree_data(k)
+        C.degree_data(k)
+        assert len(calls) == k + 1, k
+
+
 def test_degree_data_matches_oracles_on_spheres():
     for n in range(1, 5):
         C = hl.hz_level_complex(n)
@@ -731,6 +818,31 @@ def test_hz_level_six():
     data = C.degree_data(6)
     (gen,) = data.free_gen_chains
     assert data.class_of(gen) == ((1,), ())
+
+
+def test_hz_level_seven_under_a_two_gigabyte_cap():
+    # dense Smith forms of degrees 4 and 5 ran out of memory under this cap
+    src = os.path.dirname(os.path.dirname(hl.__file__))
+    script = (
+        "import json, resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "import symspec.homology as hl\n"
+        "C = hl.hz_level_complex(7)\n"
+        "groups = [hl.homology(C, k).to_json() for k in range(9)]\n"
+        "data = C.degree_data(7)\n"
+        "(gen,) = data.free_gen_chains\n"
+        "print(json.dumps([groups, data.class_of(gen)]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    groups, cls = json.loads(proc.stdout)
+    assert groups == [
+        {"rank": 1 if k == 7 else 0, "torsion": []} for k in range(9)
+    ]
+    assert cls == [[1], []]
 
 
 # ---------------------------------------------------------------------------
