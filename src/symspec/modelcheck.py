@@ -185,26 +185,64 @@ def all_maps(A, X, budget=None):
 # lifting properties
 
 
+def _levels(f):
+    """The space maps of f: f itself, or the levels of a spectrum map."""
+    return (f,) if isinstance(f, sset.SimplicialMap) else f.components
+
+
+def _value(f, then=None):
+    """``then . f`` (f if then is None) as a value, without building it.
+
+    The value holds the ends the map runs between, then level by level the
+    level's ends and its images of the cells of the level's source, in the
+    order of the source's ``dim_of``.  Two maps that assign exactly the
+    cells of their sources have equal values exactly when they are equal,
+    since ``__eq__`` asks for the very same ends: a map on an equal but
+    distinct copy of a space or spectrum has another value.  A level of
+    ``then`` that cannot follow f's raises ``PreconditionError``, as
+    ``compose`` does.
+    """
+    value = [id(f.source), id((then or f).target)]
+    for g, t in zip(_levels(f), _levels(then or f)):
+        images = tuple(map(g.assign.get, g.source.dim_of))
+        if then is not None:
+            if g.target is not t.source:
+                raise sset.PreconditionError(f"{t!r} cannot follow {g!r}")
+            at = t.assign
+            images = tuple([sset.word_compose(w, at[c]) if w else at[c] for w, c in images])
+        value.append((id(g.source), id(t.target), images))
+    return tuple(value)
+
+
 def _lift_table(i, p, lifts):
-    """The index of the first lift filling each square (h.i, p.h)."""
+    """The index of the first lift h filling each square, keyed by the
+    values of (h.i, p.h): no lift is composed or hashed as a map.  A top or
+    bottom on a copy of the square's spaces has a value no key has, as it
+    equals no composite."""
     table = {}
     for j, h in enumerate(lifts):
-        table.setdefault((h.compose(i), p.compose(h)), j)
+        table.setdefault((_value(i, h), _value(h, p)), j)
     return table
 
 
 def _first_lift(table, lifts, top, bottom, meter):
-    """Index of the first lift filling (top, bottom) or None, charging each tried."""
+    """Index of the first lift filling the square whose top and bottom have
+    these values, or None, charging each lift tried."""
     j = table.get((top, bottom))
     meter.spend(len(lifts) if j is None else j + 1)
     return j
 
 
 def find_lift(i, p, top, bottom, budget=DEFAULT_LIFT_BUDGET):
-    """First diagonal filling the square (top, bottom), or None."""
+    """First diagonal filling the square (top, bottom), or None.
+
+    A top or bottom on an equal but distinct copy of the square's spaces
+    or spectra is filled by no lift, as it equals none of the composites,
+    and every lift is charged.
+    """
     meter = Budget(budget)
     lifts = all_maps(i.target, p.source, meter)
-    j = _first_lift(_lift_table(i, p, lifts), lifts, top, bottom, meter)
+    j = _first_lift(_lift_table(i, p, lifts), lifts, _value(top), _value(bottom), meter)
     return None if j is None else lifts[j]
 
 
@@ -221,6 +259,10 @@ def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
     spectra, one per (top, bottom) pair, and per commuting square one per
     lift tried up to the first that fits, or every lift if none does.
     Past the budget it reads budget + 1.
+
+    Squares are compared and lifts looked up by ``_value``, the values of
+    the maps and composites level by level, so no map is composed or
+    hashed; equal values mean equal maps, on the very same spaces.
     """
     meter = Budget(budget)
     try:
@@ -228,12 +270,12 @@ def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
         bottoms = all_maps(i.target, p.target, meter)
         lifts = all_maps(i.target, p.source, meter)
         table = _lift_table(i, p, lifts)
-        squares = [(bottom, bottom.compose(i)) for bottom in bottoms]
+        squares = [(bottom, _value(bottom), _value(i, bottom)) for bottom in bottoms]
         for top in tops:
-            pt = p.compose(top)
-            for bottom, bi in squares:
+            tv, pt = _value(top), _value(top, p)
+            for bottom, bv, bi in squares:
                 meter.spend()
-                if bi == pt and _first_lift(table, lifts, top, bottom, meter) is None:
+                if bi == pt and _first_lift(table, lifts, tv, bv, meter) is None:
                     return {
                         "verdict": "no",
                         "witness": {"top": top, "bottom": bottom},

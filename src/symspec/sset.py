@@ -29,6 +29,12 @@ and ``left_slice``/``right_slice`` map a factor in at a vertex of the
 other.  No other module of the package reads ``pair_rep``, so a new
 encoding changes ``SmashResult`` and nothing else.
 
+``all_maps`` is the one enumerator of pointed maps.  It joins the map
+tables of connected components, each held as columns, one per cell, so a
+cell whose face row has one candidate appends a column and copies no row.
+The maps come out in the order of backtracking over the cells, and a
+budget is charged what that search would have probed.
+
 ``product`` has no caller in the package, since the smash is built off the
 wedge directly.  It stays public as the categorical product the smash is a
 quotient of: the tests build their reference smash on it and the benchmark
@@ -1068,12 +1074,20 @@ def _search_cells(A):
 
 
 def _join(tables):
-    """The columns and the product of the rows of disjoint (cols, rows) tables."""
-    cols, rows = [], [[]]
-    for i, (tcols, trows) in enumerate(tables):
-        cols += tcols
-        rows = [r + s for r in rows for s in trows] if i else trows
-    return cols, rows
+    """The product of disjoint (cols, columns, size) tables, its rows in the
+    order of ``[r + s for r in rows for s in trows]``: the columns joined
+    so far repeat each value tsize times, and the new table's columns
+    repeat whole, once per row so far."""
+    cols, columns, size = [], [], 1
+    for tcols, tcolumns, tsize in tables:
+        if tsize != 1:
+            columns = [list(itertools.chain.from_iterable(zip(*[col] * tsize))) for col in columns]
+        if size != 1:
+            tcolumns = [col * size for col in tcolumns]
+        cols = cols + tcols
+        columns = columns + tcolumns
+        size *= tsize
+    return cols, columns, size
 
 
 def all_maps(A, X, budget=None):
@@ -1083,7 +1097,8 @@ def all_maps(A, X, budget=None):
     (dim, id) order, where the images of a k-cell's faces fix the face row
     of its image and the candidates are ``X.forms_by_row(k)[row]``, in
     ``X.forms(k)`` order: the maps sorted by the ``X.forms(k)`` positions
-    of their images, cell by cell.
+    of their images, cell by cell.  Each map's assignment lists the
+    basepoint, then the non-base cells in that order.
 
     Every prefix of that cell order is face-closed, so the search would
     visit N(pos) nodes at depth pos, N(pos) being the number of pointed
@@ -1095,43 +1110,55 @@ def all_maps(A, X, budget=None):
     ``checked`` of ``has_lifting_property``, which the CLI prints.
 
     The nodes themselves are not visited.  Each connected component of the
-    prefix (the basepoint belongs to none) keeps the table of its maps, and
-    N(pos) is the product of the table sizes.  Cell c_pos is charged first;
-    then the tables of the components its faces touch are joined, and each
-    joined row is kept once per candidate for its face row.  A join reads
-    at most N(pos) rows, so the budget bounds the work.  The maps are the
-    product of the last tables, sorted into the search order.
+    prefix (the basepoint belongs to none) keeps the table of its maps as
+    columns, one per cell, and N(pos) is the product of the table sizes.
+    Cell c_pos is charged first; then the tables of the components its
+    faces touch are joined, and its face rows are read off the face
+    columns.  A row with one candidate keeps its place, so a cell whose
+    every row has one candidate only appends a column; otherwise each row
+    is kept once per candidate.  A join reads at most N(pos) rows, so the
+    budget bounds the work.  The maps are the product of the last tables,
+    sorted into the search order and built once.
     """
     cells = _search_cells(A)
     base = ((), X.basepoint)
     comp_of, tables = {}, {}
     for c, faces, k in cells:
         if budget is not None:
-            n = math.prod(len(rows) for _, rows in tables.values())
+            n = math.prod(size for _, _, size in tables.values())
             budget.spend(len(X.forms(k)) * n)
         touched = dict.fromkeys(comp_of[t] for _, t in faces if t != A.basepoint)
-        cols, rows = _join([tables.pop(cid) for cid in touched])
+        cols, columns, size = _join([tables.pop(cid) for cid in touched])
         at = {t: j for j, t in enumerate(cols)}
-        picks = [(w, at.get(t)) for w, t in faces]
-        index = X.forms_by_row(k)
-        out = []
-        for r in rows:
-            row = tuple([word_compose(w, base if j is None else r[j]) for w, j in picks])
-            for form in index.get(row, ()):
-                out.append(r + [form])
+        face_cols = []
+        for w, t in faces:
+            j = at.get(t)
+            if j is None:
+                face_cols.append(itertools.repeat(word_compose(w, base), size))
+            elif w:
+                face_cols.append(map(word_compose, itertools.repeat(w), columns[j]))
+            else:
+                face_cols.append(columns[j])
+        rows = zip(*face_cols) if faces else itertools.repeat((), size)
+        cands = list(map(X.forms_by_row(k).get, rows))
+        new = [form for forms in cands if forms for form in forms]
+        if len(new) != size or not all(cands):
+            keep = [r for r, forms in enumerate(cands) if forms for _ in forms]
+            columns = [[col[r] for r in keep] for col in columns]
+            size = len(keep)
+        columns.append(new)
         cols.append(c)
-        for t in cols:
-            comp_of[t] = c
-        tables[c] = (cols, out)
-    cols, rows = _join(tables.values())
+        comp_of.update(dict.fromkeys(cols, c))
+        tables[c] = (cols, columns, size)
+    cols, columns, size = _join(tables.values())
     at = {t: j for j, t in enumerate(cols)}
-    order = [at[c] for c, _, _ in cells]
+    images = [columns[at[c]] for c, _, _ in cells]
     rank = {k: {f: i for i, f in enumerate(X.forms(k))} for k in A.cells}
-    ranks = [rank[k] for _, _, k in cells]
-    images = [[r[j] for j in order] for r in rows]
-    images.sort(key=lambda v: [rk[f] for rk, f in zip(ranks, v)])
+    ranks = [map(rank[k].__getitem__, col) for col, (_, _, k) in zip(images, cells)]
+    order = [key[-1] for key in sorted(zip(*ranks, range(size)))]
     keys = [A.basepoint] + [c for c, _, _ in cells]
-    return [SimplicialMap(A, X, dict(zip(keys, [base] + v))) for v in images]
+    rows = list(zip(itertools.repeat(base, size), *images))
+    return [SimplicialMap(A, X, zip(keys, rows[j])) for j in order]
 
 
 def find_isomorphism(A, X):

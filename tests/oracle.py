@@ -12,9 +12,10 @@ worklist congruence closure, the smash as a collapsed product, the
 smash of spectra as a triple-tensor coequalizer, the Smith form on dense
 lists and without its unit shortcuts, kernel coordinates through a rational
 inverse, the map enumerator that scans every candidate form, the
-backtracking enumerator indexed by face rows, the lifting search that
-composes per square, maps out of quotients, pushouts, smash products and tensors
-written out cell by cell, the Sigma_n actions and maps on wedges of copies
+backtracking enumerator indexed by face rows, the component join on row
+lists, the lifting search that composes per square and the one that
+composes every lift into a table of maps, maps out of quotients,
+pushouts, smash products and tensors written out cell by cell, the Sigma_n actions and maps on wedges of copies
 read off each wedge cell's part, the sphere actions, the iterated
 structure maps sigma^p and the sphere's multiplication built from flattened
 circle coordinates, the free extension read off the orbit wedge cell by
@@ -991,6 +992,125 @@ def has_lifting_property_scan(i, p, budget):
                     }
         return {"verdict": "yes", "witness": None, "checked": meter.used}
     except ScanBudgetExceeded:
+        return {
+            "verdict": "budget exceeded",
+            "witness": None,
+            "checked": meter.used,
+        }
+
+
+def _join_rows(tables):
+    """The columns and the product of the rows of disjoint (cols, rows) tables."""
+    cols, rows = [], [[]]
+    for i, (tcols, trows) in enumerate(tables):
+        cols += tcols
+        rows = [r + s for r in rows for s in trows] if i else trows
+    return cols, rows
+
+
+def all_maps_rows(A, X, budget=None):
+    """Every pointed simplicial map A -> X by the component join on row lists.
+
+    Each connected component of the prefix keeps its maps as a list of rows;
+    cell c_pos is charged len(X.forms(k)) times the product of the table
+    sizes, then the tables its faces touch are joined and each joined row
+    is copied once per candidate for its face row.  The maps are sorted by
+    the ``X.forms(k)`` positions of their images, cell by cell.
+    """
+    import math
+
+    from symspec import sset
+
+    cells = sset._search_cells(A)
+    base = ((), X.basepoint)
+    comp_of, tables = {}, {}
+    for c, faces, k in cells:
+        if budget is not None:
+            n = math.prod(len(rows) for _, rows in tables.values())
+            budget.spend(len(X.forms(k)) * n)
+        touched = dict.fromkeys(comp_of[t] for _, t in faces if t != A.basepoint)
+        cols, rows = _join_rows([tables.pop(cid) for cid in touched])
+        at = {t: j for j, t in enumerate(cols)}
+        picks = [(w, at.get(t)) for w, t in faces]
+        index = X.forms_by_row(k)
+        out = []
+        for r in rows:
+            row = tuple([sset.word_compose(w, base if j is None else r[j]) for w, j in picks])
+            for form in index.get(row, ()):
+                out.append(r + [form])
+        cols.append(c)
+        for t in cols:
+            comp_of[t] = c
+        tables[c] = (cols, out)
+    cols, rows = _join_rows(tables.values())
+    at = {t: j for j, t in enumerate(cols)}
+    order = [at[c] for c, _, _ in cells]
+    rank = {k: {f: i for i, f in enumerate(X.forms(k))} for k in A.cells}
+    ranks = [rank[k] for _, _, k in cells]
+    images = [[r[j] for j in order] for r in rows]
+    images.sort(key=lambda v: [rk[f] for rk, f in zip(ranks, v)])
+    keys = [A.basepoint] + [c for c, _, _ in cells]
+    return [sset.SimplicialMap(A, X, dict(zip(keys, [base] + v))) for v in images]
+
+
+def _all_maps_composing(A, X, budget):
+    from symspec import modelcheck as mc
+    from symspec import sset
+
+    if isinstance(A, sset.PointedSimplicialSet):
+        return all_maps_rows(A, X, budget)
+    return mc._all_spectrum_maps(A, X, budget)
+
+
+def _lift_table_composing(i, p, lifts):
+    """The index of the first lift filling each square (h.i, p.h), keyed by
+    the composed maps themselves."""
+    table = {}
+    for j, h in enumerate(lifts):
+        table.setdefault((h.compose(i), p.compose(h)), j)
+    return table
+
+
+def _first_lift_composing(table, lifts, top, bottom, meter):
+    j = table.get((top, bottom))
+    meter.spend(len(lifts) if j is None else j + 1)
+    return j
+
+
+def find_lift_composing(i, p, top, bottom, budget):
+    """The first diagonal filling (top, bottom), or None, looked up by map."""
+    from symspec import sset
+
+    meter = sset.Budget(budget)
+    lifts = _all_maps_composing(i.target, p.source, meter)
+    j = _first_lift_composing(_lift_table_composing(i, p, lifts), lifts, top, bottom, meter)
+    return None if j is None else lifts[j]
+
+
+def has_lifting_property_composing(i, p, budget):
+    """The lifting search on row-list tables, composing every lift, top and
+    bottom as a map and comparing squares as maps; space or spectrum maps."""
+    from symspec import sset
+
+    meter = sset.Budget(budget)
+    try:
+        tops = _all_maps_composing(i.source, p.source, meter)
+        bottoms = _all_maps_composing(i.target, p.target, meter)
+        lifts = _all_maps_composing(i.target, p.source, meter)
+        table = _lift_table_composing(i, p, lifts)
+        squares = [(bottom, bottom.compose(i)) for bottom in bottoms]
+        for top in tops:
+            pt = p.compose(top)
+            for bottom, bi in squares:
+                meter.spend()
+                if bi == pt and _first_lift_composing(table, lifts, top, bottom, meter) is None:
+                    return {
+                        "verdict": "no",
+                        "witness": {"top": top, "bottom": bottom},
+                        "checked": meter.used,
+                    }
+        return {"verdict": "yes", "witness": None, "checked": meter.used}
+    except sset.BudgetExceeded:
         return {
             "verdict": "budget exceeded",
             "witness": None,
