@@ -15,8 +15,9 @@ inverse, the map enumerator that scans every candidate form, the
 backtracking enumerator indexed by face rows, the component join on row
 lists, the lifting search that composes per square and the one that
 composes every lift into a table of maps, maps out of quotients,
-pushouts, smash products and tensors written out cell by cell, the Sigma_n actions and maps on wedges of copies
-read off each wedge cell's part, the sphere actions, the iterated
+pushouts, smash products and tensors written out cell by cell, the
+Sigma_n actions and maps on wedges of copies read off each wedge cell's
+part, the sphere actions, the iterated
 structure maps sigma^p and the sphere's multiplication built from flattened
 circle coordinates, the free extension read off the orbit wedge cell by
 cell, the smash's quotient map from the product, the

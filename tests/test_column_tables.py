@@ -188,19 +188,6 @@ def test_value_keyed_search_matches_the_composing_oracle(data):
     assert lift(mc.find_lift) == lift(oracle.find_lift_composing)
 
 
-@pytest.mark.parametrize("i", [
-    sset.subset_inclusion(sset.horn_plus(2, 1), sset.delta_plus(2)),
-    sset.subset_inclusion(sset.boundary_plus(1), sset.delta_plus(1)),
-])
-def test_every_budget_matches_the_composing_oracle(i):
-    p = collapse(i.target)
-    full = oracle.has_lifting_property_composing(i, p, mc.DEFAULT_LIFT_BUDGET)
-    for budget in range(1, full["checked"] + 2):
-        assert _report(mc.has_lifting_property(i, p, budget)) == _report(
-            oracle.has_lifting_property_composing(i, p, budget)
-        ), budget
-
-
 @pytest.fixture(scope="module")
 def tower():
     return eq.SphereTower()
@@ -268,11 +255,12 @@ def test_find_lift_fills_no_square_on_a_copy_of_a_space():
     p = collapse(i.target)
     h = mc.find_lift(i, p, i, p)
     assert h is not None and h.compose(i) == i and p.compose(h) == p
+    Map = sset.SimplicialMap
     squares = {
-        "top on a copy of i.source": (sset.SimplicialMap(sset.horn_plus(1, 0), i.target, i.assign), p),
-        "top on a copy of p.source": (sset.SimplicialMap(i.source, copy_of(i.target), i.assign), p),
-        "bottom on a copy of i.target": (i, sset.SimplicialMap(copy_of(i.target), p.target, p.assign)),
-        "bottom on a copy of p.target": (i, sset.SimplicialMap(i.target, copy_of(p.target), p.assign)),
+        "top on a copy of i.source": (Map(sset.horn_plus(1, 0), i.target, i.assign), p),
+        "top on a copy of p.source": (Map(i.source, copy_of(i.target), i.assign), p),
+        "bottom on a copy of i.target": (i, Map(copy_of(i.target), p.target, p.assign)),
+        "bottom on a copy of p.target": (i, Map(i.target, copy_of(p.target), p.assign)),
     }
     for what, (top, bottom) in squares.items():
         assert top.assign == i.assign and bottom.assign == p.assign
@@ -282,10 +270,11 @@ def test_find_lift_fills_no_square_on_a_copy_of_a_space():
 
 def _on_copy(f, source):
     """The spectrum map f, level for level, from the copy ``source`` of its source."""
-    return sp.SpectrumMap(
-        source, f.target,
-        [sset.SimplicialMap(source.space(n), g.target, g.assign) for n, g in enumerate(f.components)],
-    )
+    levels = [
+        sset.SimplicialMap(source.space(n), g.target, g.assign)
+        for n, g in enumerate(f.components)
+    ]
+    return sp.SpectrumMap(source, f.target, levels)
 
 
 def test_find_lift_fills_no_square_on_a_copy_spectrum(tower):
@@ -326,10 +315,11 @@ def test_no_square_commutes_through_a_map_whose_levels_sit_off_its_source(tower)
 def test_a_level_that_cannot_follow_raises_as_compose_does(tower):
     j = free_boundary_inclusion(1, 1, tower)
     copy = sp.free_F(1, j.target.K, 2, tower)
-    i = sp.SpectrumMap(
-        j.source, j.target,
-        [sset.SimplicialMap(g.source, copy.space(n), g.assign) for n, g in enumerate(j.components)],
-    )
+    levels = [
+        sset.SimplicialMap(g.source, copy.space(n), g.assign)
+        for n, g in enumerate(j.components)
+    ]
+    i = sp.SpectrumMap(j.source, j.target, levels)
     p = sp.lambda_map(0, 2, tower)
     for decide in (mc.has_lifting_property, oracle.has_lifting_property_composing):
         with pytest.raises(sset.PreconditionError):
