@@ -646,31 +646,41 @@ def normalized_chains(X):
     """Reduced normalized chains: one generator per nondegenerate non-base cell.
 
     The boundary is the alternating face sum; faces that are degenerate or
-    land on the basepoint contribute nothing.
+    land on the basepoint contribute nothing.  The signs (-1)^i are made
+    once per dimension and zipped with each face table.  A column lists its
+    rows in the order of the faces that first reach them, and faces that
+    cancel leave no entry.
     """
     cached = getattr(X, "_normalized_chains", None)
     if cached is not None:
         return cached
+    bp = X.basepoint
     basis = {}
     index = {}
     for k, ids in X.cells.items():
-        gens = [c for c in ids if c != X.basepoint]
+        gens = [c for c in ids if c != bp]
         if gens:
             basis[k] = gens
             index[k] = {c: i for i, c in enumerate(gens)}
     ranks = {k: len(v) for k, v in basis.items()}
     columns = {}
     for k, gens in basis.items():
+        if k == 0:
+            columns[k] = [{} for _ in gens]
+            continue
+        signs = [(-1) ** i for i in range(k + 1)]
+        below = index.get(k - 1, {})
         cols = []
         for c in gens:
             col = {}
-            if k > 0:
-                for i, (word, t) in enumerate(X.faces[c]):
-                    if word or t == X.basepoint:
-                        continue
-                    row = index[k - 1][t]
-                    col[row] = col.get(row, 0) + (-1) ** i
-            cols.append({i: v for i, v in col.items() if v})
+            for sign, (word, t) in zip(signs, X.faces[c]):
+                if word or t == bp:
+                    continue
+                row = below[t]
+                col[row] = col.get(row, 0) + sign
+            if 0 in col.values():
+                col = {i: v for i, v in col.items() if v}
+            cols.append(col)
         columns[k] = cols
     C = ChainComplex(ranks, columns, basis=basis, name=X.name)
     C.index = index

@@ -12,6 +12,8 @@ The simplicial identities then run entirely on words:
     d_i s_a = s_a d_{i-1}          (i > a+1)
 
 A simplex ``s_U x`` lies in the image of ``s_j`` exactly when ``j in U``.
+A face row (d_0 f, ..., d_k f) is built one way, by ``face_row``, from
+a template made once per (word, dimension).
 
 Products are built on pairs of forms of equal dimension with disjoint words,
 smash products directly on the pairs off the wedge, quotients by a
@@ -44,6 +46,7 @@ tracer times it.
 import functools
 import itertools
 import math
+import operator
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,13 @@ def face_word(i, word):
         return degeneracy_insert(a - 1, w2), i2
     w2, i2 = face_word(i - 1, rest)
     return degeneracy_insert(a, w2), i2
+
+
+@functools.lru_cache(maxsize=None)
+def _row_template(word, k):
+    """``face_word(i, word)`` for i = 0..k: the face row of every k-form
+    with degeneracy word ``word``, up to its cell's own faces."""
+    return tuple([face_word(i, word) for i in range(k + 1)])
 
 
 def word_extract(j, word):
@@ -207,6 +217,20 @@ class PointedSimplicialSet:
             return (w2, cell)
         return word_compose(w2, self.faces[cell][i2])
 
+    def face_row(self, form, k):
+        """The faces (d_0 f, ..., d_k f) of a k-form f, in normal form; () for
+        a vertex.  A cell's row is its stored face table; a degenerate
+        form's is its word's ``_row_template`` read off its cell's table.
+        This is the one way a face row is built."""
+        word, cell = form
+        if not word:
+            return self.faces[cell] if k else ()
+        faces = self.faces.get(cell)
+        return tuple([
+            (w, cell) if i is None else word_compose(w, faces[i])
+            for w, i in _row_template(word, k)
+        ])
+
     def degenerate(self, j, form):
         return (degeneracy_insert(j, form[0]), form[1])
 
@@ -232,8 +256,7 @@ class PointedSimplicialSet:
         if k not in self._forms_by_row:
             index = self._forms_by_row[k] = {}
             for f in self.forms(k):
-                row = tuple([self.face(i, f) for i in range(k + 1)]) if k else ()
-                index.setdefault(row, []).append(f)
+                index.setdefault(tuple(self.face_row(f, k)), []).append(f)
         return self._forms_by_row[k]
 
     def base(self, dim=0):
@@ -242,7 +265,14 @@ class PointedSimplicialSet:
     def validate(self):
         """Check the stored data satisfies the simplicial identities.
 
-        Raises ``IdentityError`` at the first cell that breaks one.
+        Raises ``IdentityError`` at the first cell that breaks one: the
+        first face, in order, that is no (k-1)-form in normal form, else the
+        first identity d_i d_j = d_{j-1} d_i (i < j), by j then i, whose
+        sides differ.  Each distinct face form of a dimension goes through
+        ``_form_fault`` once and keeps its ``face_row``.  A k-cell's rows
+        are laid end to end, and its k(k+1)/2 identities are compared in one
+        go, by index lists built once per dimension; only a cell that fails
+        is scanned identity by identity, to name the first.
         """
         faces, dim_of = self.faces, self.dim_of
         bp = self.basepoint
@@ -251,14 +281,19 @@ class PointedSimplicialSet:
         # dimensions ascend, so every cell a face table refers to has had
         # its own table checked before the identities read it
         for k, ids in self.cells.items():
-            # a (k-1)-form's verdict depends on the form and k alone, so each
-            # distinct face of a k-cell is checked once, keeping its face row
-            rows_of = {}
-            for c in ids:
-                if k == 0:
+            if k == 0:
+                for c in ids:
                     if faces.get(c):
                         raise IdentityError(c, "a vertex has no faces", faces[c], ())
-                    continue
+                continue
+            # a (k-1)-form's verdict depends on the form and k alone
+            rows_of = {}
+            # d_i d_j == d_{j-1} d_i for i < j is rows[j][i] == rows[i][j - 1],
+            # each row k long
+            ij = [(i, j) for j in range(1, k + 1) for i in range(j)]
+            left = operator.itemgetter(*[j * k + i for i, j in ij])
+            right = operator.itemgetter(*[i * k + j - 1 for i, j in ij])
+            for c in ids:
                 fs = faces.get(c, ())
                 if len(fs) != k + 1:
                     where = f"a {k}-cell has {k + 1} faces"
@@ -271,20 +306,12 @@ class PointedSimplicialSet:
                         if fault:
                             what, lhs, rhs = fault
                             raise IdentityError(c, f"d_{i} {what}", lhs, rhs)
-                        if k < 2:
-                            r = ()
-                        elif f[0]:
-                            r = tuple([self.face(j, f) for j in range(k)])
-                        else:
-                            r = faces[f[1]]
-                        rows_of[f] = r
+                        r = rows_of[f] = self.face_row(f, k - 1)
                     rows.append(r)
                 if k < 2:
                     continue
-                cols = list(zip(*rows))
-                # d_i d_j == d_{j-1} d_i for i < j, i.e. rows[j][i] ==
-                # rows[i][j - 1]: a row tail against a column tail
-                if all(rows[i][i:] == cols[i][i + 1 :] for i in range(k)):
+                flat = list(itertools.chain.from_iterable(rows))
+                if left(flat) == right(flat):
                     continue
                 for j in range(1, k + 1):
                     for i in range(j):
@@ -724,12 +751,6 @@ def quotient_by_pairs(X, pairs, name=None):
 
     dim_of, faces = X.dim_of, X.faces
 
-    def row(form, k):
-        # the faces d_0 .. d_k of a k-form; none for a vertex
-        if not form[0]:
-            return faces[form[1]] if k else ()
-        return [X.face(i, form) for i in range(k + 1)]
-
     by_dim = {}
     for pair in pairs:
         a, b = pair
@@ -756,7 +777,7 @@ def quotient_by_pairs(X, pairs, name=None):
                 rep[tb] = a
             elif not wa:
                 rep[ta] = b
-            for fa, fb in zip(row(a, k), row(b, k)):
+            for fa, fb in zip(X.face_row(a, k), X.face_row(b, k)):
                 if fa != fb:
                     key = (fa, fb) if fa <= fb else (fb, fa)
                     if key not in seen:
@@ -868,9 +889,19 @@ def smash(A, B, name=None):
 
     The nondegenerate simplices of A ^ B are the jointly nondegenerate
     pairs of A x B with no base coordinate, plus one base vertex: the
-    lowest-id wedge vertex of the product.  They are numbered in
-    (dimension, product id) order, so the result is the quotient of
-    ``product(A, B)`` collapsing the wedge, cell ids included.
+    first wedge pair in product order, at the lowest-id wedge vertex of
+    the product.  They are numbered in (dimension, product id) order, so
+    the result is the quotient of ``product(A, B)`` collapsing the wedge,
+    cell ids included.
+
+    Each factor form's ``face_row`` is read once, with its faces on the
+    base marked None, so a face of a pair lies on the wedge when either
+    coordinate's mark is None; a base A-form's partners are all skipped at
+    once.  Other face pairs are normalized through ``_split_words``, as
+    ``pair_normalize`` does, and a pair left as it is is looked up among
+    its A-coordinate's partners, which hold each cell's form ``((), c)``
+    as one object: a face table shares it, so ``validate`` mostly meets
+    equal faces as the same object.
     """
     id_of = {}
     pair_rep = {}
@@ -879,17 +910,28 @@ def smash(A, B, name=None):
     basepoint = None
     abp, bbp = A.basepoint, B.basepoint
     fresh = itertools.count()
-    b_rows = {}  # all faces of a B-form; B-forms recur across A-forms
+    b_rows = {}  # marked face row of a B-form; B-forms recur across A-forms
+    # A-form -> {B-form: ((), cell)}: id_of by the first coordinate, each
+    # cell's form made once, so equal faces are one object
+    partners = {}
     for k, fa, fbs in _joint_pairs(A, B):
+        if fa[1] == abp:
+            if basepoint is None:
+                basepoint = next(fresh)
+                pair_rep[basepoint] = (fa, fbs[0])
+                cells.setdefault(0, []).append(basepoint)
+            continue
+        ids = partners[fa] = {}
         a_row = None
         for fb in fbs:
-            if fa[1] == abp or fb[1] == bbp:
+            if fb[1] == bbp:
                 if basepoint is None:
                     basepoint = next(fresh)
                     pair_rep[basepoint] = (fa, fb)
                     cells.setdefault(0, []).append(basepoint)
                 continue
             c = next(fresh)
+            ids[fb] = ((), c)
             pair = (fa, fb)
             id_of[pair] = c
             pair_rep[c] = pair
@@ -897,18 +939,23 @@ def smash(A, B, name=None):
             if not k:
                 continue
             if a_row is None:
-                a_row = [A.face(i, fa) for i in range(k + 1)]
+                a_row = A.face_row(fa, k)
+                a_ids = [None if g[1] == abp else partners.get(g, {}) for g in a_row]
                 on_wedge = base_form(basepoint, k - 1)
             b_row = b_rows.get(fb)
             if b_row is None:
-                b_row = b_rows[fb] = [B.face(i, fb) for i in range(k + 1)]
+                b_row = b_rows[fb] = [None if g[1] == bbp else g for g in B.face_row(fb, k)]
             entry = []
-            for ga, gb in zip(a_row, b_row):
-                if ga[1] == abp or gb[1] == bbp:
+            for ga_ids, ga, gb in zip(a_ids, a_row, b_row):
+                if ga_ids is None or gb is None:
                     entry.append(on_wedge)
                     continue
-                outer, pair = pair_normalize(ga, gb)
-                entry.append((outer, id_of[pair]))
+                if ga[0] and gb[0]:
+                    outer, wa, wb = _split_words(ga[0], gb[0])
+                    if outer:
+                        entry.append((outer, id_of[(wa, ga[1]), (wb, gb[1])]))
+                        continue
+                entry.append(ga_ids[gb])
             faces[c] = tuple(entry)
     space = PointedSimplicialSet(
         cells, faces, basepoint, name=name or f"({A.name}^{B.name})"

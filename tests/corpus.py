@@ -32,6 +32,29 @@ def nonbase_cells(X):
     return sum(X.n_cells(k) for k in X.cells) - 1
 
 
+def rebased(X, v):
+    """X with the vertex v as its basepoint."""
+    return sset.PointedSimplicialSet(X.cells, X.faces, v, name=f"{X.name}@{v}")
+
+
+def pinched_triangle():
+    """Delta[2]+ with the edge {0,1} collapsed onto s_0 of the vertex 0: a
+    2-cell whose face d_2 is degenerate on a non-base vertex."""
+    D2 = sset.delta_plus(2)
+    s = D2.subset_ids
+    pair = (((), s[(0, 1)]), ((0,), s[(0,)]))
+    return sset.quotient_by_pairs(D2, [pair], name="pinch2").space
+
+
+def pinched_tetrahedron():
+    """Delta[3]+ with the face {0,1,2} collapsed onto s_1 of the edge {0,1}:
+    a 3-cell whose face d_3 is degenerate on a non-base edge."""
+    D3 = sset.delta_plus(3)
+    s = D3.subset_ids
+    pair = (((), s[(0, 1, 2)]), ((1,), s[(0, 1)]))
+    return sset.quotient_by_pairs(D3, [pair], name="pinch3").space
+
+
 def random_space(r, max_cells=4):
     while True:
         X = r.choice(space_menu())

@@ -8,6 +8,9 @@ against.
 
 The last section is different: it keeps constructions the package replaced
 (the simplicial identity check that reads every face of every cell, the
+one that compares row tails with column tails, the smash that loops over
+every pair and normalizes each face pair, the normalized chains that take
+a sign per face, the
 worklist congruence closure, the smash as a collapsed product, the
 smash of spectra as a triple-tensor coequalizer, the Smith form on dense
 lists and without its unit shortcuts, kernel coordinates through a rational
@@ -332,6 +335,142 @@ def validate_per_cell(space):
                             c, f"d_{i} d_{j} = d_{j - 1} d_{i}", left, right
                         )
     return True
+
+
+def validate_column_tail(space):
+    """``PointedSimplicialSet.validate`` comparing each row tail with a
+    column tail: every distinct face form of a dimension checked once, its
+    face row built by ``space.face`` one face at a time.  True, or the
+    first ``IdentityError``."""
+    from symspec import sset
+
+    faces, dim_of = space.faces, space.dim_of
+    bp = space.basepoint
+    if dim_of.get(bp) != 0:
+        raise sset.IdentityError(bp, "the basepoint is a vertex", dim_of.get(bp), 0)
+    for k, ids in space.cells.items():
+        rows_of = {}
+        for c in ids:
+            if k == 0:
+                if faces.get(c):
+                    raise sset.IdentityError(c, "a vertex has no faces", faces[c], ())
+                continue
+            fs = faces.get(c, ())
+            if len(fs) != k + 1:
+                where = f"a {k}-cell has {k + 1} faces"
+                raise sset.IdentityError(c, where, len(fs), k + 1)
+            rows = []
+            for i, f in enumerate(fs):
+                r = rows_of.get(f)
+                if r is None:
+                    fault = sset._form_fault(space, f, k - 1)
+                    if fault:
+                        what, lhs, rhs = fault
+                        raise sset.IdentityError(c, f"d_{i} {what}", lhs, rhs)
+                    if k < 2:
+                        r = ()
+                    elif f[0]:
+                        r = tuple([space.face(j, f) for j in range(k)])
+                    else:
+                        r = faces[f[1]]
+                    rows_of[f] = r
+                rows.append(r)
+            if k < 2:
+                continue
+            cols = list(zip(*rows))
+            if all(rows[i][i:] == cols[i][i + 1 :] for i in range(k)):
+                continue
+            for j in range(1, k + 1):
+                for i in range(j):
+                    left, right = rows[j][i], rows[i][j - 1]
+                    if left != right:
+                        raise sset.IdentityError(
+                            c, f"d_{i} d_{j} = d_{j - 1} d_{i}", left, right
+                        )
+    return True
+
+
+def smash_pair_loop(A, B, name=None):
+    """``sset.smash`` looping over every pair of a factor form's partners:
+    each pair tested against the wedge, each face row built by ``face``
+    one face at a time and each face pair put through
+    ``sset.pair_normalize``."""
+    from symspec import sset
+
+    id_of = {}
+    pair_rep = {}
+    cells = {}
+    faces = {}
+    basepoint = None
+    abp, bbp = A.basepoint, B.basepoint
+    fresh = itertools.count()
+    b_rows = {}
+    for k, fa, fbs in sset._joint_pairs(A, B):
+        a_row = None
+        for fb in fbs:
+            if fa[1] == abp or fb[1] == bbp:
+                if basepoint is None:
+                    basepoint = next(fresh)
+                    pair_rep[basepoint] = (fa, fb)
+                    cells.setdefault(0, []).append(basepoint)
+                continue
+            c = next(fresh)
+            pair = (fa, fb)
+            id_of[pair] = c
+            pair_rep[c] = pair
+            cells.setdefault(k, []).append(c)
+            if not k:
+                continue
+            if a_row is None:
+                a_row = [A.face(i, fa) for i in range(k + 1)]
+                on_wedge = sset.base_form(basepoint, k - 1)
+            b_row = b_rows.get(fb)
+            if b_row is None:
+                b_row = b_rows[fb] = [B.face(i, fb) for i in range(k + 1)]
+            entry = []
+            for ga, gb in zip(a_row, b_row):
+                if ga[1] == abp or gb[1] == bbp:
+                    entry.append(on_wedge)
+                    continue
+                outer, pair = sset.pair_normalize(ga, gb)
+                entry.append((outer, id_of[pair]))
+            faces[c] = tuple(entry)
+    space = sset.PointedSimplicialSet(
+        cells, faces, basepoint, name=name or f"({A.name}^{B.name})"
+    )
+    space.validate()
+    return sset.SmashResult(A, B, space, id_of, pair_rep)
+
+
+def normalized_chains_per_face(X):
+    """``homology.normalized_chains`` taking (-1) ** i face by face, built
+    afresh on every call and not cached on X."""
+    from symspec import homology as hl
+
+    basis = {}
+    index = {}
+    for k, ids in X.cells.items():
+        gens = [c for c in ids if c != X.basepoint]
+        if gens:
+            basis[k] = gens
+            index[k] = {c: i for i, c in enumerate(gens)}
+    ranks = {k: len(v) for k, v in basis.items()}
+    columns = {}
+    for k, gens in basis.items():
+        cols = []
+        for c in gens:
+            col = {}
+            if k > 0:
+                for i, (word, t) in enumerate(X.faces[c]):
+                    if word or t == X.basepoint:
+                        continue
+                    row = index[k - 1][t]
+                    col[row] = col.get(row, 0) + (-1) ** i
+            cols.append({i: v for i, v in col.items() if v})
+        columns[k] = cols
+    C = hl.ChainComplex(ranks, columns, basis=basis, name=X.name)
+    C.index = index
+    return C
 
 
 def smash_by_quotient(A, B):

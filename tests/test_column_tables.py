@@ -23,31 +23,13 @@ import corpus
 import oracle
 
 
-def pinched_triangle():
-    """Delta[2]+ with the edge {0,1} collapsed onto s_0 of the vertex 0: a
-    2-cell whose face d_2 is degenerate on a non-base vertex."""
-    D2 = sset.delta_plus(2)
-    s = D2.subset_ids
-    pair = (((), s[(0, 1)]), ((0,), s[(0,)]))
-    return sset.quotient_by_pairs(D2, [pair], name="pinch2").space
-
-
-def pinched_tetrahedron():
-    """Delta[3]+ with the face {0,1,2} collapsed onto s_1 of the edge {0,1}:
-    a 3-cell whose face d_3 is degenerate on a non-base edge."""
-    D3 = sset.delta_plus(3)
-    s = D3.subset_ids
-    pair = (((), s[(0, 1, 2)]), ((1,), s[(0, 1)]))
-    return sset.quotient_by_pairs(D3, [pair], name="pinch3").space
-
-
 def sources():
     """Corpus spaces plus quotients whose faces carry degeneracy words on
     non-base cells, so the enumerator maps face columns through words."""
-    pinch = pinched_triangle()
+    pinch = corpus.pinched_triangle()
     return corpus.space_menu() + [
         pinch,
-        pinched_tetrahedron(),
+        corpus.pinched_tetrahedron(),
         sset.wedge([pinch, sset.circle()]).space,
         sset.smash(sset.circle(), sset.delta_plus(1)).space,
     ]
@@ -56,7 +38,7 @@ def sources():
 def targets():
     """Corpus spaces (S1 v S1 and S2 have several forms on one face row),
     plus a pinched triangle."""
-    return corpus.space_menu() + [pinched_triangle()]
+    return corpus.space_menu() + [corpus.pinched_triangle()]
 
 
 def copy_of(X):
@@ -136,8 +118,8 @@ def test_column_join_matches_the_row_join_oracle(data):
 
 
 @pytest.mark.parametrize("A, X", [
-    (pinched_tetrahedron(), sset.wedge([sset.circle(), sset.circle()]).space),
-    (sset.horn_plus(3, 1), pinched_triangle()),
+    (corpus.pinched_tetrahedron(), sset.wedge([sset.circle(), sset.circle()]).space),
+    (sset.horn_plus(3, 1), corpus.pinched_triangle()),
 ])
 def test_every_limit_overruns_where_the_row_join_does(A, X):
     used = _run(oracle.all_maps_rows, A, X, 10 ** 9)[1]

@@ -186,7 +186,7 @@ def _verdict(check, X):
 @given(st.data())
 def test_validate_agrees_with_the_per_cell_check(data):
     X = data.draw(st.sampled_from(_validation_spaces()))
-    assert X.validate() is oracle.validate_per_cell(X) is True
+    assert X.validate() is oracle.validate_column_tail(X) is oracle.validate_per_cell(X) is True
     # mostly a face of a positive-dimensional cell, sometimes the basepoint's
     c = data.draw(st.sampled_from([c for c in X.cell_ids() if X.dim_of[c]] + [X.basepoint]))
     k = X.dim_of[c]
@@ -205,9 +205,11 @@ def test_validate_agrees_with_the_per_cell_check(data):
     else:
         fs.append(data.draw(st.sampled_from(others)))
     Y = sset.PointedSimplicialSet(X.cells, {**X.faces, c: tuple(fs)}, X.basepoint)
-    assert _verdict(sset.PointedSimplicialSet.validate, Y) == _verdict(
-        oracle.validate_per_cell, Y
-    )
+    # the identity check in one go, the column tails and every face of
+    # every cell give one verdict
+    verdict = _verdict(sset.PointedSimplicialSet.validate, Y)
+    assert verdict == _verdict(oracle.validate_column_tail, Y)
+    assert verdict == _verdict(oracle.validate_per_cell, Y)
 
 
 def test_standard_space_counts():
@@ -278,19 +280,14 @@ def assert_smash_matches_collapsed_product(A, B):
     assert oracle.smash_quotient(sm).class_of == quot.class_of, (A, B)
 
 
-def rebased(X, v):
-    """X with the vertex v as its basepoint."""
-    return sset.PointedSimplicialSet(X.cells, X.faces, v, name=f"{X.name}@{v}")
-
-
 def test_direct_smash_matches_collapsed_product_on_library_spaces():
     spaces = corpus.space_menu() + [
         sset.sphere(3),
         sset.boundary_plus(3),
         sset.horn_plus(3, 0),
         # basepoints after other vertices in id order
-        rebased(sset.zero_sphere(), 1),
-        rebased(sset.delta_plus(1), 2),
+        corpus.rebased(sset.zero_sphere(), 1),
+        corpus.rebased(sset.delta_plus(1), 2),
     ]
     for A in spaces:
         for B in spaces:
@@ -303,7 +300,7 @@ def test_direct_smash_matches_collapsed_product_on_random_spaces(seed):
     r = random.Random(seed)
     A = corpus.random_subcomplex_inclusion(r, corpus.random_space(r)).source
     B = corpus.random_space(r)
-    B = rebased(B, r.choice(B.cells[0]))
+    B = corpus.rebased(B, r.choice(B.cells[0]))
     assert_smash_matches_collapsed_product(A, B)
 
 
