@@ -9,14 +9,18 @@ storing and validating the generators pins the whole action.
 The free orbit Sigma_n+ ^ K and the balanced smash are wedges of copies,
 and their generators are ``WedgeResult.map_out`` of one map per copy.
 ``balanced_smash`` is the one builder of Sigma_n+ ^_{Sigma_p x Sigma_q} A
-and the one place a generator factors a coset: a degree of the tensor of
-symmetric sequences is one balanced smash over its blocks X_p ^ Y_q.  Only
-``FreeOrbitSpace.cell_coords`` reads which copy a cell is in.
+and the one place a generator factors a coset, into its ``moves``: a
+degree of the tensor of symmetric sequences is one balanced smash over its
+blocks X_p ^ Y_q, and the normal levels of a smash of spectra read the
+moves of one.  Only ``FreeOrbitSpace.cell_coords`` reads which copy a cell
+is in.
 
-A sphere's generators are built when first read: ``SphereTower.action(n)``
-holds S^n at once, but its Sigma_n maps wait for a reader of
-``.generators`` or ``.act``, so a caller of the spaces alone (the stable
-colimit of S) builds no action.
+An ``EquivariantSpace`` takes its generators as a list or as a function
+that builds them on their first read.  A sphere's generators wait like
+that: ``SphereTower.action(n)`` holds S^n at once, but its Sigma_n maps
+wait for a reader of ``.generators`` or ``.act``, so a caller of the
+spaces alone (the stable colimit of S) builds no action.  A balanced smash
+builds its wedge and its generators on their first read too.
 
 What holds what runs one way, so reference counting frees a construction
 as soon as its last reader drops it.  A tower holds its circle, spaces and
@@ -139,14 +143,23 @@ class EquivariantSpace:
     """A pointed simplicial set with a Sigma_n action given on generators.
 
     generators[i] is the map for the transposition (i, i+1); for n <= 1 the
-    list is empty.
+    list is empty.  The constructor takes the list, or a function returning
+    it, which is called on the first read of ``generators`` and dropped.
     """
 
     def __init__(self, space, n, generators):
         self.space = space
         self.n = n
-        self.generators = _checked_generators(n, generators)
+        if callable(generators):
+            self._build = generators
+        else:
+            self.generators = _checked_generators(n, generators)
         self._acts = {identity_perm(n): sset.identity_map(space)}
+
+    @functools.cached_property
+    def generators(self):
+        build, self._build = self._build, None
+        return _checked_generators(self.n, build())
 
     def __repr__(self):
         return f"<Sigma_{self.n} on {self.space!r}>"
@@ -279,6 +292,12 @@ class SphereTower:
             self.spaces[m] = sm.space
         return self.spaces[n]
 
+    @functools.cached_property
+    def point_smash(self):
+        """S^1 ^ pt, the level-0 structure smash of the tower's bar spheres,
+        kept for the tower's lifetime like its other smashes."""
+        return sset.smash(self.s1, sset.point())
+
     def action(self, n):
         """S^n with Sigma_n permuting the smash coordinates of S^1 ^ S^(n-1).
 
@@ -330,13 +349,7 @@ class _SphereLevel(EquivariantSpace):
     def __init__(self, tower, n):
         self.tower = tower
         self.below = tower.action(n - 1) if n else None
-        self.space = tower.space(n)
-        self.n = n
-        self._acts = {identity_perm(n): sset.identity_map(self.space)}
-
-    @functools.cached_property
-    def generators(self):
-        return _checked_generators(self.n, self.tower._generators(self.n))
+        super().__init__(tower.space(n), n, functools.partial(tower._generators, n))
 
 
 def sphere_action(n, tower=None):
@@ -351,30 +364,68 @@ def balanced_smash(n, blocks, name=None):
     is the map of beta x gamma on A.  The wedge holds one copy of A per
     (p, q, mu), in block order and then in ``all_shuffles`` order; ``parts``
     lists them.  A generator t sends the mu-copy to the mu2-copy by
-    act(beta, gamma), where t . m_mu = m_mu2 . (beta (+) gamma).
+    act(beta, gamma), where t . m_mu = m_mu2 . (beta (+) gamma); the cosets
+    are factored here, into ``moves``.  The wedge and the generator maps
+    are built when first read, so a reader of the moves alone builds no
+    wedge and a reader of the wedge alone (a map out of a tensor) calls no
+    act; until then the result holds the blocks, so an act must not hold
+    what holds the result.
     """
-    parts, spaces, copy_of = [], [], []
+    parts, spaces, acts = [], [], []
     for p, q, A, act in blocks:
         if p + q != n:
             raise ValueError(f"balanced smash needs p+q=n, got {p}+{q} != {n}")
         shuffles = all_shuffles(p, q)
-        copy_of.append({mu: len(parts) + k for k, mu in enumerate(shuffles)})
         parts += [(p, q, mu) for mu in shuffles]
         spaces += [A] * len(shuffles)
-    w = sset.wedge(spaces, name=name)
-    gens = []
+        acts += [act] * len(shuffles)
+    copy = {part: k for k, part in enumerate(parts)}
+    moves = []
     for i in range(n - 1):
         t = transposition(n, i)
-        legs = []
-        for (p, q, _, act), index in zip(blocks, copy_of):
-            for mu in index:
-                mu2, beta, gamma = coset_factor(t, mu, p, q)
-                legs.append(w.inclusions[index[mu2]].compose(act(beta, gamma)))
-        gens.append(w.map_out(legs))
-    out = EquivariantSpace(w.space, n, gens)
-    out.wedge = w
-    out.parts = parts
-    return out
+        row = []
+        for p, q, mu in parts:
+            mu2, beta, gamma = coset_factor(t, mu, p, q)
+            row.append((copy[(p, q, mu2)], beta, gamma))
+        moves.append(row)
+    return _BalancedSmash(n, parts, moves, spaces, acts, name)
+
+
+class _BalancedSmash(EquivariantSpace):
+    """The result of ``balanced_smash``.  ``parts`` and ``moves`` are there
+    at once: moves[i][k] = (k2, beta, gamma) when the generator t_i sends
+    copy k onto copy k2 by act(beta, gamma).  The ``wedge`` (and so the
+    ``space``) and the generators are built on their first read."""
+
+    def __init__(self, n, parts, moves, spaces, acts, name):
+        self.n = n
+        self.parts = parts
+        self.moves = moves
+        self._spaces, self._copy_acts, self._name = spaces, acts, name
+        self._acts = {}
+
+    @functools.cached_property
+    def wedge(self):
+        wedge = sset.wedge(self._spaces, name=self._name)
+        self._spaces = None
+        return wedge
+
+    @property
+    def space(self):
+        return self.wedge.space
+
+    @functools.cached_property
+    def generators(self):
+        into = self.wedge.inclusions
+        gens = [
+            self.wedge.map_out([
+                into[k].compose(act(beta, gamma))
+                for act, (k, beta, gamma) in zip(self._copy_acts, row)
+            ])
+            for row in self.moves
+        ]
+        self._copy_acts = None
+        return _checked_generators(self.n, gens)
 
 
 def is_equivariant(src, tgt, f):

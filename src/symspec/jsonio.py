@@ -289,7 +289,7 @@ def load_spectrum(data, tower=None, where="spectrum"):
         len(sigma_data) == bound,
         f"{where}: bound {bound} needs {bound} structure maps",
     )
-    seq = sq.SymmetricSequence(_load_levels(levels_data, where), name=data.get("name"))
+    levels = _load_levels(levels_data, where)
     tower = tower or eq.SphereTower()
     s1_by_str = {str(c): c for c in tower.s1.cell_ids()}
 
@@ -310,10 +310,10 @@ def load_spectrum(data, tower=None, where="spectrum"):
             table.append(((wa, s1_by_str[ca]), fb, ft))
         tables.append(table)
 
-    def build(n):
+    def build(X, n):
         table = tables[n]
-        sm = sset.smash(tower.s1, seq.space(n))
-        target = seq.space(n + 1)
+        sm = sset.smash(tower.s1, X.space(n))
+        target = X.space(n + 1)
         assign = {sm.space.basepoint: ((), target.basepoint)}
         for fa, fb, ft in table:
             try:
@@ -338,7 +338,7 @@ def load_spectrum(data, tower=None, where="spectrum"):
         )
         return sm, _as_map(sm.space, target, assign, f"{where}.sigma[{n}]")
 
-    X = sp.SymmetricSpectrum(tower, seq, build, name=data.get("name"))
+    X = sp.SymmetricSpectrum(tower, levels, build, name=data.get("name"))
     # force every structure map now so format errors surface at load time
     for n in range(bound):
         X.sigma(n)

@@ -43,17 +43,12 @@ def _check_same_frame(A, X, what):
 def _latching_data(X):
     """(X ^ Sbar, the comparison X ^ Sbar -> X), built afresh on each call:
     L_nX = (X ^ Sbar)_n.  Nothing keeps it on X, since X ^ Sbar holds X and
-    a copy on X would be a reference cycle.  The comparison is the left
-    action of Sbar on X after the twist, descended once: the (p, q, mu) copy
-    x ^ s of X (x) Sbar goes by the (q, p) summand of ``X.left_action`` onto
-    the complement of mu, since m_mu . rho_{q,p} is the (q, p)-shuffle onto
-    it."""
+    a copy on X would be a reference cycle.  The comparison is
+    ``X.latching_action`` on every summand of X (x) Sbar, the left action
+    of Sbar on X after the twist, descended once; it is the rule X's
+    ``latching_forms`` read too."""
     XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
-
-    def summand(n, p, q, mu):  # q >= 1 on every summand with cells: Sbar_0 is a point
-        act = X.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
-        return lambda fx, fs: act(fs, fx)
-    return XB, XB.descend(XB.T.map_out(X, summand), X)
+    return XB, XB.descend(XB.T.map_out(X, X.latching_action), X)
 
 
 def latching(X, n):

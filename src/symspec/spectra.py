@@ -11,12 +11,24 @@ every (1, n-1)-shuffle.  S is generated by S^1 as a commutative monoid, so
 these generate the coequalizer of (X (x) S (x) Y) =| (X (x) Y) without
 building the triple tensor.
 
+``SmashSpectrum`` builds that coequalizer one of two ways, chosen by the
+left factor's data.  X is S-cofibrant when every latching comparison
+L_pX -> X_p is injective (``SymmetricSpectrum.latching_forms`` is not
+None); then every class of X (x) Y has exactly one normal cell, one whose
+X-coordinate has its root off L_pX, and the levels are built from the
+normal cells directly, with no tensor, relation pairs or closure.  Any
+other left factor (the bar sphere, a trivial action above a point) takes
+the quotient path, which divides the tensor by the relations and is the
+oracle of the normal path.
+
 A spectrum is a left S-module in symmetric sequences, and
 ``SymmetricSpectrum.left_action`` is the one rule of that action: the
 (p, q, mu) summand S^p ^ X_q of S (x) X goes to X_n by
 s ^ x |-> m_mu . sigma^p(s ^ x).  The map lambda: S (x) X -> X, the free
-extensions out of F_r K = S (x) G_r K, the multiplication of S and the
-latching comparison X ^ Sbar -> X are all read off it.
+extensions out of F_r K = S (x) G_r K, the multiplication of S, the
+latching comparison X ^ Sbar -> X (``SymmetricSpectrum.latching_action``,
+which the latching normal forms read too) and the move of circle
+coordinates onto Y in the normal forms of X ^_S Y are all read off it.
 
 A spectrum is its sequence: ``SymmetricSpectrum`` is a
 ``symseq.SymmetricSequence`` that also holds sigma, so it goes as it is
@@ -41,15 +53,17 @@ from . import symseq as sq
 class SymmetricSpectrum(sq.SymmetricSequence):
     """A symmetric sequence with structure maps, built lazily per level.
 
-    The levels of the sequence ``seq`` it is built from become its own, so
-    the spectrum is that sequence.  sigma_builder(n) must return (SmashResult of S^1 ^ X_n, the
-    structure map out of it into X_{n+1}).  A subclass overrides
-    ``_build_sigma`` in its place and passes None: a bound method kept on
-    the instance would tie it into a reference cycle.
+    ``levels`` holds one EquivariantSpace per degree 0..bound, and the
+    spectrum is the sequence of them.  sigma_builder(X, n) must return
+    (SmashResult of S^1 ^ X_n, the structure map out of it into X_{n+1})
+    for the spectrum X it is called on, so a builder reads the levels off X
+    and holds none of them.  A subclass overrides ``_build_sigma`` in its
+    place and passes None: a bound method kept on the instance would tie it
+    into a reference cycle.
     """
 
-    def __init__(self, tower, seq, sigma_builder, name=None):
-        super().__init__([seq.level(n) for n in range(seq.bound + 1)], name=name or seq.name)
+    def __init__(self, tower, levels, sigma_builder, name=None):
+        super().__init__(levels, name=name)
         self.tower = tower
         self._builder = sigma_builder
         self._structure = {}
@@ -73,7 +87,7 @@ class SymmetricSpectrum(sq.SymmetricSequence):
         return self._structure[n]
 
     def _build_sigma(self, n):
-        return self._builder(n)
+        return self._builder(self, n)
 
     def structure_smash(self, n):
         """The smash object S^1 ^ X_n the structure map is defined on."""
@@ -124,6 +138,55 @@ class SymmetricSpectrum(sq.SymmetricSequence):
             return lambda fs, fx: shuffle.apply(fx)
         sp, ps = self.sigma_power(p, q), self.power_smash(p, q)
         return lambda fs, fx: shuffle.apply(sp.apply(ps.form_of_pair(fs, fx)))
+
+    def latching_action(self, n, p, q, mu):
+        """The (p, q, mu) summand of the latching comparison X (x) Sbar -> X
+        at level n, as the pair function (x, s) -> form of X_n: x ^ s goes
+        by the (q, p) summand of ``left_action`` onto the complement of mu,
+        since m_mu . rho_{q,p} is the (q, p)-shuffle onto it."""
+        act = self.left_action(n, q, p, eq.shuffle_perm(mu, p, q)[p:])
+        return lambda fx, fs: act(fs, fx)
+
+    @functools.cached_property
+    def latching_forms(self):
+        """X's latching normal forms, or None when X is not S-cofibrant.
+
+        Entry p maps each cell a of X_p in the image of L_pX to
+        (p', r, nu, x, s): a is the comparison's value on the normal cell
+        x ^ s of the (p', r, nu) copy of X_p' ^ Sbar_r, x with its root off
+        L_p'X, so a = m . sigma^r(s ^ x).  None when some comparison
+        L_pX -> X_p is not injective.  Only forms are kept, so the table
+        ties nothing to X.
+
+        It is built level by level: L_pX = (X ^ Sbar)_p reads X below p
+        only (Sbar_0 is a point), so once the comparisons below p are
+        injective, its cells are the normal cells of (X (x) Sbar)_p, met
+        here as the cells s ^ x of S^r ^ X_p' that ``latching_action``
+        reads, and L_pX -> X_p is injective exactly when their values are
+        distinct nondegenerate cells.
+        """
+        forms = []
+        for p in range(self.bound + 1):
+            level = {}
+            for p2 in range(p):
+                if len(forms[p2]) == len(self.space(p2).dim_of) - 1:
+                    continue  # X_p2 lies in L_p2X
+                r, ps = p - p2, self.power_smash(p - p2, p2)
+                base = ps.space.basepoint
+                normal = [
+                    (x, s)
+                    for s, x in (ps.split(((), c)) for c in ps.space.cell_ids() if c != base)
+                    if x[1] not in forms[p2]
+                ]
+                for nu in eq.all_shuffles(p2, r):
+                    act = self.latching_action(p, p2, r, nu)
+                    for x, s in normal:
+                        w, a = act(x, s)
+                        if w or a == self.space(p).basepoint or a in level:
+                            return None
+                        level[a] = (p2, r, nu, x, s)
+            forms.append(level)
+        return forms
 
 
 class SpectrumMap(sq.SequenceMap):
@@ -228,31 +291,29 @@ def sphere_spectrum(N, tower=None):
     spec = tower._sphere_spectra.get(N)
     if spec is not None:
         return spec
-    seq = sq.SymmetricSequence(
-        [tower.action(n) for n in range(N + 1)], name="S"
-    )
 
-    def build(n):
+    def build(X, n):
         if n == 0:
             sm = sset.smash(tower.s1, tower.space(0))
             return sm, sset.smash_runit(sm)[0]
         tower.space(n + 1)
         return tower.smashes[n + 1], sset.identity_map(tower.space(n + 1))
 
-    spec = SymmetricSpectrum(tower, seq, build, name="S")
+    spec = SymmetricSpectrum(tower, [tower.action(n) for n in range(N + 1)], build, name="S")
     tower._sphere_spectra[N] = spec
     return spec
 
 
+def _constant_structure(X, n):
+    """The structure map of X that sends all of S^1 ^ X_n to the base."""
+    sm = sset.smash(X.tower.s1, X.space(n))
+    return sm, sset.constant_map(sm.space, X.space(n + 1))
+
+
 def point_spectrum(N, tower=None):
     tower = tower or eq.SphereTower()
-    seq = sq.point_sequence(N)
-
-    def build(n):
-        sm = sset.smash(tower.s1, seq.space(n))
-        return sm, sset.constant_map(sm.space, seq.space(n + 1))
-
-    return SymmetricSpectrum(tower, seq, build, name="pt")
+    levels = [eq.trivial_action(sset.point(), n) for n in range(N + 1)]
+    return SymmetricSpectrum(tower, levels, _constant_structure, name="pt")
 
 
 def bar_sphere(N, tower=None):
@@ -260,24 +321,24 @@ def bar_sphere(N, tower=None):
     structure maps are the sphere's own.
 
     One instance per (tower, bound) while anything holds it, for the same
-    reason as sphere_spectrum.
+    reason as sphere_spectrum.  Its level-0 structure smash S^1 ^ pt is the
+    tower's ``point_smash``, so a bar sphere built again reuses it.
     """
     tower = tower or eq.SphereTower()
     spec = tower._bar_spectra.get(N)
     if spec is not None:
         return spec
     S = sphere_spectrum(N, tower)
-    levels = [eq.trivial_action(sset.point(), 0)]
+    levels = [eq.trivial_action(tower.point_smash.B, 0)]
     levels += [S.level(n) for n in range(1, N + 1)]
-    seq = sq.SymmetricSequence(levels, name="Sbar")
 
-    def build(n):
+    def build(X, n):
         if n == 0:
-            sm = sset.smash(tower.s1, seq.space(0))
-            return sm, sset.constant_map(sm.space, seq.space(1))
+            sm = tower.point_smash
+            return sm, sset.constant_map(sm.space, X.space(1))
         return S.structure_smash(n), S.sigma(n)
 
-    spec = SymmetricSpectrum(tower, seq, build, name="Sbar")
+    spec = SymmetricSpectrum(tower, levels, build, name="Sbar")
     tower._bar_spectra[N] = spec
     return spec
 
@@ -330,15 +391,18 @@ def _module_sigma(X, T, n):
     return value
 
 
+def _module_structure(Z, n):
+    """sigma of a module spectrum Z, whose levels are those of its tensor Z.T."""
+    T = Z.T
+    sm = sset.smash(Z.tower.s1, T.space(n))
+    return sm, sm.map_out(T.space(n + 1), _module_sigma(T.X, T, n))
+
+
 def module_spectrum(X, W, name=None):
     """The free right extension X (x) W with sigma acting through X."""
     T = sq.tensor(X, W, name=name)
-
-    def build(n):
-        sm = sset.smash(X.tower.s1, T.space(n))
-        return sm, sm.map_out(T.space(n + 1), _module_sigma(X, T, n))
-
-    spec = SymmetricSpectrum(X.tower, T, build, name=name)
+    levels = [T.level(n) for n in range(T.bound + 1)]
+    spec = SymmetricSpectrum(X.tower, levels, _module_structure, name=T.name)
     spec.T = T
     return spec
 
@@ -540,8 +604,30 @@ class SmashSpectrum(SymmetricSpectrum):
     pairs[n] relates sigma(t ^ x) ^ y in the (p+1, q, (0,)+(mu+1)) summand
     to x ^ sigma(t ^ y) in the (p, q+1, mu+1) summand, both moved by each
     (1, n-1)-shuffle; the set is Sigma_n-stable, so the actions descend.
-    quotients[n] is the quotient of (X (x) Y)_n by pairs[n], and the
-    levels of the quotients are the spectrum's own levels.
+    quotients[n] is the projection of (X (x) Y)_n onto the spectrum's
+    level n.
+
+    The levels are built one of two ways, chosen by the data of X alone.
+
+    * Normal path, when X is S-cofibrant: every comparison L_pX -> X_p is
+      injective (``latching_forms`` is not None).  Then each class of
+      (X (x) Y)_n has exactly one normal cell, a cell x ^ y whose
+      X-coordinate has its root off L_pX, and the normal cells, numbered
+      in tensor (dim, id) order, are the cells of level n; the quotient
+      keeps the smallest id of a class and renumbers in that order, so the
+      ids are the same.  A tensor simplex whose X-coordinate lies in L_pX
+      is m . sigma^r(s ^ x'') with x'' off L by X's latching normal form,
+      and the relations move s onto Y by ``Y.left_action``: that rewrite
+      gives the faces and the projection.  The Sigma_n generators and sigma
+      (which moves the new circle onto Y) keep a normal cell normal, so
+      they are read on it.  No tensor, no pairs and no closure are built
+      for the levels; T, pairs and quotients are built on first read, the
+      projection from the same normal forms, so ``descend`` still checks
+      every tensor cell.
+    * Quotient path, otherwise: quotients[n] is ``sset.quotient_by_pairs``
+      of (X (x) Y)_n by pairs[n], the generators descend through it, and
+      sigma is checked on every generating pair.  It is also the oracle
+      the normal path is tested against.
     """
 
     def __init__(self, X, Y, name=None):
@@ -552,31 +638,59 @@ class SmashSpectrum(SymmetricSpectrum):
             raise sset.PreconditionError(f"smash needs equal bounds: {N}, {Y.bound}")
         self.X = X
         self.Y = Y
-        T_xy = sq.tensor(X, Y)
-        self.T = T_xy
-        self.pairs = []
-        self.quotients = []
-        levels = []
-        for n in range(N + 1):
-            pairs = self._relations(n)
-            quot = sset.quotient_by_pairs(
-                T_xy.space(n), pairs, name=f"({X.name}^S{Y.name})_{n}"
-            )
-            self.pairs.append(pairs)
-            self.quotients.append(quot)
-            gens = [
-                sset.descend(quot.projection, g, quot.projection)
-                for g in T_xy.level(n).generators
+        self._smashes = {}  # X_p ^ Y_q by (p, q), shared with T
+        self._forms = self._route()
+        if self._forms is None:
+            levels = [self._quotient_level(n) for n in range(N + 1)]
+        else:
+            self._moves = {}
+            self._cells = [self._normal_cells(n) for n in range(N + 1)]
+            self._ids = [{cell: i for i, cell in enumerate(cells, 1)} for cells in self._cells]
+            levels = [self._normal_level(n) for n in range(N + 1)]
+        super().__init__(tower, levels, None, name=name or f"({X.name}^S{Y.name})")
+
+    def _route(self):
+        """X's ``latching_forms``: None sends the smash down the quotient path."""
+        return self.X.latching_forms
+
+    def _level_name(self, n):
+        return f"({self.X.name}^S{self.Y.name})_{n}"
+
+    @functools.cached_property
+    def T(self):
+        """The tensor X (x) Y, on the smashes the normal path has built."""
+        return sq.tensor(self.X, self.Y, smashes=self._smashes)
+
+    @functools.cached_property
+    def pairs(self):
+        """The generating pairs of every level, as forms of (X (x) Y)_n."""
+        return [self._relations(n) for n in range(self.X.bound + 1)]
+
+    @functools.cached_property
+    def quotients(self):
+        """The ``sset.QuotientResult`` of (X (x) Y)_n onto level n, per n."""
+        if self._forms is None:
+            return [
+                sset.quotient_by_pairs(self.T.space(n), pairs, name=self._level_name(n))
+                for n, pairs in enumerate(self.pairs)
             ]
-            levels.append(eq.EquivariantSpace(quot.space, n, gens))
-        name = name or f"({X.name}^S{Y.name})"
-        super().__init__(tower, sq.SymmetricSequence(levels), None, name=name)
+        return [self._normal_quotient(n) for n in range(self.X.bound + 1)]
 
     @property
     def proj_seq(self):
         """The levelwise projection X (x) Y -> X ^_S Y, built on each read:
         kept on the spectrum, its target would tie it into a cycle."""
         return sq.SequenceMap(self.T, self, [q.projection for q in self.quotients])
+
+    # -- the quotient path
+
+    def _quotient_level(self, n):
+        quot = self.quotients[n]
+        gens = [
+            sset.descend(quot.projection, g, quot.projection)
+            for g in self.T.level(n).generators
+        ]
+        return eq.EquivariantSpace(quot.space, n, gens)
 
     def _relations(self, n):
         """The generating pairs of level n, as forms of (X (x) Y)_n."""
@@ -617,7 +731,7 @@ class SmashSpectrum(SymmetricSpectrum):
                             pairs.append((a, b))
         return pairs
 
-    def _build_sigma(self, n):
+    def _quotient_sigma(self, n):
         X, T = self.X, self.T
         quot_n1 = self.quotients[n + 1]
         sm = sset.smash(self.tower.s1, self.quotients[n].space)
@@ -644,6 +758,140 @@ class SmashSpectrum(SymmetricSpectrum):
                     raise sset.IdentityError(a, where, va, vb)
         return sm, sig
 
+    # -- the normal path
+
+    def _smash(self, p, q):
+        """X_p ^ Y_q, shared by every copy (p, q, mu)."""
+        if (p, q) not in self._smashes:
+            self._smashes[(p, q)] = sset.smash(self.X.space(p), self.Y.space(q))
+        return self._smashes[(p, q)]
+
+    def _normal_cells(self, n):
+        """The normal cells of (X (x) Y)_n, as (p, mu, c), in tensor (dim, id)
+        order.
+
+        A cell c of the (p, n-p, mu) copy of X_p ^ Y_{n-p} is normal when
+        the root cell of its X-coordinate is off L_pX.  The tensor numbers
+        its copies in (p, ``all_shuffles``) order and the cells of a copy in
+        the smash's (dim, id) order, so its (dim, id) order on normal cells
+        is (dim, copy, c).  A copy whose Y-level is a point, or whose X-level
+        lies in L_pX, has none, and its smash is not built.
+        """
+        by_dim = {}
+        for p in range(n + 1):
+            q, inside = n - p, self._forms[p]
+            if sset.is_pointlike(self.Y.space(q)) or len(inside) == len(self.X.space(p).dim_of) - 1:
+                continue
+            sm = self._smash(p, q)
+            base = sm.space.basepoint
+            cells = [
+                c for c in sm.space.cell_ids() if c != base and sm.split(((), c))[0][1] not in inside
+            ]
+            for mu in eq.all_shuffles(p, q):
+                for c in cells:
+                    by_dim.setdefault(sm.space.dim_of[c], []).append((p, mu, c))
+        return [cell for k in sorted(by_dim) for cell in by_dim[k]]
+
+    def _place(self, n, p, mu, fx, fy):
+        """The form of level n of fx ^ fy in the (p, n-p, mu) copy, for fx
+        off L_pX."""
+        sm = self._smash(p, n - p)
+        w, c = sm.form_of_pair(fx, fy)
+        return (w, 0) if c == sm.space.basepoint else (w, self._ids[n][(p, mu, c)])
+
+    def _move(self, n, p, mu, p2, nu):
+        """(mu2, the pair function (s, y) -> form of Y_{n-p2}) that moves
+        the circle coordinates s of x = m_nu' . sigma^r(s ^ x'') in the
+        (p, n-p, mu) copy onto Y.  The letters of x'' sit at mu[nu], which is
+        mu2, those of s at mu[i] for i off nu, and those of y at the
+        complement of mu; in the (p2, n-p2, mu2) copy the circle letters
+        are the first r of Y's block, so they go to their places among the
+        complement of mu2 by a (r, n-p)-shuffle of ``Y.left_action``."""
+        key = (n, p, mu, p2, nu)
+        if key not in self._moves:
+            mu2 = tuple(mu[i] for i in nu)
+            rest = [j for j in range(n) if j not in mu2]
+            lam = tuple(rest.index(mu[i]) for i in range(p) if i not in nu)
+            self._moves[key] = mu2, self.Y.left_action(n - p2, p - p2, n - p, lam)
+        return self._moves[key]
+
+    def _normal_form(self, n, p, mu, fx, fy):
+        """The normal form, a form of level n, of the tensor simplex fx ^ fy
+        in the (p, n-p, mu) summand."""
+        w, a = fx
+        entry = self._forms[p].get(a)
+        if entry is not None:
+            p2, _, nu, x, s = entry
+            mu, move = self._move(n, p, mu, p2, nu)
+            fx, fy = sset.word_compose(w, x), move(sset.word_compose(w, s), fy)
+            p = p2
+        return self._place(n, p, mu, fx, fy)
+
+    def _normal_level(self, n):
+        cells = self._cells[n]
+        dims, faces, classes = {0: [0]}, {}, {}
+        for i, (p, mu, c) in enumerate(cells, 1):
+            sm = self._smash(p, n - p)
+            dims.setdefault(sm.space.dim_of[c], []).append(i)
+            if not sm.space.dim_of[c]:
+                continue
+            row = []
+            for w, f in sm.space.faces[c]:
+                if f == sm.space.basepoint:
+                    row.append((w, 0))
+                    continue
+                key = (p, mu, f)
+                out = classes.get(key)
+                if out is None:
+                    j = self._ids[n].get(key)
+                    out = classes[key] = (
+                        ((), j) if j is not None else self._normal_form(n, p, mu, *sm.split(((), f)))
+                    )
+                row.append(sset.word_compose(w, out) if w else out)
+            faces[i] = tuple(row)
+        space = sset.PointedSimplicialSet(dims, faces, 0, name=self._level_name(n))
+        space.validate()
+        generators = functools.partial(
+            _normal_generators, n, space, cells, self._ids[n], self._smashes, self.X, self.Y
+        )
+        return eq.EquivariantSpace(space, n, generators)
+
+    def _normal_quotient(self, n):
+        """The projection of (X (x) Y)_n onto level n, copy by copy: a normal
+        cell goes to its own id, any other cell to its normal form."""
+        T, space = self.T, self.space(n)
+        source, ids = T.space(n), self._ids[n]
+        image = {source.basepoint: ((), 0)}
+        for p in range(n + 1):
+            sm = T.smashes[(p, n - p)]
+            base = sm.space.basepoint
+            for mu in eq.all_shuffles(p, n - p):
+                for c, (_, t) in T.inclusion(n, p, n - p, mu).assign.items():
+                    if c == base:
+                        continue
+                    i = ids.get((p, mu, c))
+                    image[t] = ((), i) if i is not None else self._normal_form(n, p, mu, *sm.split(((), c)))
+        class_of = {c: image[c] for c in source.cell_ids()}
+        return sset.QuotientResult(space, sset.SimplicialMap(source, space, class_of), class_of)
+
+    def _build_sigma(self, n):
+        if self._forms is None:
+            return self._quotient_sigma(n)
+        Y, cells = self.Y, self._cells[n]
+        sm = sset.smash(self.tower.s1, self.space(n))
+        sigma_y = {q: (Y.structure_smash(q), Y.sigma(q)) for q in {n - p for p, _, _ in cells}}
+
+        def value(ft, fz):
+            # t ^ (x ^ y) = x ^ sigma(t ^ y) in the (p, q+1, mu+1) copy
+            w, j = fz
+            p, mu, c = cells[j - 1]
+            fx, fy = self._smash(p, n - p).split((w, c))
+            s1_y, sigma = sigma_y[n - p]
+            fy = sigma.apply(s1_y.form_of_pair(ft, fy))
+            return self._place(n + 1, p, tuple(m + 1 for m in mu), fx, fy)
+
+        return sm, _checked(sm.map_out(self.space(n + 1), value), "sigma: ")
+
     def descend(self, g, target, then=None):
         """The spectrum map X ^_S Y -> target through which g: X (x) Y ->
         target (with ``then``, then . g) factors, ``sset.descend`` through
@@ -652,6 +900,39 @@ class SmashSpectrum(SymmetricSpectrum):
             sset.descend(q.projection, g.level(n), then and then.level(n))
             for n, q in enumerate(self.quotients)
         ])
+
+
+def _normal_generators(n, space, cells, ids, smashes, X, Y):
+    """The Sigma_n generators of level n of X ^_S Y on the normal path, read
+    on its normal cells: t_i moves the normal cell c of the (p, q, mu) copy
+    to the cell beta ^ gamma (c) of the (p, q, mu2) copy, by the coset
+    ``moves`` of the balanced smash over the blocks X_p ^ Y_q that hold
+    normal cells; that cell is normal, since L_pX is Sigma_p-stable.
+    Built on the level's first read of its generators; a module function,
+    so the level it is kept on holds no smash spectrum."""
+    blocks = sorted({(p, n - p) for p, _, _ in cells})
+    acts = {(p, q): sq.block_action(smashes[(p, q)], X.level(p), Y.level(q)) for p, q in blocks}
+    induced = eq.balanced_smash(n, [(p, q, smashes[(p, q)].space, acts[(p, q)]) for p, q in blocks])
+    parts = induced.parts
+    copy = {part: k for k, part in enumerate(parts)}
+    gens = []
+    for i, row in enumerate(induced.moves):
+        assign = {0: ((), 0)}
+        for j, (p, mu, c) in enumerate(cells, 1):
+            q = n - p
+            k, beta, gamma = row[copy[(p, q, mu)]]
+            _, c2 = acts[(p, q)](beta, gamma).assign[c]
+            assign[j] = ((), ids[(p, parts[k][2], c2)])
+        gens.append(_checked(sset.SimplicialMap(space, space, assign), f"t_{i}: "))
+    return gens
+
+
+def _checked(f, where):
+    """f, once ``SimplicialMap.failure`` finds no cell where it fails."""
+    bad = f.failure(where)
+    if bad:
+        raise bad
+    return f
 
 
 def smash_spectra(X, Y, name=None):
@@ -723,14 +1004,14 @@ def smash_map_spectra(S_src, S_tgt, f, g):
 
 
 class ProlongSpectrum(SymmetricSpectrum):
-    """X ^ K levelwise: the spectrum is the sequence ``symseq.smash_space``
-    builds and keeps its ``base_seq`` X, ``K`` and level ``smashes``; the
-    structure map ignores the K coordinate."""
+    """X ^ K levelwise: the levels are those ``symseq.smash_space_levels``
+    builds, and the spectrum keeps its ``base_seq`` X, ``K`` and level
+    ``smashes``; the structure map ignores the K coordinate."""
 
     def __init__(self, X, K, name=None):
-        seq = sq.smash_space(X, K)
-        self.base_seq, self.K, self.smashes = X, K, seq.smashes
-        super().__init__(X.tower, seq, None, name=name)
+        self.smashes, levels = sq.smash_space_levels(X, K)
+        self.base_seq, self.K = X, K
+        super().__init__(X.tower, levels, None, name=name or f"({X.name}^{K.name})")
 
     def _build_sigma(self, n):
         X, src_sm, tgt_sm = self.base_seq, self.smashes[n], self.smashes[n + 1]
@@ -816,9 +1097,8 @@ def shift(X, k):
         eq.EquivariantSpace(X.space(n + k), n, X.level(n + k).generators[:max(n - 1, 0)])
         for n in range(X.bound - k + 1)
     ]
-    seq = sq.SymmetricSequence(levels, name=f"sh{k}({X.name})")
     return SymmetricSpectrum(
-        X.tower, seq, lambda n: X._pair(n + k), name=seq.name
+        X.tower, levels, lambda _, n: X._pair(n + k), name=f"sh{k}({X.name})"
     )
 
 
@@ -852,17 +1132,14 @@ def pushout_spectrum(F, G, name=None):
             for gu, gv in zip(U.level(n).generators, V.level(n).generators)
         ]
         levels.append(eq.EquivariantSpace(po.space, n, gens))
-    seq = sq.SymmetricSequence(
-        levels, name=name or f"({U.name}+_{W.name}{V.name})"
-    )
 
-    def build(n):
+    def build(P, n):
         # S^1 ^ P_n is the pushout of the parts' S^1 ^ U_n and S^1 ^ V_n, and
         # sigma the map out of it given by their structure maps; its descent
         # check is that both structure squares commute
-        po, po1 = pos[n], pos[n + 1]
-        sm = sset.smash(U.tower.s1, po.space)
-        s1 = sset.identity_map(U.tower.s1)
+        po, po1 = P.pushouts[n], P.pushouts[n + 1]
+        sm = sset.smash(P.tower.s1, po.space)
+        s1 = sset.identity_map(P.tower.s1)
         parts = ((U, po.leg1, po1.leg1), (V, po.leg2, po1.leg2))
         w = sset.wedge([X.structure_smash(n).space for X, _, _ in parts])
         onto = w.map_out(
@@ -871,7 +1148,7 @@ def pushout_spectrum(F, G, name=None):
         sigma = w.map_out([to_n1.compose(X.sigma(n)) for X, _, to_n1 in parts])
         return sm, sset.descend(onto, sigma)
 
-    P = SymmetricSpectrum(U.tower, seq, build, name=seq.name)
+    P = SymmetricSpectrum(U.tower, levels, build, name=name or f"({U.name}+_{W.name}{V.name})")
     P.pushouts = pos
     P.parts = (U, V)
     leg1 = SpectrumMap(U, P, [po.leg1 for po in pos])

@@ -372,20 +372,31 @@ class SimplicialMap:
     def failure(self, where=""):
         """The ``IdentityError`` at the first cell where this is not a pointed
         simplicial map, or None; ``where`` prefixes the identity's name."""
-        bp, base = self.source.basepoint, ((), self.target.basepoint)
-        if self.assign[bp] != base:
-            return IdentityError(bp, f"{where}f(base) = base", self.assign[bp], base)
-        for c in self.source.cell_ids():
-            k = self.source.dim_of[c]
-            f = self.assign[c]
-            fault = _form_fault(self.target, f, k)
-            if fault:
-                what, lhs, rhs = fault
-                return IdentityError(c, f"{where}f(c) {what}", lhs, rhs)
-            for i in range(k + 1 if k else 0):
-                lhs, rhs = self.apply(self.source.face(i, ((), c))), self.target.face(i, f)
-                if lhs != rhs:
-                    return IdentityError(c, f"{where}f(d_{i} c) = d_{i} f(c)", lhs, rhs)
+        source, target, assign = self.source, self.target, self.assign
+        bp, base = source.basepoint, ((), target.basepoint)
+        if assign[bp] != base:
+            return IdentityError(bp, f"{where}f(base) = base", assign[bp], base)
+        dim_of, faces, target_faces = target.dim_of, source.faces, target.faces
+        for k, ids in source.cells.items():  # the order of cell_ids()
+            for c in ids:
+                f = assign[c]
+                word, cell = f
+                # _form_fault's test for a normal form, inline
+                if dim_of.get(cell) != k - len(word) or (word and not _is_decreasing(word, k)):
+                    what, lhs, rhs = _form_fault(target, f, k)
+                    return IdentityError(c, f"{where}f(c) {what}", lhs, rhs)
+                if not k:
+                    continue
+                # the whole face row at once (face_row's, read straight off
+                # the table for a cell); only a cell whose rows differ is
+                # scanned face by face, to name the first
+                row = tuple([word_compose(w, assign[t]) if w else assign[t] for w, t in faces[c]])
+                if row == tuple(target_faces[cell] if not word else target.face_row(f, k)):
+                    continue
+                for i in range(k + 1):
+                    lhs, rhs = self.apply(source.face(i, ((), c))), target.face(i, f)
+                    if lhs != rhs:
+                        return IdentityError(c, f"{where}f(d_{i} c) = d_{i} f(c)", lhs, rhs)
         return None
 
     def is_valid(self):

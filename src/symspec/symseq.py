@@ -6,8 +6,10 @@ over its blocks X_p ^ Y_q with p+q = n: the wedge, over p and over
 (p, q)-shuffles mu, of copies of X_p ^ Y_q, where a permutation moves a
 (p, q, mu) summand to the (p, q, mu') summand found by factoring
 alpha . m_mu = m_mu' . (beta (+) gamma) and letting beta, gamma act inside
-the smash factors.  Degree n of a tensor depends only on degrees <= n of
-the inputs, so truncation is exact.
+the smash factors (``block_action``).  The generators of a degree are
+built when first read, so a tensor read only through maps out of it builds
+no action.  Degree n of a tensor depends only on degrees <= n of the
+inputs, so truncation is exact.
 
 A map out of X (x) Y is a bimorphism, one map out of each summand
 X_p ^ Y_q; ``TensorSequence.map_out`` takes it summand by summand, so the
@@ -18,8 +20,6 @@ levels of ``map_out`` are ``WedgeResult.map_out`` of one map per copy.  Only
 ``summand_of``.  Checks raise ``sset.PreconditionError`` for arguments a
 construction does not take and ``sset.IdentityError`` for a failed square.
 """
-
-import functools
 
 from . import equivariant as eq
 from . import sset
@@ -189,29 +189,30 @@ class TensorSequence(SymmetricSequence):
     """X (x) Y with the summand bookkeeping needed to map in and out.
 
     parts[n] lists the (p, q, mu) summands in wedge order; smashes[(p, q)]
-    is the one smash object shared by all mu-copies at that bidegree.  Maps
-    out are built by ``map_out``; maps in by ``include``.
+    is the one smash object shared by all mu-copies at that bidegree, taken
+    from ``smashes`` where the caller has built it already.  Maps out are
+    built by ``map_out``; maps in by ``include``.
     """
 
-    def __init__(self, X, Y, name=None):
+    def __init__(self, X, Y, name=None, smashes=None):
         if X.bound != Y.bound:
             raise sset.PreconditionError(f"tensor needs equal bounds: {X.bound}, {Y.bound}")
         self.X = X
         self.Y = Y
         N = X.bound
-        self.smashes = {}
+        self.smashes = dict(smashes or {})
         self.parts = {}
         self.part_index = {}
         self.wedges = {}
-        cache = {}  # block actions, shared by the generators of all levels
         levels = []
         for n in range(N + 1):
             blocks = []
             for p in range(n + 1):
                 q = n - p
-                sm = self.smashes[(p, q)] = sset.smash(X.space(p), Y.space(q))
-                act = functools.partial(self._block_action, p, q, cache=cache)
-                blocks.append((p, q, sm.space, act))
+                if (p, q) not in self.smashes:
+                    self.smashes[(p, q)] = sset.smash(X.space(p), Y.space(q))
+                sm = self.smashes[(p, q)]
+                blocks.append((p, q, sm.space, block_action(sm, X.level(p), Y.level(q))))
             level = eq.balanced_smash(n, blocks, name=f"({X.name}(x){Y.name})_{n}")
             self.parts[n] = level.parts
             self.part_index[n] = {t: i for i, t in enumerate(level.parts)}
@@ -263,19 +264,23 @@ class TensorSequence(SymmetricSequence):
         fa, fb = self.smashes[(p, q)].split(((), orig))
         return (p, q, mu), fa, fb
 
-    def _block_action(self, p, q, beta, gamma, cache):
-        """beta ^ gamma on the smash X_p ^ Y_q, cached per (p, q, beta, gamma)."""
-        key = (p, q, beta, gamma)
-        block = cache.get(key)
-        if block is None:
-            sm = self.smashes[(p, q)]
-            ax, ay = self.X.level(p).act(beta), self.Y.level(q).act(gamma)
-            block = cache[key] = sset.smash_map(sm, sm, ax, ay)
-        return block
+
+def block_action(sm, left, right):
+    """act(beta, gamma), the map beta ^ gamma on sm = A ^ B for the actions
+    left on A and right on B, each built once.  It holds the smash and the
+    two actions only, so a balanced smash may keep it."""
+    cache = {}
+
+    def act(beta, gamma):
+        if (beta, gamma) not in cache:
+            cache[(beta, gamma)] = sset.smash_map(sm, sm, left.act(beta), right.act(gamma))
+        return cache[(beta, gamma)]
+
+    return act
 
 
-def tensor(X, Y, name=None):
-    return TensorSequence(X, Y, name=name)
+def tensor(X, Y, name=None, smashes=None):
+    return TensorSequence(X, Y, name=name, smashes=smashes)
 
 
 def tensor_map(T_src, T_tgt, f, g):
@@ -422,23 +427,26 @@ def free_tensor_iso(T, target, sm_kl):
     return T.map_out(target, summand)
 
 
+def smash_space_levels(X, K):
+    """(smashes, levels) of X ^ K: the smash X_n ^ K of each degree, with
+    the action diagonal and trivial on K."""
+    smashes, levels = [], []
+    ident = sset.identity_map(K)
+    for n in range(X.bound + 1):
+        sm = sset.smash(X.space(n), K)
+        smashes.append(sm)
+        gens = [sset.smash_map(sm, sm, g, ident) for g in X.level(n).generators]
+        levels.append(eq.EquivariantSpace(sm.space, n, gens))
+    return smashes, levels
+
+
 class SmashSpaceSequence(SymmetricSequence):
     """X ^ K levelwise, the action diagonal and trivial on K."""
 
     def __init__(self, X, K):
         self.base_seq = X
         self.K = K
-        self.smashes = []
-        levels = []
-        for n in range(X.bound + 1):
-            sm = sset.smash(X.space(n), K)
-            self.smashes.append(sm)
-            act = X.level(n)
-            gens = [
-                sset.smash_map(sm, sm, g, sset.identity_map(K))
-                for g in act.generators
-            ]
-            levels.append(eq.EquivariantSpace(sm.space, n, gens))
+        self.smashes, levels = smash_space_levels(X, K)
         super().__init__(levels, name=f"({X.name}^{K.name})")
 
 

@@ -150,19 +150,23 @@ def random_stable_cofibration(r, tower, bound=3):
 # the spectrum corpus for validator certification
 
 
+def levels_of(X):
+    """The level list of a sequence or spectrum, as a spectrum is built on."""
+    return [X.level(n) for n in range(X.bound + 1)]
+
+
 def trivial_action_spectrum(tower, bound=3):
     """Valid but not stably cofibrant: positive levels carry no free action."""
     levels = [eq.trivial_action(sset.point(), 0), eq.trivial_action(sset.point(), 1)]
     levels += [
         eq.trivial_action(sset.zero_sphere(), n) for n in range(2, bound + 1)
     ]
-    seq = sq.SymmetricSequence(levels, name="trivial-action")
 
-    def build(n):
-        sm = sset.smash(tower.s1, seq.space(n))
-        return sm, sset.constant_map(sm.space, seq.space(n + 1))
+    def build(X, n):
+        sm = sset.smash(tower.s1, X.space(n))
+        return sm, sset.constant_map(sm.space, X.space(n + 1))
 
-    return sp.SymmetricSpectrum(tower, seq, build, name="trivial-action")
+    return sp.SymmetricSpectrum(tower, levels, build, name="trivial-action")
 
 
 def broken_equivariance_spectrum(tower, bound=3):
@@ -175,21 +179,21 @@ def broken_equivariance_spectrum(tower, bound=3):
     F = sp.free_F(1, sset.zero_sphere(), bound, tower)
     twist = F.level(3).act(eq.transposition(3, 0))
 
-    def build(n):
+    def build(X, n):
         sm = F.structure_smash(n)
         sig = F.sigma(n)
         if n == 2:
             sig = twist.compose(sig)
         return sm, sig
 
-    return sp.SymmetricSpectrum(tower, F.seq, build, name="twisted-sigma")
+    return sp.SymmetricSpectrum(tower, levels_of(F), build, name="twisted-sigma")
 
 
 def broken_shape_spectrum(tower, bound=2):
     """A structure map with a dimension-shifted image; not simplicial."""
     S = sp.sphere_spectrum(bound, tower)
 
-    def build(n):
+    def build(X, n):
         sm = S.structure_smash(n)
         sig = S.sigma(n)
         if n == 0:
@@ -201,7 +205,7 @@ def broken_shape_spectrum(tower, bound=2):
             sig = sset.SimplicialMap(sm.space, S.space(1), assign)
         return sm, sig
 
-    return sp.SymmetricSpectrum(tower, S.seq, build, name="shifted-sigma")
+    return sp.SymmetricSpectrum(tower, levels_of(S), build, name="shifted-sigma")
 
 
 def spectrum_corpus(tower, bound=3):

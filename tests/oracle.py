@@ -12,7 +12,8 @@ one that compares row tails with column tails, the smash that loops over
 every pair and normalizes each face pair, the normalized chains that take
 a sign per face, the
 worklist congruence closure, the smash as a collapsed product, the
-smash of spectra as a triple-tensor coequalizer, the Smith form on dense
+smash of spectra as a triple-tensor coequalizer and as the quotient of
+the tensor by the bimorphism relations for any left factor, the Smith form on dense
 lists and without its unit shortcuts, kernel coordinates through a rational
 inverse, the map enumerator that scans every candidate form, the
 backtracking enumerator indexed by face rows, the component join on row
@@ -598,11 +599,14 @@ def triple_tensor_smash(X, Y):
     The relations of level n are r(z) ~ l(z) for every simplex z of
     (X (x) S (x) Y)_n, where r acts on X through the twist and l acts on Y
     directly.  Everything else (quotients, generators, sigma) is built by
-    the package's SmashSpectrum from these relations.
+    the package's SmashSpectrum from these relations, on its quotient path.
     """
     from symspec import spectra as sp
 
     class TripleTensorSmash(sp.SmashSpectrum):
+        def _route(self):
+            return None
+
         def _relations(self, n):
             if not hasattr(self, "_maps"):
                 self._maps = _triple_tensor_maps(self.X, self.Y, self.T)
@@ -615,6 +619,20 @@ def triple_tensor_smash(X, Y):
             ]
 
     return TripleTensorSmash(X, Y)
+
+
+def quotient_smash(X, Y):
+    """X ^_S Y by the quotient path whatever X is: the package's
+    SmashSpectrum with the route to its normal forms closed, so every level
+    is the quotient of (X (x) Y)_n by the bimorphism relations, its
+    generators descend and sigma is re-checked on every pair."""
+    from symspec import spectra as sp
+
+    class QuotientSmash(sp.SmashSpectrum):
+        def _route(self):
+            return None
+
+    return QuotientSmash(X, Y)
 
 
 def _triple_tensor_maps(X, Y, T_xy):

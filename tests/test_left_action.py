@@ -1,8 +1,10 @@
 """The left action of S on a spectrum has one owner.
 
 ``SymmetricSpectrum.left_action`` is the one rule of the action
-S (x) X -> X: lambda, the free extensions, the multiplication of S and the
-latching comparison all read it.  The iterated structure maps it is built
+S (x) X -> X: lambda, the free extensions, the multiplication of S, the
+latching comparison (``SymmetricSpectrum.latching_action``, which
+``modelcheck`` and the latching normal forms read) and the normal path of
+``SmashSpectrum``, which moves circle coordinates onto Y, all read it.  The iterated structure maps it is built
 from, ``sigma_power`` and ``power_smash``, are named in ``spectra.py`` only,
 inside ``SymmetricSpectrum`` and the validator ``validate_spectrum``, so the
 rule cannot be written out a second time anywhere else.
@@ -42,10 +44,13 @@ def test_the_scan_covers_the_package_and_its_readers():
     for name in NAMES:
         assert {scope.split(".")[0] for _, scope in uses(owner, name)} == set(SCOPES)
     readers = {scope.split(".")[0] for _, scope in uses(owner, "left_action")}
-    assert readers == {"left_action_map", "free_extension"}
-    assert {scope for _, scope in uses(parse("modelcheck.py"), "left_action")} == {
-        "_latching_data.summand"
+    assert readers == {"SymmetricSpectrum", "SmashSpectrum", "left_action_map", "free_extension"}
+    assert {scope for _, scope in uses(owner, "left_action") if scope.startswith("Sym")} == {
+        "SymmetricSpectrum.latching_action"
     }
+    modelcheck = parse("modelcheck.py")
+    assert uses(modelcheck, "left_action") == []
+    assert {scope for _, scope in uses(modelcheck, "latching_action")} == {"_latching_data"}
 
 
 def test_the_scan_sees_a_stray_use():

@@ -289,13 +289,12 @@ def test_trivial_action_above_a_point_fails_freeness(tower):
         eq.trivial_action(sset.point(), 1),
         eq.trivial_action(sset.zero_sphere(), 2),
     ]
-    seq = sq.SymmetricSequence(levels, name="badX")
 
-    def build(n):
-        sm = sset.smash(tower.s1, seq.space(n))
-        return sm, sset.constant_map(sm.space, seq.space(n + 1))
+    def build(X, n):
+        sm = sset.smash(tower.s1, X.space(n))
+        return sm, sset.constant_map(sm.space, X.space(n + 1))
 
-    bad = sp.SymmetricSpectrum(tower, seq, build, name="badX")
+    bad = sp.SymmetricSpectrum(tower, levels, build, name="badX")
     assert sp.validate_spectrum(bad)["ok"]
     rep = mc.stable_cofibration_check(point_into(bad, tower))
     assert not rep.overall
