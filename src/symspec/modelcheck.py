@@ -45,10 +45,11 @@ def _latching_data(X):
     L_nX = (X ^ Sbar)_n.  Nothing keeps it on X, since X ^ Sbar holds X and
     a copy on X would be a reference cycle.  The comparison is
     ``X.latching_action`` on every summand of X (x) Sbar, the left action
-    of Sbar on X after the twist, descended once; it is the rule X's
-    ``latching_forms`` read too."""
+    of Sbar on X after the twist, descended once: from the normal cells of
+    X ^ Sbar when X is S-cofibrant, building no tensor, else through its
+    quotients.  It is the rule X's ``latching_forms`` read too."""
     XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
-    return XB, XB.descend(XB.T.map_out(X, X.latching_action), X)
+    return XB, XB.descend(X.latching_action, X)
 
 
 def latching(X, n):

@@ -38,8 +38,12 @@ structure maps: ``SpectrumMap`` is a ``symseq.SequenceMap`` whose
 ``validate`` adds the squares of ``sigma_square``, the one statement of
 h_{n+1} . sigma = sigma . (S^1 ^ h_n), which the map enumerator of
 ``modelcheck`` reads too.  X ^_S Y is a coequalizer of X (x) Y, so a map
-out of it is a map out of X (x) Y that respects the relations, and
-``SmashSpectrum.descend`` is the one way through its quotients.
+out of it is a map out of X (x) Y that respects the relations, given
+summand by summand, and ``SmashSpectrum.descend`` is the one way out: on
+the normal path it reads each normal cell's value and checks every other
+cell against its normal form, with no tensor; on the quotient path it
+descends through the quotients.  ``SmashSpectrum.pair_form`` is the class
+of a pair x ^ y on either path.
 """
 
 import functools
@@ -481,14 +485,10 @@ def smash_free_iso(SXY, big, sm_kl):
         raise sset.PreconditionError(f"{big!r} is not free on K ^ L in degree {m + n}")
     if sm_kl.A is not X.K or sm_kl.B is not Y.K:
         raise sset.PreconditionError(f"{sm_kl.space!r} is not the smash of {X.K!r} and {Y.K!r}")
-    ux = free_unit_inclusion(X)
-    uy = free_unit_inclusion(Y)
-    sm_mn = SXY.T.smashes[(m, n)]
-    into = SXY.T.inclusion(m + n, m, n, tuple(range(m)))
-    proj = SXY.quotients[m + n].projection
+    ux, uy, mu = free_unit_inclusion(X), free_unit_inclusion(Y), tuple(range(m))
     phi = sm_kl.map_out(
         SXY.space(m + n),
-        lambda fk, fl: proj.apply(into.apply(sm_mn.form_of_pair(ux.apply(fk), uy.apply(fl)))),
+        lambda fk, fl: SXY.pair_form(m + n, m, mu, ux.apply(fk), uy.apply(fl)),
     )
     return free_extension(big, SXY, phi)
 
@@ -620,10 +620,13 @@ class SmashSpectrum(SymmetricSpectrum):
       and the relations move s onto Y by ``Y.left_action``: that rewrite
       gives the faces and the projection.  The Sigma_n generators and sigma
       (which moves the new circle onto Y) keep a normal cell normal, so
-      they are read on it.  No tensor, no pairs and no closure are built
-      for the levels; T, pairs and quotients are built on first read, the
-      projection from the same normal forms, so ``descend`` still checks
-      every tensor cell.
+      they are read on it.  No tensor, no pairs and no closure are built,
+      for the levels or for a map out: ``descend`` reads the cells of each
+      copy of X_p ^ Y_q and checks every cell that is not normal against
+      its normal form, the cells the quotient path checks, and
+      ``pair_form`` is the normal form.  T, pairs and quotients are built
+      on first read (``proj_seq``), the projection from the same normal
+      forms.
     * Quotient path, otherwise: quotients[n] is ``sset.quotient_by_pairs``
       of (X (x) Y)_n by pairs[n], the generators descend through it, and
       sigma is checked on every generating pair.  It is also the oracle
@@ -860,17 +863,14 @@ class SmashSpectrum(SymmetricSpectrum):
         """The projection of (X (x) Y)_n onto level n, copy by copy: a normal
         cell goes to its own id, any other cell to its normal form."""
         T, space = self.T, self.space(n)
-        source, ids = T.space(n), self._ids[n]
+        source = T.space(n)
         image = {source.basepoint: ((), 0)}
         for p in range(n + 1):
             sm = T.smashes[(p, n - p)]
-            base = sm.space.basepoint
             for mu in eq.all_shuffles(p, n - p):
                 for c, (_, t) in T.inclusion(n, p, n - p, mu).assign.items():
-                    if c == base:
-                        continue
-                    i = ids.get((p, mu, c))
-                    image[t] = ((), i) if i is not None else self._normal_form(n, p, mu, *sm.split(((), c)))
+                    if c != sm.space.basepoint:
+                        image[t] = self._normal_form(n, p, mu, *sm.split(((), c)))
         class_of = {c: image[c] for c in source.cell_ids()}
         return sset.QuotientResult(space, sset.SimplicialMap(source, space, class_of), class_of)
 
@@ -892,14 +892,53 @@ class SmashSpectrum(SymmetricSpectrum):
 
         return sm, _checked(sm.map_out(self.space(n + 1), value), "sigma: ")
 
-    def descend(self, g, target, then=None):
-        """The spectrum map X ^_S Y -> target through which g: X (x) Y ->
-        target (with ``then``, then . g) factors, ``sset.descend`` through
-        each level's quotient; g must respect the relations."""
-        return SpectrumMap(self, target, [
-            sset.descend(q.projection, g.level(n), then and then.level(n))
-            for n, q in enumerate(self.quotients)
-        ])
+    def pair_form(self, n, p, mu, fx, fy):
+        """The form of level n of fx ^ fy in the (p, n-p, mu) copy: its
+        normal form, or on the quotient path its projection."""
+        if self._forms is not None:
+            return self._normal_form(n, p, mu, fx, fy)
+        T = self.T
+        form = T.include(n, p, n - p, mu, T.smashes[(p, n - p)].form_of_pair(fx, fy))
+        return self.quotients[n].projection.apply(form)
+
+    def descend(self, summand, target):
+        """The spectrum map X ^_S Y -> target out of the map X (x) Y -> target
+        given as ``TensorSequence.map_out`` takes it, which must respect the
+        relations.  On the quotient path it is ``sset.descend`` of that map
+        through each level's quotient.  On the normal path each normal cell
+        takes its summand's value, and every other cell of every copy, the
+        cells ``sset.descend`` checks, must take the value on its normal
+        form: the first that does not raises ``IdentityError`` naming its
+        (p, q, mu) copy and smash cell."""
+        if self._forms is None:
+            maps = self.T.map_out(target, summand).components
+            return SpectrumMap(self, target, [
+                sset.descend(q.projection, f) for q, f in zip(self.quotients, maps)
+            ])
+        comps = []
+        for n, cells in enumerate(self._cells):
+            tn, ids, copies = target.space(n), self._ids[n], {}
+            assign = {0: ((), tn.basepoint)}
+            for j, (p, mu, c) in enumerate(cells, 1):
+                if (p, mu) not in copies:
+                    copies[(p, mu)] = summand(n, p, n - p, mu)
+                assign[j] = copies[(p, mu)](*self._smash(p, n - p).split(((), c)))
+            g = sset.SimplicialMap(self.space(n), tn, assign)
+            for p in range(n + 1):
+                q, sm = n - p, self._smash(p, n - p)
+                if sset.is_pointlike(sm.space):
+                    continue
+                for mu in eq.all_shuffles(p, q):
+                    f = copies.get((p, mu)) or summand(n, p, q, mu)
+                    for c in sm.space.cell_ids():
+                        if c == sm.space.basepoint or (p, mu, c) in ids:
+                            continue
+                        fx, fy = sm.split(((), c))
+                        got, want = g.apply(self._normal_form(n, p, mu, fx, fy)), f(fx, fy)
+                        if got != want:
+                            raise sset.IdentityError(((p, q, mu), c), "g(q(c)) = f(c)", got, want)
+            comps.append(g)
+        return SpectrumMap(self, target, comps)
 
 
 def _normal_generators(n, space, cells, ids, smashes, X, Y):
@@ -945,22 +984,29 @@ def smash_unit_iso(SX):
     N = SX.bound
     if any(SX.X.space(n) is not SX.tower.space(n) for n in range(N + 1)):
         raise sset.PreconditionError(f"the left factor of {SX!r} must be the sphere")
-    fwd = SX.descend(left_action_map(X, SX.T), X)
     pt = sset._sole_point(SX.X.space(0))
     inv_comps = [
-        SX.quotients[n].projection.compose(
-            SX.T.inclusion(n, 0, n, ()).compose(SX.T.smashes[(0, n)].left_slice(pt))
-        )
+        sset.SimplicialMap(X.space(n), SX.space(n), {
+            c: SX.pair_form(n, 0, (), sset.base_form(pt, k), ((), c))
+            for c, k in X.space(n).dim_of.items()
+        })
         for n in range(N + 1)
     ]
-    return fwd, SpectrumMap(X, SX, inv_comps)
+    return SX.descend(X.left_action, X), SpectrumMap(X, SX, inv_comps)
 
 
 def smash_comm_iso(XY, YX):
-    """The symmetry X ^_S Y -> Y ^_S X, descended from the tensor twist."""
+    """The symmetry X ^_S Y -> Y ^_S X, descended from the twist: x ^ y in
+    the (p, q, mu) copy goes to y ^ x in the (q, p) copy of the complement
+    of mu."""
     if XY.X is not YX.Y or XY.Y is not YX.X:
         raise sset.PreconditionError(f"{YX!r} is not the twist of {XY!r}")
-    return XY.descend(sq.twist_iso(XY.T, YX.T), YX, then=YX.proj_seq)
+
+    def summand(n, p, q, mu):
+        rest = tuple(i for i in range(n) if i not in mu)
+        return lambda fx, fy: YX.pair_form(n, q, rest, fy, fx)
+
+    return XY.descend(summand, YX)
 
 
 def smash_assoc_iso(XY_Z, X_YZ):
@@ -994,9 +1040,14 @@ def smash_assoc_iso(XY_Z, X_YZ):
 
 def smash_map_spectra(S_src, S_tgt, f, g):
     """The map X ^_S Y -> X' ^_S Y' induced by f: X -> X', g: Y -> Y';
-    ``symseq.tensor_map`` checks that they run between the factors."""
-    tm = sq.tensor_map(S_src.T, S_tgt.T, f, g)
-    return S_src.descend(tm, S_tgt, then=S_tgt.proj_seq)
+    ``symseq.check_factor_maps`` checks that they run between the factors."""
+    sq.check_factor_maps(S_src, S_tgt, f, g)
+
+    def summand(n, p, q, mu):
+        fp, gq = f.level(p), g.level(q)
+        return lambda fx, fy: S_tgt.pair_form(n, p, mu, fp.apply(fx), gq.apply(fy))
+
+    return S_src.descend(summand, S_tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -1074,16 +1125,13 @@ def prolong_free_iso(P, SXF):
     if SXF.X is not X or F.free_degree != 0 or F.K is not P.K:
         raise sset.PreconditionError(f"{SXF!r} is not X ^_S F_0 K for {P!r}")
     unit = free_unit_inclusion(F)  # K into the degree-0 summand of F_0 K
-    comps = []
-    for n in range(P.bound + 1):
-        sm_t, into = SXF.T.smashes[(n, 0)], SXF.T.inclusion(n, n, 0, tuple(range(n)))
-        proj = SXF.quotients[n].projection
-        comps.append(
-            P.smashes[n].map_out(
-                SXF.space(n),
-                lambda fx, fk: proj.apply(into.apply(sm_t.form_of_pair(fx, unit.apply(fk)))),
-            )
+    comps = [
+        sm.map_out(
+            SXF.space(n),
+            lambda fx, fk: SXF.pair_form(n, n, tuple(range(n)), fx, unit.apply(fk)),
         )
+        for n, sm in enumerate(P.smashes)
+    ]
     return SpectrumMap(P, SXF, comps)
 
 

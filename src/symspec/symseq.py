@@ -283,12 +283,18 @@ def tensor(X, Y, name=None, smashes=None):
     return TensorSequence(X, Y, name=name, smashes=smashes)
 
 
+def check_factor_maps(src, tgt, f, g):
+    """f: X -> X' and g: Y -> Y' must run between the factors of src (on X
+    and Y) and tgt (on X' and Y'), two tensors or two smashes of spectra."""
+    if not (src.X is f.source and tgt.X is f.target):
+        raise sset.PreconditionError(f"{f!r} does not run between the left factors")
+    if not (src.Y is g.source and tgt.Y is g.target):
+        raise sset.PreconditionError(f"{g!r} does not run between the right factors")
+
+
 def tensor_map(T_src, T_tgt, f, g):
     """f (x) g: tensor(f.source, g.source) -> tensor(f.target, g.target)."""
-    if not (T_src.X is f.source and T_tgt.X is f.target):
-        raise sset.PreconditionError(f"{f!r} does not run between the left factors")
-    if not (T_src.Y is g.source and T_tgt.Y is g.target):
-        raise sset.PreconditionError(f"{g!r} does not run between the right factors")
+    check_factor_maps(T_src, T_tgt, f, g)
 
     def summand(n, p, q, mu):
         sm, fp, gq = T_tgt.smashes[(p, q)], f.level(p), g.level(q)

@@ -1951,6 +1951,36 @@ def stable_map_report_ladder(f, k, require_homotopy=False):
 # ``SmashSpectrum.descend``.
 
 
+def descend_through_tensor(S, g, target, then=None):
+    """The spectrum map S = X ^_S Y -> target through which g: X (x) Y ->
+    target (with ``then``, then . g) factors: ``sset.descend`` through each
+    level's quotient on either path, so it builds the tensor and its
+    projections; ``SmashSpectrum.descend`` before it read the normal cells."""
+    from symspec import spectra as sp
+    from symspec import sset
+
+    return sp.SpectrumMap(S, target, [
+        sset.descend(q.projection, g.level(n), then and then.level(n))
+        for n, q in enumerate(S.quotients)
+    ])
+
+
+def smash_unit_inverse_through_tensor(SX):
+    """X -> S ^_S X, x |-> the class of pt ^ x, through the tensor's
+    (0, n) summand and the projection."""
+    from symspec import spectra as sp
+    from symspec import sset
+
+    pt = sset._sole_point(SX.X.space(0))
+    comps = [
+        SX.quotients[n].projection.compose(
+            SX.T.inclusion(n, 0, n, ()).compose(SX.T.smashes[(0, n)].left_slice(pt))
+        )
+        for n in range(SX.bound + 1)
+    ]
+    return sp.SpectrumMap(SX.Y, SX, comps)
+
+
 def smash_map_spectra_per_level(S_src, S_tgt, f, g):
     """The map X ^_S Y -> X' ^_S Y' induced by f: X -> X', g: Y -> Y'."""
     from symspec import spectra as sp

@@ -3,11 +3,13 @@
 ``SymmetricSpectrum.left_action`` is the one rule of the action
 S (x) X -> X: lambda, the free extensions, the multiplication of S, the
 latching comparison (``SymmetricSpectrum.latching_action``, which
-``modelcheck`` and the latching normal forms read) and the normal path of
-``SmashSpectrum``, which moves circle coordinates onto Y, all read it.  The iterated structure maps it is built
-from, ``sigma_power`` and ``power_smash``, are named in ``spectra.py`` only,
-inside ``SymmetricSpectrum`` and the validator ``validate_spectrum``, so the
-rule cannot be written out a second time anywhere else.
+``modelcheck`` and the latching normal forms read), the normal path of
+``SmashSpectrum``, which moves circle coordinates onto Y, and the unit
+isomorphism S ^_S X -> X, which descends it summand by summand, all read
+it.  The iterated structure maps it is built from, ``sigma_power`` and
+``power_smash``, are named in ``spectra.py`` only, inside
+``SymmetricSpectrum`` and the validator ``validate_spectrum``, so the rule
+cannot be written out a second time anywhere else.
 """
 
 import ast
@@ -44,7 +46,13 @@ def test_the_scan_covers_the_package_and_its_readers():
     for name in NAMES:
         assert {scope.split(".")[0] for _, scope in uses(owner, name)} == set(SCOPES)
     readers = {scope.split(".")[0] for _, scope in uses(owner, "left_action")}
-    assert readers == {"SymmetricSpectrum", "SmashSpectrum", "left_action_map", "free_extension"}
+    assert readers == {
+        "SymmetricSpectrum",
+        "SmashSpectrum",
+        "left_action_map",
+        "free_extension",
+        "smash_unit_iso",
+    }
     assert {scope for _, scope in uses(owner, "left_action") if scope.startswith("Sym")} == {
         "SymmetricSpectrum.latching_action"
     }

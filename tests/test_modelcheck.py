@@ -8,6 +8,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import symspec.cli as cli
 import symspec.equivariant as eq
 import symspec.homology as hl
 import symspec.jsonio as io
@@ -222,18 +223,32 @@ def count_tensors(monkeypatch):
     return start
 
 
-def test_latching_builds_one_tensor(tower, count_tensors):
+def test_latching_builds_no_tensor(tower, count_tensors):
     F = sp.free_F(1, sset.circle(), 3, tower)
     built = count_tensors()
     mc.latching(F, 2)
-    assert len(built) == 1
+    assert len(built) == 0
 
 
-def test_cofibration_check_builds_one_tensor_per_endpoint(tower, count_tensors):
+def test_cofibration_check_builds_no_tensor(tower, count_tensors):
     f = point_into(sp.free_F(0, sset.zero_sphere(), 3, tower), tower)
     built = count_tensors()
     mc.stable_cofibration_check(f)
-    assert len(built) == 2
+    assert len(built) == 0
+
+
+def test_the_cofibration_command_leaves_no_smash_holding_a_tensor(
+    monkeypatch, capsys, smashes_built
+):
+    # both left factors are S-cofibrant, so the latching comparisons and the
+    # smash of maps leave each X ^ Sbar from its normal cells
+    for name in ("SYMSPEC_BOUND", "SYMSPEC_BUDGET"):
+        monkeypatch.delenv(name, raising=False)
+    assert cli.main("cofibration free:0:sphere2 --bound 3".split()) == 0
+    assert '"overall"' in capsys.readouterr().out
+    assert len(smashes_built) == 2
+    for XB in smashes_built:
+        assert not {"T", "pairs", "quotients"} & set(vars(XB)), XB.name
 
 
 def test_latching_out_of_bound(tower):

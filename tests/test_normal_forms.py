@@ -64,6 +64,7 @@ def pool():
         made = [sp.mapping_cylinder(lam0)[0], cone(lam0), cone(lam1)]
         left = [X for X in valid if X.latching_forms is not None] + made
         _POOL.update(tower=tower, left=left, right=valid + made)
+        _POOL["quotient"] = [sp.bar_sphere(BOUND, tower), corpus.trivial_action_spectrum(tower, BOUND)]
     return _POOL["tower"], _POOL["left"], _POOL["right"]
 
 
@@ -76,6 +77,8 @@ def factor(kind, k, side):
     tower, left, right = pool()
     if kind == "free":
         return random_free(tower, k)
+    if kind == "quotient":
+        return _POOL["quotient"][k % 2]
     spectra = left if side == "left" else right
     return spectra[k % len(spectra)]
 
@@ -95,6 +98,12 @@ def assert_same_smash(new, old, where):
 
 cases = st.tuples(st.sampled_from(["pool", "free"]), st.integers(min_value=0, max_value=10**6))
 
+# left factors on either path: S-cofibrant ones, and Sbar and the
+# trivial-action spectrum, which are not
+either = st.tuples(
+    st.sampled_from(["pool", "free", "quotient"]), st.integers(min_value=0, max_value=10**6)
+)
+
 
 @settings(max_examples=40, deadline=None)
 @given(cases, cases)
@@ -111,8 +120,54 @@ def test_the_latching_comparison_descends_alike_on_both_paths(left):
     bar = sp.bar_sphere(X.bound, X.tower)
     new, old = sp.smash_spectra(X, bar), oracle.quotient_smash(X, bar)
     assert_same_smash(new, old, X.name)
-    maps = [S.descend(S.T.map_out(X, X.latching_action), X) for S in (new, old)]
+    maps = [S.descend(X.latching_action, X) for S in (new, old)]
     assert [c.assign for c in maps[0].components] == [c.assign for c in maps[1].components]
+
+
+def assert_same_components(new, old, where):
+    assert type(new) is sp.SpectrumMap and new.source is old.source, where
+    assert new.target is old.target, where
+    assert [c.assign for c in new.components] == [c.assign for c in old.components], where
+
+
+@settings(max_examples=20, deadline=None)
+@given(either)
+def test_the_latching_comparison_descends_as_through_the_tensor(left):
+    X = factor(*left, "left")
+    XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
+    new = XB.descend(X.latching_action, X)
+    old = oracle.descend_through_tensor(XB, XB.T.map_out(X, X.latching_action), X)
+    assert_same_components(new, old, X.name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), either)
+def test_a_smash_of_maps_descends_as_through_the_tensor(seed, other):
+    tower, _, _ = pool()
+    f = corpus.random_stable_cofibration(random.Random(seed), tower, BOUND)
+    z = sp.identity_spectrum_map(factor(*other, "left"))
+    for a, b in ((f, z), (z, f)):
+        src = sp.smash_spectra(a.source, b.source)
+        tgt = sp.smash_spectra(a.target, b.target)
+        new = sp.smash_map_spectra(src, tgt, a, b)
+        tm = sq.tensor_map(src.T, tgt.T, a, b)
+        old = oracle.descend_through_tensor(src, tm, tgt, then=tgt.proj_seq)
+        assert_same_components(new, old, (seed, src.name, tgt.name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(either, either)
+def test_the_unit_and_twist_descend_as_through_the_tensor(left, right):
+    X, Y = factor(*left, "left"), factor(*right, "left")
+    SX = sp.smash_spectra(sp.sphere_spectrum(X.bound, X.tower), X)
+    fwd, inv = sp.smash_unit_iso(SX)
+    lam = sp.left_action_map(X, SX.T)
+    assert_same_components(fwd, oracle.descend_through_tensor(SX, lam, X), X.name)
+    assert_same_components(inv, oracle.smash_unit_inverse_through_tensor(SX), X.name)
+    XY, YX = sp.smash_spectra(X, Y), sp.smash_spectra(Y, X)
+    tw = sq.twist_iso(XY.T, YX.T)
+    old = oracle.descend_through_tensor(XY, tw, YX, then=YX.proj_seq)
+    assert_same_components(sp.smash_comm_iso(XY, YX), old, (X.name, Y.name))
 
 
 def test_the_cones_rewrite_faces_through_the_latching_normal_form():
@@ -179,10 +234,17 @@ def test_the_normal_path_checks_its_generators():
 
 
 def test_a_map_out_of_the_tensor_still_descends_with_every_cell_checked():
+    # the identity of X (x) Y into the tensor breaks the relations, which
+    # only the cells off the normal ones (the chosen preimages) can show
     F = sp.free_F(0, sset.circle(), 2)
-    XY = sp.smash_spectra(F, F)
-    with pytest.raises(sset.IdentityError, match=r"g\(q\(c\)\) = f\(c\)"):
-        XY.descend(sq.identity_seq_map(XY.T), XY.T)
+    for XY in (sp.smash_spectra(F, F), oracle.quotient_smash(F, F)):
+        T = XY.T
+
+        def identity(n, p, q, mu):
+            return lambda fx, fy: T.include(n, p, q, mu, T.smashes[(p, q)].form_of_pair(fx, fy))
+
+        with pytest.raises(sset.IdentityError, match=r"g\(q\(c\)\) = f\(c\)"):
+            XY.descend(identity, T)
 
 
 # the stdout of two bound-4 commands, recorded before the normal path

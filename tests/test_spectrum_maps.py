@@ -5,12 +5,15 @@ constructor (the shared-circle check) and ``validate`` (the structure
 squares of ``spectra.sigma_square`` after the levelwise checks); it
 inherits the rest, so a composite of spectrum maps is again one.
 X ^_S Y is a coequalizer of X (x) Y, and ``SmashSpectrum.descend`` is the
-one way a map out of X (x) Y goes through its quotients: outside
-``sset.py`` only ``SmashSpectrum``, ``smash_assoc_iso`` (which descends a
-composite out of the triple tensor) and ``pushout_spectrum`` (whose sigma
-leaves a wedge) call ``sset.descend``, and ``modelcheck`` never reads a
-smash's ``quotients``.  The descents its four callers wrote out level by
-level stay in ``tests/oracle.py`` and are compared with it here.
+one way a map out of X (x) Y, given summand by summand, leaves it: from
+the normal cells when the left factor is S-cofibrant, with every other
+cell checked against its normal form, and otherwise through the quotients
+by ``sset.descend``.  Outside ``sset.py`` only ``SmashSpectrum``,
+``smash_assoc_iso`` (which descends a composite out of the triple tensor)
+and ``pushout_spectrum`` (whose sigma leaves a wedge) call
+``sset.descend``, and ``modelcheck`` never reads a smash's ``quotients``.
+The descents its four callers wrote out level by level through the tensor
+stay in ``tests/oracle.py`` and are compared with it here.
 """
 
 import ast
