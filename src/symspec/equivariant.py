@@ -2,9 +2,11 @@
 
 Permutations are tuples of 0-indexed images: ``perm[i]`` is where letter i
 goes, and composition is function composition, ``compose(a, b)(i) = a[b[i]]``.
-An action is stored on the Coxeter generators (i, i+1) only; the map for an
-arbitrary permutation is assembled along a bubble-sort reduced word, so
-storing and validating the generators pins the whole action.
+An action is stored on the Coxeter generators (i, i+1) only, so storing and
+validating the generators pins the whole action.  The map of a permutation
+is one generator, the last letter of its bubble-sort reduced word, composed
+onto the cached map of the shorter word: those words are prefix-closed, so
+each permutation costs one compose.
 
 The free orbit Sigma_n+ ^ K and the balanced smash are wedges of copies,
 and their generators are ``WedgeResult.map_out`` of one map per copy.
@@ -154,7 +156,7 @@ class EquivariantSpace:
             self._build = generators
         else:
             self.generators = _checked_generators(n, generators)
-        self._acts = {identity_perm(n): sset.identity_map(space)}
+        self._acts = {}
 
     @functools.cached_property
     def generators(self):
@@ -165,15 +167,20 @@ class EquivariantSpace:
         return f"<Sigma_{self.n} on {self.space!r}>"
 
     def act(self, perm):
-        """The simplicial map of a permutation, assembled from generators."""
-        if len(perm) != self.n:
-            raise sset.PreconditionError(f"{perm!r} is not in Sigma_{self.n}")
-        if perm not in self._acts:
-            out = sset.identity_map(self.space)
-            for i in reduced_word(perm):
-                out = self.generators[i].compose(out)
+        """The simplicial map of a permutation: t_i, i the last letter of its
+        reduced word, composed onto the map of t_i . perm."""
+        out = self._acts.get(perm)
+        if out is None:
+            if len(perm) != self.n or set(perm) != set(range(self.n)):
+                raise sset.PreconditionError(f"{perm!r} is not in Sigma_{self.n}")
+            word = reduced_word(perm)
+            if not word:
+                out = sset.identity_map(self.space)
+            else:
+                shorter = compose_perm(transposition(self.n, word[-1]), perm)
+                out = self.generators[word[-1]].compose(self.act(shorter))
             self._acts[perm] = out
-        return self._acts[perm]
+        return out
 
     def validate(self):
         """Generator sanity plus the Coxeter relations, as map equalities.
@@ -431,7 +438,7 @@ class _BalancedSmash(EquivariantSpace):
 def is_equivariant(src, tgt, f):
     """True iff f intertwines the generator actions; degrees must match."""
     if src.n != tgt.n:
-        raise ValueError("degree mismatch")
+        raise sset.PreconditionError(f"degree mismatch: Sigma_{src.n} and Sigma_{tgt.n}")
     if f.source is not src.space or f.target is not tgt.space:
         raise sset.PreconditionError(f"{f!r} is not a map {src.space!r} -> {tgt.space!r}")
     return all(

@@ -621,12 +621,13 @@ class SmashSpectrum(SymmetricSpectrum):
       gives the faces and the projection.  The Sigma_n generators and sigma
       (which moves the new circle onto Y) keep a normal cell normal, so
       they are read on it.  No tensor, no pairs and no closure are built,
-      for the levels or for a map out: ``descend`` reads the cells of each
-      copy of X_p ^ Y_q and checks every cell that is not normal against
-      its normal form, the cells the quotient path checks, and
-      ``pair_form`` is the normal form.  T, pairs and quotients are built
-      on first read (``proj_seq``), the projection from the same normal
-      forms.
+      for the levels or for a map out: ``descend`` reads the coordinate
+      pairs of each copy of X_p ^ Y_q (``sset.smash_pairs``) and checks
+      every pair whose X-root lies in L_pX against its normal form, the
+      cells the quotient path checks, so it builds no smash of a block
+      without normal cells; ``pair_form`` is the normal form.  T, pairs
+      and quotients are built on first read (``proj_seq``), the
+      projection from the same normal forms.
     * Quotient path, otherwise: quotients[n] is ``sset.quotient_by_pairs``
       of (X (x) Y)_n by pairs[n], the generators descend through it, and
       sigma is checked on every generating pair.  It is also the oracle
@@ -908,8 +909,10 @@ class SmashSpectrum(SymmetricSpectrum):
         through each level's quotient.  On the normal path each normal cell
         takes its summand's value, and every other cell of every copy, the
         cells ``sset.descend`` checks, must take the value on its normal
-        form: the first that does not raises ``IdentityError`` naming its
-        (p, q, mu) copy and smash cell."""
+        form.  Those are read as coordinate pairs, in cell order, whose
+        X-root lies in L_pX; the first that fails raises ``IdentityError``
+        naming its (p, q, mu) copy and smash cell, the smash built only
+        then."""
         if self._forms is None:
             maps = self.T.map_out(target, summand).components
             return SpectrumMap(self, target, [
@@ -917,7 +920,7 @@ class SmashSpectrum(SymmetricSpectrum):
             ])
         comps = []
         for n, cells in enumerate(self._cells):
-            tn, ids, copies = target.space(n), self._ids[n], {}
+            tn, copies = target.space(n), {}
             assign = {0: ((), tn.basepoint)}
             for j, (p, mu, c) in enumerate(cells, 1):
                 if (p, mu) not in copies:
@@ -925,17 +928,17 @@ class SmashSpectrum(SymmetricSpectrum):
                 assign[j] = copies[(p, mu)](*self._smash(p, n - p).split(((), c)))
             g = sset.SimplicialMap(self.space(n), tn, assign)
             for p in range(n + 1):
-                q, sm = n - p, self._smash(p, n - p)
-                if sset.is_pointlike(sm.space):
-                    continue
-                for mu in eq.all_shuffles(p, q):
+                q, inside = n - p, self._forms[p]
+                pairs = [
+                    pair for pair in sset.smash_pairs(self.X.space(p), self.Y.space(q))
+                    if pair[0][1] in inside
+                ]
+                for mu in eq.all_shuffles(p, q) if pairs else ():
                     f = copies.get((p, mu)) or summand(n, p, q, mu)
-                    for c in sm.space.cell_ids():
-                        if c == sm.space.basepoint or (p, mu, c) in ids:
-                            continue
-                        fx, fy = sm.split(((), c))
+                    for fx, fy in pairs:
                         got, want = g.apply(self._normal_form(n, p, mu, fx, fy)), f(fx, fy)
                         if got != want:
+                            c = self._smash(p, q).form_of_pair(fx, fy)[1]
                             raise sset.IdentityError(((p, q, mu), c), "g(q(c)) = f(c)", got, want)
             comps.append(g)
         return SpectrumMap(self, target, comps)

@@ -975,6 +975,14 @@ def smash(A, B, name=None):
     return SmashResult(A, B, space, id_of, pair_rep)
 
 
+def smash_pairs(A, B):
+    """The coordinate pairs of the cells of A ^ B off the base vertex, in
+    cell order, as ``split`` gives them, without building the smash."""
+    for _, fa, fbs in _joint_pairs(A, B):
+        if fa[1] != A.basepoint:
+            yield from ((fa, fb) for fb in fbs if fb[1] != B.basepoint)
+
+
 def smash_map(sm_src, sm_tgt, f, g):
     """f ^ g between smash products; f: A -> A', g: B -> B'."""
     if not (sm_src.A is f.source and sm_tgt.A is f.target):

@@ -2050,6 +2050,59 @@ def latching_comparison_per_level(X):
     return XB, sp.SpectrumMap(XB, X, [sset.descend(q.projection, a) for q, a in comps])
 
 
+def descend_checking_built_copies(S, summand, target):
+    """``SmashSpectrum.descend`` on the normal path as it was before it read
+    coordinate pairs: it builds X_p ^ Y_q for every block, a normal cell
+    takes its summand's value, and every other cell of every copy, found by
+    its (p, mu, c) missing from the level's normal cells, must take the
+    value on its normal form."""
+    from symspec import equivariant as eq
+    from symspec import spectra as sp
+    from symspec import sset
+
+    comps = []
+    for n, cells in enumerate(S._cells):
+        tn, ids, copies = target.space(n), S._ids[n], {}
+        assign = {0: ((), tn.basepoint)}
+        for j, (p, mu, c) in enumerate(cells, 1):
+            if (p, mu) not in copies:
+                copies[(p, mu)] = summand(n, p, n - p, mu)
+            assign[j] = copies[(p, mu)](*S._smash(p, n - p).split(((), c)))
+        g = sset.SimplicialMap(S.space(n), tn, assign)
+        for p in range(n + 1):
+            q, sm = n - p, S._smash(p, n - p)
+            if sset.is_pointlike(sm.space):
+                continue
+            for mu in eq.all_shuffles(p, q):
+                f = copies.get((p, mu)) or summand(n, p, q, mu)
+                for c in sm.space.cell_ids():
+                    if c == sm.space.basepoint or (p, mu, c) in ids:
+                        continue
+                    fx, fy = sm.split(((), c))
+                    got, want = g.apply(S._normal_form(n, p, mu, fx, fy)), f(fx, fy)
+                    if got != want:
+                        raise sset.IdentityError(((p, q, mu), c), "g(q(c)) = f(c)", got, want)
+        comps.append(g)
+    return sp.SpectrumMap(S, target, comps)
+
+
+# ---------------------------------------------------------------------------
+# a permutation's map as the left fold of the generators along its reduced
+# word, from the identity
+
+
+def act_by_reduced_word(action, perm):
+    """The map of perm on an ``EquivariantSpace``, composing every generator
+    of the bubble-sort word onto the identity in turn."""
+    from symspec import equivariant as eq
+    from symspec import sset
+
+    out = sset.identity_map(action.space)
+    for i in eq.reduced_word(perm):
+        out = action.generators[i].compose(out)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # F_n(f) as the tensor of the sphere's identity with G_n(f), which reads the
 # cell ids of f without checking where f runs, and the generating sets built

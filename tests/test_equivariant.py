@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from symspec import equivariant as eq
+from symspec import spectra as sp
 from symspec import sset
 
 import corpus
@@ -443,3 +445,67 @@ def test_wedge_actions_match_their_cellwise_oracles(seed):
     p, q = A[0], A[1]
     bs = eq.balanced_smash(p + q, [A])
     assert bs.generators == oracle.balanced_smash_generators_cellwise(bs, [A])
+
+
+# --- a permutation's map: one generator onto the shorter word's map ---------
+
+_ACTIONS = {}
+
+
+def actions():
+    """Sphere levels with n <= 4, a free orbit, a normal-path level of a
+    smash of spectra and a tensor level, which is a balanced smash."""
+    if not _ACTIONS:
+        tower = eq.SphereTower()
+        F = sp.free_F(1, sset.circle(), 3, tower)
+        FF = sp.smash_spectra(F, F)
+        assert FF._forms is not None
+        _ACTIONS.update({f"S{n}": tower.action(n) for n in range(5)})
+        _ACTIONS["free orbit"] = eq.free_orbit(3, sset.circle())
+        _ACTIONS["(F^SF)_3"] = FF.level(3)
+        _ACTIONS["(F(x)F)_3"] = FF.T.level(3)
+        assert type(_ACTIONS["(F(x)F)_3"]) is eq._BalancedSmash
+    return _ACTIONS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_act_matches_the_left_fold_along_the_reduced_word(data):
+    name = data.draw(st.sampled_from(sorted(actions())))
+    action = actions()[name]
+    perm = data.draw(st.permutations(list(range(action.n))).map(tuple))
+    assert action.act(perm).assign == oracle.act_by_reduced_word(action, perm).assign, (name, perm)
+
+
+def test_act_rejects_a_tuple_that_is_not_a_permutation():
+    act = eq.SphereTower().action(3)
+    for bad in [(0, 0, 1), (1, 1, 0), (0, 1, 3)]:
+        with pytest.raises(sset.PreconditionError, match=re.escape(f"{bad!r} is not in Sigma_3")):
+            act.act(bad)
+    assert set(act._acts) <= set(itertools.permutations(range(3)))
+
+
+def test_is_equivariant_names_both_degrees():
+    K = sset.circle()
+    with pytest.raises(sset.PreconditionError, match="Sigma_2 and Sigma_3"):
+        eq.is_equivariant(eq.trivial_action(K, 2), eq.trivial_action(K, 3), sset.identity_map(K))
+
+
+def test_acts_freely_off_composes_once_per_permutation(monkeypatch):
+    calls = []
+    compose = sset.SimplicialMap.compose
+
+    def counting(self, other):
+        calls.append(self)
+        return compose(self, other)
+
+    fresh = eq.SphereTower().action(4)
+    every = list(fresh.space.cell_ids())
+    fresh.generators
+    monkeypatch.setattr(sset.SimplicialMap, "compose", counting)
+    assert eq.acts_freely_off(fresh, every)
+    assert len(calls) == 23
+    calls.clear()
+    for perm in itertools.permutations(range(4)):
+        oracle.act_by_reduced_word(fresh, perm)
+    assert len(calls) == 72

@@ -251,6 +251,20 @@ def test_the_cofibration_command_leaves_no_smash_holding_a_tensor(
         assert not {"T", "pairs", "quotients"} & set(vars(XB)), XB.name
 
 
+def test_the_cofibration_check_builds_no_smash_of_a_block_without_normal_cells(
+    tower, smashes_built
+):
+    # descend reads the coordinate pairs of a copy X_p ^ Y_q; it builds the
+    # smash only for the blocks whose normal cells make up the levels
+    F = sp.free_F(0, sset.sphere(2), 3, tower)
+    mc.stable_cofibration_check(point_into(F, tower))
+    assert len(smashes_built) == 2
+    for XB in smashes_built:
+        assert XB._forms is not None, XB.name
+        normal = {(p, n - p) for n, cells in enumerate(XB._cells) for p, _, _ in cells}
+        assert set(XB._smashes) <= normal, (XB.name, sorted(set(XB._smashes) - normal))
+
+
 def test_latching_out_of_bound(tower):
     F = sp.free_F(0, sset.circle(), 2, tower)
     with pytest.raises(IndexError):

@@ -247,6 +247,43 @@ def test_a_map_out_of_the_tensor_still_descends_with_every_cell_checked():
             XY.descend(identity, T)
 
 
+@settings(max_examples=20, deadline=None)
+@given(cases)
+def test_descend_on_coordinate_pairs_matches_the_check_on_built_copies(left):
+    X = factor(*left, "left")
+    XB = sp.smash_spectra(X, sp.bar_sphere(X.bound, X.tower))
+    SX = sp.smash_spectra(sp.sphere_spectrum(X.bound, X.tower), X)
+    for S, summand in ((XB, X.latching_action), (SX, X.left_action)):
+        new = S.descend(summand, X)
+        old = oracle.descend_checking_built_copies(S, summand, X)
+        assert_same_components(new, old, (X.name, S.name))
+
+
+def test_a_mismatch_on_a_copy_with_no_normal_cell_names_the_same_cell():
+    # every cell of (F_0S^2)_1 lies in L_1, so the (1, 1) copies of level 2
+    # of F_0S^2 ^ Sbar hold no normal cell: descend reads their pairs alone
+    # and builds their smash only to name the failing cell
+    tower = eq.SphereTower()
+    X = sp.free_F(0, sset.sphere(2), 2, tower)
+
+    def corrupted(n, p, q, mu):
+        f = X.latching_action(n, p, q, mu)
+        if (n, p) != (2, 1):
+            return f
+        return lambda fx, fs: sset.base_form(X.space(n).basepoint, X.space(p).form_dim(fx))
+
+    XB = sp.smash_spectra(X, sp.bar_sphere(2, tower))
+    assert all(p != 1 for p, _, _ in XB._cells[2])
+    with pytest.raises(sset.IdentityError, match=r"g\(q\(c\)\) = f\(c\)") as new:
+        XB.descend(corrupted, X)
+    with pytest.raises(sset.IdentityError) as old:
+        oracle.descend_checking_built_copies(XB, corrupted, X)
+    new, old = new.value, old.value
+    assert new.cell[0] == (1, 1, (0,)), new.cell
+    assert (new.cell, new.identity, new.lhs, new.rhs) == (old.cell, old.identity, old.lhs, old.rhs)
+    assert str(new) == str(old)
+
+
 # the stdout of two bound-4 commands, recorded before the normal path
 BOUND_FOUR = {
     "smash free:0:sphere1 free:0:sphere1 --bound 4": (

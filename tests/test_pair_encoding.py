@@ -40,3 +40,11 @@ def test_the_scan_sees_pair_rep():
         "    return getattr(sm, 'pair_rep')\n"
     )
     assert pair_rep_lines(tree) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("module", OTHER_MODULES)
+def test_module_does_not_name_joint_pairs(module):
+    # the jointly nondegenerate pairs reach other modules as smash cells,
+    # or as their coordinate pairs through sset.smash_pairs
+    assert uses(parse(module), "_joint_pairs") == []
+    assert uses(parse(OWNER), "_joint_pairs")
