@@ -381,7 +381,7 @@ def balanced_smash(n, blocks, name=None):
     parts, spaces, acts = [], [], []
     for p, q, A, act in blocks:
         if p + q != n:
-            raise ValueError(f"balanced smash needs p+q=n, got {p}+{q} != {n}")
+            raise sset.PreconditionError(f"balanced smash needs p+q=n, got {p}+{q} != {n}")
         shuffles = all_shuffles(p, q)
         parts += [(p, q, mu) for mu in shuffles]
         spaces += [A] * len(shuffles)

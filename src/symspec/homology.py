@@ -870,8 +870,6 @@ def suspension_chain_map(X, sm=None):
 
 def hz_level_complex(n):
     """Chains on S^n: the Moore complex of the free simplicial group Z(S^n)."""
-    if n < 0:
-        raise ValueError("level must be nonnegative")
     return normalized_chains(sset.sphere(n))
 
 

@@ -242,8 +242,8 @@ def validate_spectrum(X, quick=False):
     for n in range(N + 1):
         try:
             X.level(n).validate()
-        except Exception:
-            failures.append({"p": 0, "n": n, "reason": "level action invalid"})
+        except Exception as exc:
+            failures.append({"p": 0, "n": n, "reason": f"level action invalid: {exc}"})
     checks = sorted(
         ((p, n) for p in range(1, N + 1) for n in range(N - p + 1)),
         key=lambda t: (t[0] + t[1], t[0]),
@@ -1324,7 +1324,7 @@ def generating_sets(kind, N, R, bound=None, tower=None):
     elif kind in ("FI_horn", "J_cylinder"):
         subs = [(r, sset.horn_plus(r, i)) for r in range(1, R + 1) for i in range(r + 1)]
     else:
-        raise ValueError(f"unknown generating set kind {kind!r}")
+        raise sset.PreconditionError(f"unknown generating set kind {kind!r}")
     incl = [sset.subset_inclusion(A, sset.delta_plus(r)) for r, A in subs]
     out = [
         free_F_map(free_F(n, f.source, bound, tower), free_F(n, f.target, bound, tower), f)

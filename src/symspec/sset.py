@@ -15,6 +15,12 @@ A simplex ``s_U x`` lies in the image of ``s_j`` exactly when ``j in U``.
 A face row (d_0 f, ..., d_k f) is built one way, by ``face_row``, from
 a template made once per (word, dimension).
 
+``validate`` checks a dimension at a time, on columns: every face count in
+one test, each distinct face form once, and each identity
+d_i d_j = d_{j-1} d_i as one comparison over all the dimension's cells.
+Only a dimension that fails there is scanned cell by cell, to name the
+first failure exactly as a scan would.
+
 Products are built on pairs of forms of equal dimension with disjoint words,
 smash products directly on the pairs off the wedge, quotients by a
 congruence closure that reads the identified pairs once per dimension,
@@ -46,7 +52,6 @@ tracer times it.
 import functools
 import itertools
 import math
-import operator
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +173,26 @@ class PreconditionError(ValueError, AssertionError):
     also an AssertionError, the type of the asserts it replaces."""
 
 
+class _FaceRows(dict):
+    """The face rows of the m-forms of ``space``, keyed by form, for
+    ``validate``.  It starts with the m-cells' own faces ((), c), whose rows
+    are their stored tables; any other form goes through ``_form_fault`` on
+    its first read and then holds its ``face_row``, or sets ``faulty``."""
+
+    def __init__(self, space, m):
+        ids = space.cells.get(m, ())
+        rows = map(space.faces.__getitem__, ids) if m else itertools.repeat(())
+        super().__init__(zip(zip(itertools.repeat(()), ids), rows))
+        self.space, self.m, self.faulty = space, m, False
+
+    def __missing__(self, form):
+        if _form_fault(self.space, form, self.m):
+            self.faulty = True
+            return None
+        row = self[form] = self.space.face_row(form, self.m)
+        return row
+
+
 class PointedSimplicialSet:
     """A finite pointed simplicial set.
 
@@ -268,59 +293,84 @@ class PointedSimplicialSet:
         Raises ``IdentityError`` at the first cell that breaks one: the
         first face, in order, that is no (k-1)-form in normal form, else the
         first identity d_i d_j = d_{j-1} d_i (i < j), by j then i, whose
-        sides differ.  Each distinct face form of a dimension goes through
-        ``_form_fault`` once and keeps its ``face_row``.  A k-cell's rows
-        are laid end to end, and its k(k+1)/2 identities are compared in one
-        go, by index lists built once per dimension; only a cell that fails
-        is scanned identity by identity, to name the first.
+        sides differ.  Each dimension is checked at once, on columns
+        (``_dimension_holds``); only a dimension that fails there is scanned
+        cell by cell (``_first_failure``), to name the first failure.
         """
-        faces, dim_of = self.faces, self.dim_of
         bp = self.basepoint
-        if dim_of.get(bp) != 0:
-            raise IdentityError(bp, "the basepoint is a vertex", dim_of.get(bp), 0)
+        if self.dim_of.get(bp) != 0:
+            raise IdentityError(bp, "the basepoint is a vertex", self.dim_of.get(bp), 0)
         # dimensions ascend, so every cell a face table refers to has had
         # its own table checked before the identities read it
         for k, ids in self.cells.items():
-            if k == 0:
-                for c in ids:
-                    if faces.get(c):
-                        raise IdentityError(c, "a vertex has no faces", faces[c], ())
-                continue
-            # a (k-1)-form's verdict depends on the form and k alone
-            rows_of = {}
-            # d_i d_j == d_{j-1} d_i for i < j is rows[j][i] == rows[i][j - 1],
-            # each row k long
-            ij = [(i, j) for j in range(1, k + 1) for i in range(j)]
-            left = operator.itemgetter(*[j * k + i for i, j in ij])
-            right = operator.itemgetter(*[i * k + j - 1 for i, j in ij])
-            for c in ids:
-                fs = faces.get(c, ())
-                if len(fs) != k + 1:
-                    where = f"a {k}-cell has {k + 1} faces"
-                    raise IdentityError(c, where, len(fs), k + 1)
-                rows = []
-                for i, f in enumerate(fs):
-                    r = rows_of.get(f)
-                    if r is None:
-                        fault = _form_fault(self, f, k - 1)
-                        if fault:
-                            what, lhs, rhs = fault
-                            raise IdentityError(c, f"d_{i} {what}", lhs, rhs)
-                        r = rows_of[f] = self.face_row(f, k - 1)
-                    rows.append(r)
-                if k < 2:
-                    continue
-                flat = list(itertools.chain.from_iterable(rows))
-                if left(flat) == right(flat):
-                    continue
-                for j in range(1, k + 1):
-                    for i in range(j):
-                        left, right = rows[j][i], rows[i][j - 1]
-                        if left != right:
-                            raise IdentityError(
-                                c, f"d_{i} d_{j} = d_{j - 1} d_{i}", left, right
-                            )
+            try:
+                holds = self._dimension_holds(k, ids)
+            except (TypeError, ValueError):
+                # a face no column reads (unhashable, or no pair): the scan
+                # meets it where a cell-by-cell check does
+                holds = False
+            if not holds:
+                self._first_failure(k, ids)
         return True
+
+    def _dimension_holds(self, k, ids):
+        """Whether the k-cells ``ids`` pass every check of ``validate``, read
+        a dimension at a time: all face counts in one test, each distinct
+        face form once (``_FaceRows``), then each identity as one comparison
+        over all cells."""
+        faces = self.faces
+        if not k:
+            return not any(map(faces.get, ids))
+        tables = list(map(faces.get, ids, itertools.repeat(())))
+        if set(map(len, tables)) != {k + 1}:
+            return False
+        rows_of = _FaceRows(self, k - 1)
+        # column j holds the face row of d_j of every cell
+        columns = [list(map(rows_of.__getitem__, col)) for col in zip(*tables)]
+        if rows_of.faulty:
+            return False
+        if k < 2:
+            return True
+        # dd[j][i] holds d_i d_j of every cell
+        dd = [list(zip(*column)) for column in columns]
+        return all(dd[j][i] == dd[i][j - 1] for j in range(1, k + 1) for i in range(j))
+
+    def _first_failure(self, k, ids):
+        """Raise ``validate``'s ``IdentityError`` at the first of the k-cells
+        ``ids`` that breaks a check, scanning cell by cell, face by face and
+        identity by identity; ``validate`` runs it only on a dimension its
+        columns reject."""
+        faces = self.faces
+        if not k:
+            for c in ids:
+                if faces.get(c):
+                    raise IdentityError(c, "a vertex has no faces", faces[c], ())
+            return
+        # a (k-1)-form's verdict depends on the form and k alone
+        rows_of = {}
+        for c in ids:
+            fs = faces.get(c, ())
+            if len(fs) != k + 1:
+                raise IdentityError(c, f"a {k}-cell has {k + 1} faces", len(fs), k + 1)
+            rows = []
+            for i, f in enumerate(fs):
+                r = rows_of.get(f)
+                if r is None:
+                    fault = _form_fault(self, f, k - 1)
+                    if fault:
+                        what, lhs, rhs = fault
+                        raise IdentityError(c, f"d_{i} {what}", lhs, rhs)
+                    r = rows_of[f] = self.face_row(f, k - 1)
+                rows.append(r)
+            if k < 2:
+                continue
+            for j in range(1, k + 1):
+                for i in range(j):
+                    left, right = rows[j][i], rows[i][j - 1]
+                    if left != right:
+                        raise IdentityError(
+                            c, f"d_{i} d_{j} = d_{j - 1} d_{i}", left, right
+                        )
 
 
 def is_pointlike(space):
@@ -371,15 +421,21 @@ class SimplicialMap:
 
     def failure(self, where=""):
         """The ``IdentityError`` at the first cell where this is not a pointed
-        simplicial map, or None; ``where`` prefixes the identity's name."""
+        simplicial map, or None; ``where`` prefixes the identity's name.  A
+        cell with no image fails ``f(c) is assigned``."""
         source, target, assign = self.source, self.target, self.assign
         bp, base = source.basepoint, ((), target.basepoint)
-        if assign[bp] != base:
-            return IdentityError(bp, f"{where}f(base) = base", assign[bp], base)
+        f = assign.get(bp)
+        if f is None:
+            return IdentityError(bp, f"{where}f(c) is assigned", None, base)
+        if f != base:
+            return IdentityError(bp, f"{where}f(base) = base", f, base)
         dim_of, faces, target_faces = target.dim_of, source.faces, target.faces
         for k, ids in source.cells.items():  # the order of cell_ids()
             for c in ids:
-                f = assign[c]
+                f = assign.get(c)
+                if f is None:
+                    return IdentityError(c, f"{where}f(c) is assigned", None, f"a {k}-form")
                 word, cell = f
                 # _form_fault's test for a normal form, inline
                 if dim_of.get(cell) != k - len(word) or (word and not _is_decreasing(word, k)):
@@ -405,7 +461,9 @@ class SimplicialMap:
     def is_monomorphism(self):
         seen = set()
         for c in self.source.cell_ids():
-            f = self.assign[c]
+            f = self.assign.get(c)
+            if f is None:
+                raise self.failure()
             if f[0]:
                 # a nondegenerate simplex hitting a degenerate one kills injectivity
                 return False
@@ -674,7 +732,7 @@ class WedgeResult:
         """The map out of the wedge that is maps[i] on part i."""
         Z = maps[0].target
         if any(m.target is not Z for m in maps):
-            raise ValueError("a map out of a wedge needs one common target")
+            raise PreconditionError("a map out of a wedge needs one common target")
         base = ((), Z.basepoint)
         assign = {
             c: maps[loc[0]].assign[loc[1]] if loc else base

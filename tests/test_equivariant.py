@@ -305,6 +305,11 @@ def test_balanced_smash_degree_mismatch():
         eq.balanced_smash(3, [trivial_biaction(sset.zero_sphere(), 1, 1)])
 
 
+def test_balanced_smash_degree_mismatch_is_a_precondition_error():
+    with pytest.raises(sset.PreconditionError, match=r"p\+q=n, got 1\+1 != 3"):
+        eq.balanced_smash(3, [trivial_biaction(sset.zero_sphere(), 1, 1)])
+
+
 def test_balanced_smash_full_block_recovers_the_left_action():
     fo = eq.free_orbit(2, sset.circle())
     A = biaction(fo.space, 2, 0, fo.generators, [])

@@ -473,6 +473,11 @@ def test_hz_level_complexes():
         hl.hz_level_complex(-1)
 
 
+def test_a_negative_level_complex_is_a_precondition_error():
+    with pytest.raises(sset.PreconditionError, match="no sphere of dimension -1"):
+        hl.hz_level_complex(-1)
+
+
 def test_hurewicz_gate_on_models():
     assert hl.hurewicz_gate(sset.circle(), 1)
     assert not hl.hurewicz_gate(sset.circle(), 2)  # d=2 inspects dimension 1

@@ -70,6 +70,26 @@ def test_validate_reports_failures_in_total_degree_order(tower):
     assert keys == sorted(keys)
 
 
+def test_validate_says_why_a_level_action_fails(tower):
+    S2 = sp.sphere_spectrum(2, tower)
+    X2 = tower.space(2)
+    levels = [
+        tower.action(0),
+        tower.action(1),
+        eq.EquivariantSpace(X2, 2, [sset.constant_map(X2, X2)]),
+    ]
+    mut = sp.SymmetricSpectrum(tower, levels, S2._builder, name="mutant")
+    first = sp.validate_spectrum(mut)["failures"][0]
+    assert (first["p"], first["n"]) == (0, 2)
+    assert first["reason"].startswith("level action invalid: ")
+    assert "t_0 t_0 = 1" in first["reason"]
+
+
+def test_an_unknown_generating_set_is_a_precondition_error():
+    with pytest.raises(sset.PreconditionError, match="unknown generating set kind 'FI_nope'"):
+        sp.generating_sets("FI_nope", 1, 1)
+
+
 def test_validate_never_raises_on_tampered_sigma(tower):
     # twisting sigma_2 by a transposition breaks equivariance over Sigma_3
     S = sp.sphere_spectrum(3, tower)

@@ -630,6 +630,27 @@ def test_monomorphism_detection():
     assert len(incl) == 2
 
 
+def test_failure_names_the_first_cell_with_no_image():
+    D1 = sset.delta_plus(1)
+    m = sset.identity_map(D1)
+    del m.assign[3]
+    err = m.failure()
+    assert (err.cell, err.identity, err.lhs, err.rhs) == (3, "f(c) is assigned", None, "a 1-form")
+    with pytest.raises(sset.IdentityError, match="cell 3: f\\(c\\) is assigned"):
+        m.is_monomorphism()
+    # the basepoint comes first, and ``where`` prefixes the identity
+    del m.assign[D1.basepoint]
+    err = m.failure("level 0: ")
+    assert (err.cell, err.identity, err.rhs) == (D1.basepoint, "level 0: f(c) is assigned", ((), 0))
+
+
+def test_a_wedge_map_with_mixed_targets_is_a_precondition_error():
+    W = sset.wedge([sset.circle(), sset.circle()])
+    maps = [sset.identity_map(sset.circle()), sset.identity_map(sset.circle())]
+    with pytest.raises(sset.PreconditionError, match="one common target"):
+        W.map_out(maps)
+
+
 # --- quotient engine, randomized -------------------------------------------
 
 
