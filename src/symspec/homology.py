@@ -436,10 +436,10 @@ class _KernelSolver:
             low = max(rest)
             p = self.pivot_at.get(low)
             if p is None:
-                raise ValueError("chain is not a cycle")
+                raise HomologyInputError("chain is not a cycle")
             q, r = divmod(rest[low], self.echelon[p][low])
             if r:
-                raise ValueError("chain is not a cycle")
+                raise HomologyInputError("chain is not a cycle")
             _axpy(rest, self.echelon[p], -q)
             for i, v in self.transform[p].items():
                 nv = c.get(i, 0) + q * v
@@ -451,7 +451,7 @@ class _KernelSolver:
         for j, cj in c.items():
             _axpy(check, self.kernel[j], cj)
         if check != target:
-            raise ValueError("chain is not a cycle")
+            raise HomologyInputError("chain is not a cycle")
         return c
 
     def solve(self, x):
@@ -557,7 +557,10 @@ class _DegreeData:
 
     def class_of(self, x):
         """Coordinates of a cycle's homology class: (free tuple, torsion tuple)."""
-        c = self.solver.coords(x)
+        try:
+            c = self.solver.coords(x)
+        except HomologyInputError as exc:
+            raise HomologyInputError(f"degree {self.k}: chain is not a cycle: {x}") from exc
 
         def w(i):
             row = self.snf.U_rows[i]

@@ -2,11 +2,13 @@
 
 The cofibration test is levelwise: form the corner
 X_n (+)_{L_nX} L_nY -> Y_n over the latching spaces and ask for a
-monomorphism whose complement carries a free symmetric-group action.
-Lifting properties are decided by exhaustive search over commuting
-squares, metered by a budget so the answer is always yes, no with a
-witness, or an explicit refusal.  The pushout-product check reads the
-clauses of the corner map f [] g off a corner its caller has built.
+monomorphism whose complement carries a free symmetric-group action.  The
+corner is ``spectra.corner_map`` of its square, the construction that
+builds every pushout-product too.  Lifting properties are decided by
+exhaustive search over commuting squares, metered by a budget so the
+answer is always yes, no with a witness, or an explicit refusal.  The
+pushout-product check reads the clauses of the corner map f [] g off a
+corner its caller has built.
 """
 
 from . import equivariant as eq
@@ -103,8 +105,7 @@ def latching_corner(f):
     XB, nat_x = _latching_data(X)
     YB, nat_y = _latching_data(Y)
     Lf = sp.smash_map_spectra(XB, YB, f, sp.identity_spectrum_map(XB.Y))
-    P, _, _ = sp.pushout_spectrum(nat_x, Lf, name=f"corner({X.name}->{Y.name})")
-    return sp.map_out_of_pushout(P, f, nat_y)
+    return sp.corner_map(nat_x, Lf, f, nat_y, f"corner({X.name}->{Y.name})")
 
 
 def stable_cofibration_check(f):
@@ -306,13 +307,12 @@ def _ingredient_flags(h):
                 h, max(h.source.dim, h.target.dim)
             ),
         }
+    cls = level_classify(h)
     return {
         "kind": "spectrum",
-        "monomorphism": h.is_monomorphism(),
+        "monomorphism": cls["monomorphism"],
         "cofibration": stable_cofibration_check(h).overall,
-        "homology_level_equivalence": level_classify(h)[
-            "homology_level_equivalence"
-        ],
+        "homology_level_equivalence": cls["homology_level_equivalence"],
     }
 
 

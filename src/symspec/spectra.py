@@ -1083,19 +1083,10 @@ def prolong_smash(X, K, name=None):
     return ProlongSpectrum(X, K, name=name)
 
 
-def prolong_map(P_src, P_tgt, f=None, g=None):
+def prolong_map(P_src, P_tgt, f, g):
     """f ^ g between prolongations; f a SpectrumMap, g a map of K spaces."""
-    f_comps = (
-        f.components
-        if f is not None
-        else [
-            sset.identity_map(P_src.base_seq.space(n))
-            for n in range(P_src.bound + 1)
-        ]
-    )
-    g = g if g is not None else sset.identity_map(P_src.K)
     comps = [
-        sset.smash_map(P_src.smashes[n], P_tgt.smashes[n], f_comps[n], g)
+        sset.smash_map(P_src.smashes[n], P_tgt.smashes[n], f.level(n), g)
         for n in range(P_src.bound + 1)
     ]
     return SpectrumMap(P_src, P_tgt, comps)
@@ -1248,61 +1239,49 @@ def mapping_cylinder(f):
     return Mf, i, r, s
 
 
-def _space_pushout_product(f, g):
-    """The corner map of space maps f: U -> V, g: X -> Y."""
-    U, V, Xs, Ys = f.source, f.target, g.source, g.target
-    sm_ux = sset.smash(U, Xs)
-    sm_vx = sset.smash(V, Xs)
-    sm_uy = sset.smash(U, Ys)
-    sm_vy = sset.smash(V, Ys)
-    a = sset.smash_map(sm_ux, sm_vx, f, sset.identity_map(Xs))
-    b = sset.smash_map(sm_ux, sm_uy, sset.identity_map(U), g)
-    po = sset.pushout(a, b, name="corner")
-    to_vy = (
-        sset.smash_map(sm_vx, sm_vy, sset.identity_map(V), g),
-        sset.smash_map(sm_uy, sm_vy, f, sset.identity_map(Ys)),
-    )
-    corner = sset.map_out_of_pushout(po, *to_vy)
+def corner_map(a, b, to1, to2, name):
+    """The map out of the pushout of a and b given by to1 and to2, for a
+    commuting square to1 . a = to2 . b of space maps or of spectrum maps.
+    It keeps the pushout as ``corner_pushout``: for spectra a
+    ``sset.PushoutResult`` of the spectrum and its legs alone."""
+    if isinstance(a, sset.SimplicialMap):
+        po = sset.pushout(a, b, name=name)
+        corner = sset.map_out_of_pushout(po, to1, to2)
+    else:
+        P, leg1, leg2 = pushout_spectrum(a, b, name=name)
+        po = sset.PushoutResult(P, leg1, leg2, None, None)
+        corner = map_out_of_pushout(P, to1, to2)
     corner.corner_pushout = po
-    corner.corner_smashes = {
-        "ux": sm_ux, "vx": sm_vx, "uy": sm_uy, "vy": sm_vy
-    }
     return corner
 
 
-def _corner(f, g, smash_of, map_of):
-    """The corner of f: U -> V and g: X -> Y for one smash construction:
-    smash_of(A, B) builds A ^ B and map_of(src, tgt, f, g) the map f ^ g
-    between two of them, None standing for an identity.  Returns the
-    corner map and the four smashes, keyed "ux", "vx", "uy", "vy"."""
-    U, V, Xs, Ys = f.source, f.target, g.source, g.target
-    ux, vx, uy, vy = smash_of(U, Xs), smash_of(V, Xs), smash_of(U, Ys), smash_of(V, Ys)
-    a, b = map_of(ux, vx, f, None), map_of(ux, uy, None, g)
-    P, leg1, leg2 = pushout_spectrum(a, b, name=f"corner({U.name},{Xs.name})")
-    corner = map_out_of_pushout(P, map_of(vx, vy, None, g), map_of(uy, vy, f, None))
-    corner.corner_legs = (leg1, leg2)
-    return corner, {"ux": ux, "vx": vx, "uy": uy, "vy": vy}
-
-
-def _smash_map_or_identity(src, tgt, f, g):
-    f = f if f is not None else identity_spectrum_map(src.X)
-    g = g if g is not None else identity_spectrum_map(src.Y)
-    return smash_map_spectra(src, tgt, f, g)
-
-
 def pushout_product(f, g):
-    """f [] g: V^X +_{U^X} U^Y -> V^Y.
+    """f [] g: V^X +_{U^X} U^Y -> V^Y, the ``corner_map`` of the square of
+    smashes f ^ X, U ^ g, V ^ g, f ^ Y, which it keeps as ``corner_smashes``
+    keyed "ux", "vx", "uy", "vy".
 
     Two space maps give a space map; two spectrum maps smash over the
     sphere; a spectrum map against a space map prolongs levelwise.
     """
+    U, V, X, Y = f.source, f.target, g.source, g.target
+    id_f = id_g = sset.identity_map
+    name = f"corner({U.name},{X.name})"
     if isinstance(f, sset.SimplicialMap):
-        return _space_pushout_product(f, g)
-    if isinstance(g, SpectrumMap):
-        corner, _ = _corner(f, g, smash_spectra, _smash_map_or_identity)
+        smash_of, map_of, name = sset.smash, sset.smash_map, "corner"
+    elif isinstance(g, SpectrumMap):
+        smash_of, map_of = smash_spectra, smash_map_spectra
+        id_f = id_g = identity_spectrum_map
     else:
-        corner, prolongs = _corner(f, g, prolong_smash, prolong_map)
-        corner.corner_prolongs = prolongs
+        smash_of, map_of, id_f = prolong_smash, prolong_map, identity_spectrum_map
+    sm = {"ux": smash_of(U, X), "vx": smash_of(V, X), "uy": smash_of(U, Y), "vy": smash_of(V, Y)}
+    corner = corner_map(
+        map_of(sm["ux"], sm["vx"], f, id_g(X)),
+        map_of(sm["ux"], sm["uy"], id_f(U), g),
+        map_of(sm["vx"], sm["vy"], id_f(V), g),
+        map_of(sm["uy"], sm["vy"], f, id_g(Y)),
+        name,
+    )
+    corner.corner_smashes = sm
     return corner
 
 
@@ -1310,15 +1289,15 @@ def pushout_product(f, g):
 # generating sets
 
 
-def generating_sets(kind, N, R, bound=None, tower=None):
+def generating_sets(kind, N, R, tower=None):
     """A finite slice (free degree <= N, simplex dimension <= R) of the
-    named generating family; spectra are built with the given level bound
-    (default N+1, enough for the cylinder legs of J_cylinder).  FI_boundary
-    is F_n of the boundary inclusions, FI_horn F_n of the horn inclusions,
-    and J_cylinder the horns followed by the corners of each lambda's
-    mapping cylinder with the boundary inclusions."""
+    named generating family, its spectra at level bound N+1, enough for the
+    cylinder legs of J_cylinder.  FI_boundary is F_n of the boundary
+    inclusions, FI_horn F_n of the horn inclusions, and J_cylinder the horns
+    followed by the corners of each lambda's mapping cylinder with the
+    boundary inclusions."""
     tower = tower or eq.SphereTower()
-    bound = bound if bound is not None else N + 1
+    bound = N + 1
     if kind == "FI_boundary":
         subs = [(r, sset.boundary_plus(r)) for r in range(R + 1)]
     elif kind in ("FI_horn", "J_cylinder"):

@@ -200,6 +200,17 @@ def test_class_of_rejects_non_cycle():
         data.class_of({0: 1})
 
 
+def test_a_non_cycle_is_rejected_naming_its_degree_and_chain():
+    data = hl.normalized_chains(sset.delta_plus(1)).degree_data(1)
+    with pytest.raises(hl.HomologyInputError) as exc:
+        data.solver.coords({0: 1})
+    assert str(exc.value) == "chain is not a cycle"
+    with pytest.raises(
+        hl.HomologyInputError, match=r"^degree 1: chain is not a cycle: \{0: 1\}$"
+    ):
+        data.class_of({0: 1})
+
+
 # ---------------------------------------------------------------------------
 # homology groups
 

@@ -746,9 +746,9 @@ def test_spectrum_corner_with_the_two_point_unit(tower):
     _, c0, _, _ = sp.mapping_cylinder(lam)
     g = sset.constant_map(sset.point(), sset.zero_sphere())
     corner = sp.pushout_product(c0, g)
-    _, leg2 = corner.corner_legs
-    back_u = sp.prolong_unit_iso(corner.corner_prolongs["uy"])[1]
-    back_v = sp.prolong_unit_iso(corner.corner_prolongs["vy"])[1]
+    leg2 = corner.corner_pushout.leg2
+    back_u = sp.prolong_unit_iso(corner.corner_smashes["uy"])[1]
+    back_v = sp.prolong_unit_iso(corner.corner_smashes["vy"])[1]
     assert corner.compose(leg2).compose(back_u) == back_v.compose(c0)
 
 
