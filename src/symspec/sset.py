@@ -18,13 +18,15 @@ a template made once per (word, dimension).
 ``validate`` checks a dimension at a time, on columns: every face count in
 one test, each distinct face form once, and each identity
 d_i d_j = d_{j-1} d_i as one comparison over all the dimension's cells.
-Only a dimension that fails there is scanned cell by cell, to name the
-first failure exactly as a scan would.
+``SimplicialMap.failure`` compares the mapped faces of a dimension's
+cells with their images' rows at once.  Only a dimension that fails there
+is scanned cell by cell, to name the first failure as a scan would.
 
 Products are built on pairs of forms of equal dimension with disjoint words,
-smash products directly on the pairs off the wedge, quotients by a
-congruence closure that reads the identified pairs once per dimension,
-highest first.  All constructions assign fresh ids deterministically, so
+smash products directly on the pairs off the wedge, a run of B-partners at
+a time, each face one read of a partner table; quotients by a congruence
+closure that reads the identified pairs once per dimension, highest
+first.  All constructions assign fresh ids deterministically, so
 equal inputs give identical outputs; a quotient's also do not depend on the
 order of its pairs.
 
@@ -174,10 +176,10 @@ class PreconditionError(ValueError, AssertionError):
 
 
 class _FaceRows(dict):
-    """The face rows of the m-forms of ``space``, keyed by form, for
-    ``validate``.  It starts with the m-cells' own faces ((), c), whose rows
-    are their stored tables; any other form goes through ``_form_fault`` on
-    its first read and then holds its ``face_row``, or sets ``faulty``."""
+    """The face rows of the m-forms of ``space``, keyed by form, for the
+    checks on columns.  It starts with the m-cells' own faces ((), c), whose
+    rows are their stored tables; any other form goes through ``_form_fault``
+    on its first read and then holds its ``face_row``, or sets ``faulty``."""
 
     def __init__(self, space, m):
         ids = space.cells.get(m, ())
@@ -206,17 +208,12 @@ class PointedSimplicialSet:
         self.faces = faces
         self.basepoint = basepoint
         self.name = name
-        self.dim_of = {}
-        for k, ids in self.cells.items():
-            for c in ids:
-                self.dim_of[c] = k
-        self._forms_by_dim = {}
-        self._forms_by_row = {}
+        self.dim_of = {c: k for k, ids in self.cells.items() for c in ids}
+        self._forms_by_dim, self._forms_by_row = {}, {}
 
     def __repr__(self):
         counts = ",".join(f"{k}:{len(v)}" for k, v in self.cells.items())
-        label = self.name or "sset"
-        return f"<{label} [{counts}]>"
+        return f"<{self.name or 'sset'} [{counts}]>"
 
     @property
     def dim(self):
@@ -245,14 +242,16 @@ class PointedSimplicialSet:
     def face_row(self, form, k):
         """The faces (d_0 f, ..., d_k f) of a k-form f, in normal form; () for
         a vertex.  A cell's row is its stored face table; a degenerate
-        form's is its word's ``_row_template`` read off its cell's table.
-        This is the one way a face row is built."""
+        form's is its word's ``_row_template`` read off its cell's table,
+        a nondegenerate face (w, c) taken as it is."""
         word, cell = form
         if not word:
             return self.faces[cell] if k else ()
         faces = self.faces.get(cell)
         return tuple([
-            (w, cell) if i is None else word_compose(w, faces[i])
+            (w, cell) if i is None
+            else (w, faces[i][1]) if not faces[i][0]
+            else word_compose(w, faces[i])
             for w, i in _row_template(word, k)
         ])
 
@@ -262,14 +261,12 @@ class PointedSimplicialSet:
     def forms(self, k):
         """All k-dimensional forms (degenerate ones included), fixed order."""
         if k not in self._forms_by_dim:
-            out = []
-            for p in sorted(self.cells):
-                if p > k:
-                    break
-                for cell in self.cells[p]:
-                    for comb in itertools.combinations(range(k), k - p):
-                        out.append((tuple(reversed(comb)), cell))
-            self._forms_by_dim[k] = tuple(out)
+            self._forms_by_dim[k] = tuple(
+                (tuple(reversed(comb)), cell)
+                for p, ids in self.cells.items() if p <= k
+                for cell in ids
+                for comb in itertools.combinations(range(k), k - p)
+            )
         return self._forms_by_dim[k]
 
     def forms_by_row(self, k):
@@ -422,7 +419,9 @@ class SimplicialMap:
     def failure(self, where=""):
         """The ``IdentityError`` at the first cell where this is not a pointed
         simplicial map, or None; ``where`` prefixes the identity's name.  A
-        cell with no image fails ``f(c) is assigned``."""
+        cell with no image fails ``f(c) is assigned``.  Each dimension is
+        checked at once, on columns (``_dimension_holds``); only a dimension
+        that fails there is scanned cell by cell, to name the first failure."""
         source, target, assign = self.source, self.target, self.assign
         bp, base = source.basepoint, ((), target.basepoint)
         f = assign.get(bp)
@@ -430,30 +429,49 @@ class SimplicialMap:
             return IdentityError(bp, f"{where}f(c) is assigned", None, base)
         if f != base:
             return IdentityError(bp, f"{where}f(base) = base", f, base)
-        dim_of, faces, target_faces = target.dim_of, source.faces, target.faces
         for k, ids in source.cells.items():  # the order of cell_ids()
+            try:
+                if self._dimension_holds(k, ids):
+                    continue
+            except (TypeError, ValueError, KeyError):
+                pass  # a form no column reads: the scan meets it as a cell-by-cell check does
             for c in ids:
                 f = assign.get(c)
                 if f is None:
                     return IdentityError(c, f"{where}f(c) is assigned", None, f"a {k}-form")
-                word, cell = f
-                # _form_fault's test for a normal form, inline
-                if dim_of.get(cell) != k - len(word) or (word and not _is_decreasing(word, k)):
-                    what, lhs, rhs = _form_fault(target, f, k)
+                fault = _form_fault(target, f, k)
+                if fault:
+                    what, lhs, rhs = fault
                     return IdentityError(c, f"{where}f(c) {what}", lhs, rhs)
-                if not k:
-                    continue
-                # the whole face row at once (face_row's, read straight off
-                # the table for a cell); only a cell whose rows differ is
-                # scanned face by face, to name the first
-                row = tuple([word_compose(w, assign[t]) if w else assign[t] for w, t in faces[c]])
-                if row == tuple(target_faces[cell] if not word else target.face_row(f, k)):
-                    continue
-                for i in range(k + 1):
+                for i in range(k + 1 if k else 0):
                     lhs, rhs = self.apply(source.face(i, ((), c))), target.face(i, f)
                     if lhs != rhs:
                         return IdentityError(c, f"{where}f(d_{i} c) = d_{i} f(c)", lhs, rhs)
         return None
+
+    def _dimension_holds(self, k, ids):
+        """Whether the k-cells ``ids`` pass ``failure``'s checks at once: the
+        images normal k-forms, their rows read off the target's tables (or
+        ``_FaceRows``, if any image is degenerate or faulty), and all faces
+        of the cells, each distinct face mapped once, equal to the rows."""
+        target, assign = self.target, self.assign
+        images = list(map(assign.__getitem__, ids))
+        words, cells = zip(*images)
+        if any(words) or set(map(target.dim_of.get, cells)) != {k}:
+            rows_of = _FaceRows(target, k)
+            rows = list(map(rows_of.__getitem__, images))
+            if rows_of.faulty:
+                return False
+        elif k:
+            rows = list(map(target.faces.__getitem__, cells))
+        if not k:
+            return True
+        flat = itertools.chain.from_iterable
+        tables = list(map(self.source.faces.__getitem__, ids))
+        faces = list(flat(tables))
+        image = {g: word_compose(g[0], assign[g[1]]) for g in set(faces)}
+        mapped = list(map(image.__getitem__, faces))
+        return set(map(len, tables)) == {k + 1} and mapped == list(flat(rows))
 
     def is_valid(self):
         return self.failure() is None
@@ -529,9 +547,7 @@ def _subset_spaces(n, keep, name):
         k = len(comb) - 1
         cells.setdefault(k, []).append(c)
         if k:
-            faces[c] = tuple(
-                ((), ids[comb[:i] + comb[i + 1 :]]) for i in range(k + 1)
-            )
+            faces[c] = tuple(((), ids[comb[:i] + comb[i + 1 :]]) for i in range(k + 1))
     space = PointedSimplicialSet(cells, faces, 0, name=name)
     space.subset_ids = ids
     return space
@@ -539,10 +555,8 @@ def _subset_spaces(n, keep, name):
 
 def subset_inclusion(A, B):
     """Canonical inclusion between subcomplexes of the same Delta[n]_+."""
-    assign = {A.basepoint: ((), B.basepoint)}
-    for comb, c in A.subset_ids.items():
-        assign[c] = ((), B.subset_ids[comb])
-    return SimplicialMap(A, B, assign)
+    assign = {c: ((), B.subset_ids[comb]) for comb, c in A.subset_ids.items()}
+    return SimplicialMap(A, B, {A.basepoint: ((), B.basepoint), **assign})
 
 
 def delta_plus(n):
@@ -564,9 +578,7 @@ def horn_plus(n, i):
         raise PreconditionError(f"no horn Horn[{n},{i}]: need 0 <= i <= n, n >= 1")
     full = tuple(range(n + 1))
     opp = full[:i] + full[i + 1 :]
-    return _subset_spaces(
-        n, lambda comb: comb != full and comb != opp, f"Horn[{n},{i}]+"
-    )
+    return _subset_spaces(n, lambda comb: comb != full and comb != opp, f"Horn[{n},{i}]+")
 
 
 def interval_plus():
@@ -592,9 +604,7 @@ def zero_sphere():
 
 def circle():
     """Delta[1] with both ends at the basepoint: one vertex, one edge."""
-    return PointedSimplicialSet(
-        {0: (0,), 1: (1,)}, {1: (((), 0), ((), 0))}, 0, name="S1"
-    )
+    return PointedSimplicialSet({0: (0,), 1: (1,)}, {1: (((), 0), ((), 0))}, 0, name="S1")
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +636,7 @@ def _split_words(wa, wb):
         wb = word_extract(j, wb)
         outer.append(j)
         common = set(wa) & set(wb)
-    acc = ()
-    for j in reversed(outer):
-        acc = degeneracy_insert(j, acc)
-    return acc, wa, wb
+    return _word_merge(tuple(outer), ()), wa, wb
 
 
 class ProductResult:
@@ -653,68 +660,52 @@ def _joint_pairs(A, B):
 
     Yields ``(k, fa, fbs)``: a k-dimensional A-form and the list of its
     B-partners, whose words are picked directly from the letters A leaves
-    free.  The order matches the filtered forms(k) x forms(k) sweep, so the
-    position of a pair in this sequence is its product cell id.
+    free.  The partners depend on k and fa's word alone, so every A-cell
+    with that word gets the same list, a run the smash reads once.  The
+    order matches the filtered forms(k) x forms(k) sweep, so the position
+    of a pair in this sequence is its product cell id.
     """
-    b_by_dim = [(q, tuple(B.cells[q])) for q in sorted(B.cells)]
     for k in range(A.dim + B.dim + 1):
-        for p in sorted(A.cells):
+        for p, a_ids in A.cells.items():
             if p > k:
                 break
             if k - p > B.dim:
                 # an A-word this long leaves too few free letters for any B-cell
                 continue
-            for cell in A.cells[p]:
-                for used in itertools.combinations(range(k), k - p):
-                    free = [j for j in range(k) if j not in used]
-                    fbs = []
-                    for q, ids in b_by_dim:
-                        if q > k:
-                            break
-                        need = k - q
-                        if need > len(free):
-                            continue
-                        combs = [
-                            tuple(reversed(comb))
-                            for comb in itertools.combinations(free, need)
-                        ]
-                        fbs.extend((word, y) for y in ids for word in combs)
-                    if fbs:
-                        yield k, (tuple(reversed(used)), cell), fbs
+            runs = []
+            for used in itertools.combinations(range(k), k - p):
+                free = [j for j in range(k) if j not in used]
+                fbs = []
+                for q, ids in B.cells.items():
+                    if q > k:
+                        break
+                    if k - q > len(free):
+                        continue
+                    combs = [tuple(reversed(c)) for c in itertools.combinations(free, k - q)]
+                    fbs.extend([(word, y) for y in ids for word in combs])
+                if fbs:
+                    runs.append((tuple(reversed(used)), fbs))
+            for cell in a_ids:
+                for word, fbs in runs:
+                    yield k, (word, cell), fbs
 
 
 def product(A, B):
     """Categorical product of pointed simplicial sets, with projections."""
-    id_of = {}
-    pair_of = {}
-    cells = {}
-    faces = {}
-    fresh = itertools.count()
-    for k, fa, fbs in _joint_pairs(A, B):
-        for fb in fbs:
-            c = next(fresh)
-            id_of[(fa, fb)] = c
-            pair_of[c] = (fa, fb)
-            cells.setdefault(k, []).append(c)
+    pairs = [(k, (fa, fb)) for k, fa, fbs in _joint_pairs(A, B) for fb in fbs]
+    cells, faces = {}, {}
+    for c, (k, _) in enumerate(pairs):
+        cells.setdefault(k, []).append(c)
+    pair_of = {c: pair for c, (_, pair) in enumerate(pairs)}
+    id_of = {pair: c for c, pair in pair_of.items()}
     bp = id_of[(((), A.basepoint), ((), B.basepoint))]
     space = PointedSimplicialSet(cells, faces, bp, name=f"({A.name}x{B.name})")
     result = ProductResult(space, None, None, pair_of, id_of)
-    for k in sorted(cells):
-        if k == 0:
-            continue
-        for c in cells[k]:
-            fa, fb = pair_of[c]
-            entry = []
-            for i in range(k + 1):
-                entry.append(result.pair_form(A.face(i, fa), B.face(i, fb)))
-            faces[c] = tuple(entry)
-    # faces dict is shared with the space; rebuild caches that care about it
-    result.proj1 = SimplicialMap(
-        space, A, {c: pair_of[c][0] for c in space.cell_ids()}
-    )
-    result.proj2 = SimplicialMap(
-        space, B, {c: pair_of[c][1] for c in space.cell_ids()}
-    )
+    for c, (k, (fa, fb)) in enumerate(pairs):
+        if k:
+            faces[c] = tuple(map(result.pair_form, A.face_row(fa, k), B.face_row(fb, k)))
+    result.proj1 = SimplicialMap(space, A, {c: pair[0] for c, pair in pair_of.items()})
+    result.proj2 = SimplicialMap(space, B, {c: pair[1] for c, pair in pair_of.items()})
     return result
 
 
@@ -953,6 +944,25 @@ class SmashResult:
         return out
 
 
+class _Partners(dict):
+    """A partner table of ``smash``: the form in A ^ B of each pair (ga, gb)
+    at one m-form ga of A, keyed by the B-form gb.  It holds ga's own cells
+    and B's base form, on the wedge; any other gb shares a degeneracy with
+    ga and is normalized through ``_split_words`` on its first read.  At
+    A's base form (ga None) every gb is on the wedge."""
+
+    __slots__ = ("ga", "id_of", "wedge")
+
+    def __missing__(self, gb):
+        out = self.wedge
+        if self.ga is not None:
+            (wa, ta), (wb, tb) = self.ga, gb
+            outer, wa, wb = _split_words(wa, wb)
+            out = (outer, self.id_of[(wa, ta), (wb, tb)])
+        self[gb] = out
+        return out
+
+
 def smash(A, B, name=None):
     """Smash product, built directly on the pairs off the wedge.
 
@@ -963,74 +973,67 @@ def smash(A, B, name=None):
     the result is the quotient of ``product(A, B)`` collapsing the wedge,
     cell ids included.
 
-    Each factor form's ``face_row`` is read once, with its faces on the
-    base marked None, so a face of a pair lies on the wedge when either
-    coordinate's mark is None; a base A-form's partners are all skipped at
-    once.  Other face pairs are normalized through ``_split_words``, as
-    ``pair_normalize`` does, and a pair left as it is is looked up among
-    its A-coordinate's partners, which hold each cell's form ``((), c)``
-    as one object: a face table shares it, so ``validate`` mostly meets
-    equal faces as the same object.
+    ``_joint_pairs`` yields an A-form fa with its run of B-partners, which
+    every A-cell with fa's word shares; the run's partners off B's base and
+    their face columns (column i holds d_i of each) are made once.  The
+    cells of fa's run get their ids, ``id_of`` and ``pair_rep`` in bulk,
+    and their faces as each column read through the partner table
+    (``_Partners``) of fa's face there: one dict read per face.  A table is
+    made when its A-form is first read as a face, with each of the form's
+    cells as one object ``((), c)``, so ``validate`` mostly meets equal
+    faces as the same object; the (k-2)-forms' tables go at dimension k.
     """
-    id_of = {}
-    pair_rep = {}
-    cells = {}
-    faces = {}
-    basepoint = None
+    id_of, cells, faces = {}, {}, {}
     abp, bbp = A.basepoint, B.basepoint
-    fresh = itertools.count()
-    b_rows = {}  # marked face row of a B-form; B-forms recur across A-forms
-    # A-form -> {B-form: ((), cell)}: id_of by the first coordinate, each
-    # cell's form made once, so equal faces are one object
-    partners = {}
+    # the base vertex is the first wedge pair: (a0, b0) if A's first vertex
+    # a0 is its base, else (a0, B's base vertex)
+    a0, v0 = ((), A.cells[0][0]), B.cells[0]
+    basepoint = 0 if a0[1] == abp else v0.index(bbp)
+    bp_pair = (a0, ((), v0[0] if a0[1] == abp else bbp))
+    repeat = itertools.repeat
+    dim = tables = None
     for k, fa, fbs in _joint_pairs(A, B):
+        if k != dim:
+            # A-form -> its (partners, ids), or its _Partners once read as a
+            # face, at dimensions k - 1 and k
+            below = tables if dim == k - 1 else {}
+            dim, tables, runs = k, {}, {}
+            cells[k] = [] if k else [basepoint]
+            b_wedge, wedge = base_form(bbp, k - 1), base_form(basepoint, k - 1)
         if fa[1] == abp:
-            if basepoint is None:
-                basepoint = next(fresh)
-                pair_rep[basepoint] = (fa, fbs[0])
-                cells.setdefault(0, []).append(basepoint)
             continue
-        ids = partners[fa] = {}
-        a_row = None
-        for fb in fbs:
-            if fb[1] == bbp:
-                if basepoint is None:
-                    basepoint = next(fresh)
-                    pair_rep[basepoint] = (fa, fb)
-                    cells.setdefault(0, []).append(basepoint)
-                continue
-            c = next(fresh)
-            ids[fb] = ((), c)
-            pair = (fa, fb)
-            id_of[pair] = c
-            pair_rep[c] = pair
-            cells.setdefault(k, []).append(c)
-            if not k:
-                continue
-            if a_row is None:
-                a_row = A.face_row(fa, k)
-                a_ids = [None if g[1] == abp else partners.get(g, {}) for g in a_row]
-                on_wedge = base_form(basepoint, k - 1)
-            b_row = b_rows.get(fb)
-            if b_row is None:
-                b_row = b_rows[fb] = [None if g[1] == bbp else g for g in B.face_row(fb, k)]
-            entry = []
-            for ga_ids, ga, gb in zip(a_ids, a_row, b_row):
-                if ga_ids is None or gb is None:
-                    entry.append(on_wedge)
-                    continue
-                if ga[0] and gb[0]:
-                    outer, wa, wb = _split_words(ga[0], gb[0])
-                    if outer:
-                        entry.append((outer, id_of[(wa, ga[1]), (wb, gb[1])]))
-                        continue
-                entry.append(ga_ids[gb])
-            faces[c] = tuple(entry)
-    space = PointedSimplicialSet(
-        cells, faces, basepoint, name=name or f"({A.name}^{B.name})"
-    )
+        run = runs.get(fa[0])
+        if run is None:
+            # B's base vertex is a partner of a nondegenerate A-form only
+            kept = fbs if fa[0] else [fb for fb in fbs if fb[1] != bbp]
+            run = runs[fa[0]] = (kept, list(zip(*[B.face_row(fb, k) for fb in kept])) if k else ())
+        kept, columns = run
+        if not kept:
+            continue
+        # one int object per cell id, shared by all the tables that hold it
+        n = len(id_of) + 1
+        if n <= basepoint:  # A's first vertex: the base vertex is inside its run
+            cs = [c for c in range(len(fbs)) if c != basepoint]
+        else:
+            cs = list(range(n, n + len(kept)))
+        id_of.update(zip(zip(repeat(fa), kept), cs))
+        tables[fa] = (kept, cs)
+        cells[k].extend(cs)
+        if k:
+            reads = []
+            for ga in A.face_row(fa, k):
+                t = below.get(ga)
+                if t.__class__ is not _Partners:
+                    t = below[ga] = _Partners(zip(t[0], zip(repeat(()), t[1])) if t else ())
+                    t.ga, t.id_of = None if ga[1] == abp else ga, id_of
+                    t.wedge = t[b_wedge] = wedge
+                reads.append(t.__getitem__)
+            faces.update(zip(cs, zip(*map(map, reads, columns))))
+    reps = list(id_of.items())
+    reps.insert(basepoint, (bp_pair, basepoint))
+    space = PointedSimplicialSet(cells, faces, basepoint, name=name or f"({A.name}^{B.name})")
     space.validate()
-    return SmashResult(A, B, space, id_of, pair_rep)
+    return SmashResult(A, B, space, id_of, {c: pair for pair, c in reps})
 
 
 def smash_pairs(A, B):
@@ -1135,10 +1138,7 @@ def descend(q, f, then=None):
     the first one where g . q and f differ raises ``IdentityError``.
     """
     lift = first_preimages(q)
-    if then is None:
-        want = f.assign
-    else:
-        want = {c: then.apply(form) for c, form in f.assign.items()}
+    want = f.assign if then is None else {c: then.apply(g) for c, g in f.assign.items()}
     g = SimplicialMap(
         q.target, (then or f).target, {qc: want[lift[qc]] for qc in q.target.cell_ids()}
     )

@@ -8,7 +8,8 @@ against.
 
 The last section is different: it keeps constructions the package replaced
 (the simplicial identity check that reads every face of every cell, the
-one that compares row tails with column tails, the smash that loops over
+one that compares row tails with column tails, the map check that reads
+each cell's face row in turn, the smash that loops over
 every pair and normalizes each face pair, the normalized chains that take
 a sign per face, the
 worklist congruence closure, the smash as a collapsed product, the
@@ -389,6 +390,40 @@ def validate_column_tail(space):
                             c, f"d_{i} d_{j} = d_{j - 1} d_{i}", left, right
                         )
     return True
+
+
+def failure_per_cell(f, where=""):
+    """``SimplicialMap.failure`` checking cell by cell: each image's normal
+    form, then its whole face row against the mapped faces, face by face
+    where the rows differ.  None, or the first ``IdentityError``."""
+    from symspec import sset
+
+    source, target, assign = f.source, f.target, f.assign
+    bp, base = source.basepoint, ((), target.basepoint)
+    g = assign.get(bp)
+    if g is None:
+        return sset.IdentityError(bp, f"{where}f(c) is assigned", None, base)
+    if g != base:
+        return sset.IdentityError(bp, f"{where}f(base) = base", g, base)
+    for k, ids in source.cells.items():
+        for c in ids:
+            g = assign.get(c)
+            if g is None:
+                return sset.IdentityError(c, f"{where}f(c) is assigned", None, f"a {k}-form")
+            fault = sset._form_fault(target, g, k)
+            if fault:
+                what, lhs, rhs = fault
+                return sset.IdentityError(c, f"{where}f(c) {what}", lhs, rhs)
+            if not k:
+                continue
+            row = tuple([f.apply(h) for h in source.faces[c]])
+            if row == tuple(target.face_row(g, k)):
+                continue
+            for i in range(k + 1):
+                lhs, rhs = f.apply(source.face(i, ((), c))), target.face(i, g)
+                if lhs != rhs:
+                    return sset.IdentityError(c, f"{where}f(d_{i} c) = d_{i} f(c)", lhs, rhs)
+    return None
 
 
 def smash_pair_loop(A, B, name=None):
