@@ -49,9 +49,12 @@ def _field(data, key, kinds, where):
     return value
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def canonical(obj):
-    """Deterministic byte-for-byte serialization of a JSON value."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Deterministic bytes for a JSON value, a tree built fresh: no cycle check."""
+    return _CANONICAL.encode(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +140,7 @@ def load_space(data, where="space"):
 
 
 def _dump_assign(assign):
-    return {str(c): dump_form(f) for c, f in sorted(assign.items(), key=lambda p: str(p[0]))}
+    return {str(c): dump_form(f) for c, f in assign.items()}
 
 
 def _parse_assign(data, source, target, where):

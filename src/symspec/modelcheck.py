@@ -5,10 +5,10 @@ X_n (+)_{L_nX} L_nY -> Y_n over the latching spaces and ask for a
 monomorphism whose complement carries a free symmetric-group action.  The
 corner is ``spectra.corner_map`` of its square, the construction that
 builds every pushout-product too.  Lifting properties are decided by
-exhaustive search over commuting squares, metered by a budget so the
-answer is always yes, no with a witness, or an explicit refusal.  The
-pushout-product check reads the clauses of the corner map f [] g off a
-corner its caller has built.
+exhaustive search over commuting squares, on the rows of images that
+``sset.map_table`` enumerates, metered by a budget so the answer is yes,
+no with a witness, or an explicit refusal.  The pushout-product check
+reads the clauses of the corner map f [] g off a corner its caller built.
 """
 
 from . import equivariant as eq
@@ -182,65 +182,81 @@ def all_maps(A, X, budget=None):
 # lifting properties
 
 
-def _levels(f):
-    """The space maps of f: f itself, or the levels of a spectrum map."""
-    return (f,) if isinstance(f, sset.SimplicialMap) else f.components
+def _ends(f):
+    """The ids of what f and its levels run from, then of what they run to."""
+    parts = [f, *getattr(f, "components", [f])]
+    return [id(g.source) for g in parts], [id(g.target) for g in parts]
 
 
-def _value(f, then=None):
-    """``then . f`` (f if then is None) as a value, without building it.
-
-    The value holds the ends the map runs between, then level by level the
-    level's ends and its images of the cells of the level's source, in the
-    order of the source's ``dim_of``.  Two maps that assign exactly the
-    cells of their sources have equal values exactly when they are equal,
-    since ``__eq__`` asks for the very same ends: a map on an equal but
-    distinct copy of a space or spectrum has another value.  A level of
-    ``then`` that cannot follow f's raises ``PreconditionError``, as
-    ``compose`` does.
-    """
-    value = [id(f.source), id((then or f).target)]
-    for g, t in zip(_levels(f), _levels(then or f)):
-        images = tuple(map(g.assign.get, g.source.dim_of))
-        if then is not None:
-            if g.target is not t.source:
-                raise sset.PreconditionError(f"{t!r} cannot follow {g!r}")
-            at = t.assign
-            images = tuple([sset.word_compose(w, at[c]) if w else at[c] for w, c in images])
-        value.append((id(g.source), id(t.target), images))
-    return tuple(value)
+def _frame(A):
+    """The ids of A and of its level spaces (A again for a space), as in ``_ends``."""
+    levels = [A] if isinstance(A, sset.PointedSimplicialSet) else map(A.space, range(A.bound + 1))
+    return [id(A), *map(id, levels)]
 
 
-def _lift_table(i, p, lifts):
-    """The index of the first lift h filling each square, keyed by the
-    values of (h.i, p.h): no lift is composed or hashed as a map.  A top or
-    bottom on a copy of the square's spaces has a value no key has, as it
-    equals no composite."""
-    table = {}
-    for j, h in enumerate(lifts):
-        table.setdefault((_value(i, h), _value(h, p)), j)
-    return table
+def _table(A, X, meter):
+    """Every map A -> X as columns of images keyed (level, cell), in ``dim_of``
+    order, and a function building the j-th map (keyed as ``sset.map_table``)."""
+    if isinstance(A, sset.PointedSimplicialSet):
+        keys, columns = sset.map_table(A, X, meter)
+        at = dict(zip(keys, columns))
+        return {(0, c): at[c] for c in A.dim_of}, lambda j: sset.SimplicialMap(
+            A, X, [(c, col[j]) for c, col in zip(keys, columns)]
+        )
+    maps = _all_spectrum_maps(A, X, meter)
+    levels = enumerate(map(A.space, range(A.bound + 1)))
+    columns = {(n, c): [h.level(n).assign[c] for h in maps] for n, S in levels for c in S.dim_of}
+    return columns, maps.__getitem__
 
 
-def _first_lift(table, lifts, top, bottom, meter):
-    """Index of the first lift filling the square whose top and bottom have
-    these values, or None, charging each lift tried."""
-    j = table.get((top, bottom))
-    meter.spend(len(lifts) if j is None else j + 1)
+def _through(fn, memo, col):
+    """fn of each form of a column, in turn; ``memo`` keeps what fn gave."""
+    memo.update((f, fn(f)) for f in set(col).difference(memo))
+    return map(memo.__getitem__, col)
+
+
+def _after(g, table):
+    """The rows of g.h for the maps h of a table, each form through g once."""
+    levels = [(h.apply, {}) for h in getattr(g, "components", [g])]
+    return list(zip(*[_through(*levels[n], col) for (n, _), col in table.items()]))
+
+
+def _before(f, table):
+    """The rows of h.f for the maps h of a table, over the cells of f's source."""
+    levels = enumerate(getattr(f, "components", [f]))
+    cols = [(w, table[n, t]) for n, g in levels for w, t in map(g.assign.get, g.source.dim_of)]
+    cols = [_through(lambda x: sset.word_compose(w, x), {}, col) if w else col for w, col in cols]
+    return list(zip(*cols))
+
+
+def _fillers(i, p, lifts):
+    """(the first lift h filling each square, keyed by the rows of (h.i, p.h); the
+    number of lifts).  Raises ``PreconditionError`` where ``compose`` would."""
+    if _ends(i)[1] != _frame(i.target) or _ends(p)[0] != _frame(p.source):
+        raise sset.PreconditionError(f"{i!r} and {p!r} do not meet the lifts' levels")
+    keys = list(zip(_before(i, lifts), _after(p, lifts)))
+    return {key: j for j, key in reversed(list(enumerate(keys)))}, len(keys)
+
+
+def _first_lift(fill, count, square, meter):
+    """The first of ``count`` lifts filling a square, or None; each try is charged."""
+    j = fill.get(square)
+    meter.spend(count if j is None else j + 1)
     return j
 
 
 def find_lift(i, p, top, bottom, budget=DEFAULT_LIFT_BUDGET):
-    """First diagonal filling the square (top, bottom), or None.
-
-    A top or bottom on an equal but distinct copy of the square's spaces
-    or spectra is filled by no lift, as it equals none of the composites,
-    and every lift is charged.
-    """
+    """First diagonal filling the square (top, bottom), or None.  A top or
+    bottom not running, level by level too, between the very objects h.i
+    and p.h do (an equal copy, say) is filled by none; each lift is charged."""
     meter = Budget(budget)
-    lifts = all_maps(i.target, p.source, meter)
-    j = _first_lift(_lift_table(i, p, lifts), lifts, _value(top), _value(bottom), meter)
-    return None if j is None else lifts[j]
+    lifts, lift_map = _table(i.target, p.source, meter)
+    fill, count = _fillers(i, p, lifts)
+    fits = (_ends(top), _ends(bottom)) == tuple(zip(_ends(i), _ends(p)))  # where h.i, p.h run
+    levels = [getattr(f, "components", [f]) for f in (top, bottom)]
+    square = tuple(tuple(g.assign.get(c) for g in gs for c in g.source.dim_of) for gs in levels)
+    j = _first_lift(fill, count, square if fits else None, meter)
+    return None if j is None else lift_map(j)
 
 
 def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
@@ -252,39 +268,31 @@ def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
 
     ``checked`` counts probes and is part of the CLI output: the candidate
     forms per node visited for non-base cells while enumerating tops,
-    bottoms and lifts (``sset.all_maps``), one per sigma square tried for
+    bottoms and lifts (``sset.map_table``), one per sigma square tried for
     spectra, one per (top, bottom) pair, and per commuting square one per
     lift tried up to the first that fits, or every lift if none does.
     Past the budget it reads budget + 1.
 
-    Squares are compared and lifts looked up by ``_value``, the values of
-    the maps and composites level by level, so no map is composed or
-    hashed; equal values mean equal maps, on the very same spaces.
+    Squares are compared and lifts looked up on rows, a map's images level
+    after level; only a witness becomes a map.  No square commutes if i's
+    levels do not start at i.source's or p's do not end at p.target's.
     """
     meter = Budget(budget)
     try:
-        tops = all_maps(i.source, p.source, meter)
-        bottoms = all_maps(i.target, p.target, meter)
-        lifts = all_maps(i.target, p.source, meter)
-        table = _lift_table(i, p, lifts)
-        squares = [(bottom, _value(bottom), _value(i, bottom)) for bottom in bottoms]
-        for top in tops:
-            tv, pt = _value(top), _value(top, p)
-            for bottom, bv, bi in squares:
+        tops, top_map = _table(i.source, p.source, meter)
+        bottoms, bottom_map = _table(i.target, p.target, meter)
+        fill, count = _fillers(i, p, _table(i.target, p.source, meter)[0])
+        commutes = _ends(i)[0] == _frame(i.source) and _ends(p)[1] == _frame(p.target)
+        squares = list(zip(zip(*bottoms.values()), _before(i, bottoms)))
+        for j, (top, pt) in enumerate(zip(zip(*tops.values()), _after(p, tops))):
+            for k, (bottom, bi) in enumerate(squares):
                 meter.spend()
-                if bi == pt and _first_lift(table, lifts, tv, bv, meter) is None:
-                    return {
-                        "verdict": "no",
-                        "witness": {"top": top, "bottom": bottom},
-                        "checked": meter.used,
-                    }
+                if commutes and bi == pt and _first_lift(fill, count, (top, bottom), meter) is None:
+                    witness = {"top": top_map(j), "bottom": bottom_map(k)}
+                    return {"verdict": "no", "witness": witness, "checked": meter.used}
         return {"verdict": "yes", "witness": None, "checked": meter.used}
     except BudgetExceeded:
-        return {
-            "verdict": "budget exceeded",
-            "witness": None,
-            "checked": meter.used,
-        }
+        return {"verdict": "budget exceeded", "witness": None, "checked": meter.used}
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +300,8 @@ def has_lifting_property(i, p, budget=DEFAULT_LIFT_BUDGET):
 
 
 def _homology_failures(h, top):
-    """The degrees k <= top in which h is not an isomorphism on H_k."""
-    return [k for k in range(top + 1) if not hl.induced_map(h, k).is_isomorphism()]
+    """The degrees k <= top in which h is not an isomorphism on H_k, in turn."""
+    return (k for k in range(top + 1) if not hl.induced_map(h, k).is_isomorphism())
 
 
 def _ingredient_flags(h):
@@ -303,9 +311,9 @@ def _ingredient_flags(h):
             "kind": "space",
             "monomorphism": mono,
             "cofibration": mono,
-            "homology_level_equivalence": not _homology_failures(
-                h, max(h.source.dim, h.target.dim)
-            ),
+            "homology_level_equivalence": next(
+                _homology_failures(h, max(h.source.dim, h.target.dim)), None
+            ) is None,
         }
     cls = level_classify(h)
     return {

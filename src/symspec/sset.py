@@ -39,11 +39,11 @@ and ``left_slice``/``right_slice`` map a factor in at a vertex of the
 other.  No other module of the package reads ``pair_rep``, so a new
 encoding changes ``SmashResult`` and nothing else.
 
-``all_maps`` is the one enumerator of pointed maps.  It joins the map
-tables of connected components, each held as columns, one per cell, so a
-cell whose face row has one candidate appends a column and copies no row.
-The maps come out in the order of backtracking over the cells, and a
-budget is charged what that search would have probed.
+``map_table`` is the one enumerator of pointed maps; ``all_maps`` zips its
+rows into maps.  It joins the tables of connected components, held as
+columns, one per cell, so a cell whose face row has one candidate appends
+a column and copies no row.  Rows come in the order of backtracking over
+the cells, and a budget is charged what that search would have probed.
 
 ``product`` has no caller in the package, since the smash is built off the
 wedge directly.  It stays public as the categorical product the smash is a
@@ -1215,14 +1215,19 @@ def _join(tables):
 
 
 def all_maps(A, X, budget=None):
-    """All pointed simplicial maps A -> X, in a fixed deterministic order.
+    """All pointed simplicial maps A -> X: the rows of ``map_table``, keyed in order."""
+    keys, columns = map_table(A, X, budget)
+    return [SimplicialMap(A, X, zip(keys, row)) for row in zip(*columns)]
 
-    The order is that of backtracking over the non-base cells of A in
-    (dim, id) order, where the images of a k-cell's faces fix the face row
-    of its image and the candidates are ``X.forms_by_row(k)[row]``, in
+
+def map_table(A, X, budget=None):
+    """(keys, columns): the pointed simplicial maps A -> X as rows, one
+    column of images per key: the basepoint, then the non-base cells of A
+    in (dim, id) order.  The rows are in the order of backtracking over the
+    cells in that order, where the images of a k-cell's faces fix the face
+    row of its image and the candidates are ``X.forms_by_row(k)[row]``, in
     ``X.forms(k)`` order: the maps sorted by the ``X.forms(k)`` positions
-    of their images, cell by cell.  Each map's assignment lists the
-    basepoint, then the non-base cells in that order.
+    of their images, cell by cell.
 
     Every prefix of that cell order is face-closed, so the search would
     visit N(pos) nodes at depth pos, N(pos) being the number of pointed
@@ -1241,8 +1246,8 @@ def all_maps(A, X, budget=None):
     columns.  A row with one candidate keeps its place, so a cell whose
     every row has one candidate only appends a column; otherwise each row
     is kept once per candidate.  A join reads at most N(pos) rows, so the
-    budget bounds the work.  The maps are the product of the last tables,
-    sorted into the search order and built once.
+    budget bounds the work.  The rows are the product of the last tables,
+    sorted into the search order.
     """
     cells = _search_cells(A)
     base = ((), X.basepoint)
@@ -1281,8 +1286,7 @@ def all_maps(A, X, budget=None):
     ranks = [map(rank[k].__getitem__, col) for col, (_, _, k) in zip(images, cells)]
     order = [key[-1] for key in sorted(zip(*ranks, range(size)))]
     keys = [A.basepoint] + [c for c, _, _ in cells]
-    rows = list(zip(itertools.repeat(base, size), *images))
-    return [SimplicialMap(A, X, zip(keys, rows[j])) for j in order]
+    return keys, [[base] * size] + [list(map(col.__getitem__, order)) for col in images]
 
 
 def find_isomorphism(A, X):
